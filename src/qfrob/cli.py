@@ -21,7 +21,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
-from math import comb
+from math import comb, isqrt
 
 from . import pdgmod, qgroup, symfunc
 from .cyclotomic import binom_reduction_check, qbinom, to_op, varrho
@@ -390,56 +390,85 @@ def run_check(spec: CheckSpec) -> Report:
 # argument handling
 # --------------------------------------------------------------------------
 
-_DEFAULTS = {
-    "cap": None,
-    "kmax": 3,
-    "max": 4,
-    "amax": None,
-    "nmax": None,
-    "oracle_amax": 4,
-    "oracle_nmax": 8,
-}
+_FLAGS = ("p", "n", "a", "b", "cap", "kmax", "max", "amax", "nmax",
+          "oracle_amax", "oracle_nmax")
+
+_DEFAULTS = {"kmax": 3, "max": 4, "oracle_amax": 4, "oracle_nmax": 8}
+
+
+class UsageError(ValueError):
+    """Parameters no check can decide on; the command exits 2."""
+
+
+def _is_prime(p: int) -> bool:
+    return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
+
+
+def _add_check_flags(parser):
+    for flag in _FLAGS:
+        parser.add_argument(f"--{flag}", type=int, default=None)
 
 
 def _fill_defaults(name, params):
-    p = params.get("p")
-    out = dict(params)
-    if name in ("verify-slash", "verify-twist") and out.get("cap") is None:
-        out["cap"] = 8 * p * p
+    p = params["p"]
+    out = {k: v for k, v in _DEFAULTS.items() if k in CHECKS[name][1]}
+    out.update(params)
+    if name in ("verify-slash", "verify-twist"):
+        out.setdefault("cap", 8 * p * p)
     if name == "verify-nilhecke":
         out.setdefault("n", p)
-        if out.get("cap") is None:
-            out["cap"] = 4 * max(out["n"], 1)
-        out.setdefault("n", p)
+        out.setdefault("cap", 4 * max(out["n"], 1))
     if name == "verify-frobenius":
-        if out.get("amax") is None:
-            out["amax"] = 2 * p
-        if out.get("nmax") is None:
-            out["nmax"] = 4 * p
-    if name == "verify-grass" and out.get("max") is None:
-        out["max"] = 2
+        out.setdefault("amax", 2 * p)
+        out.setdefault("nmax", 4 * p)
     return out
+
+
+def _make_spec(name, params) -> CheckSpec:
+    """The CheckSpec of a check name and its flags (None: not given), with
+    defaults filled in.
+
+    The one path from flags to a check, for the command line and for config
+    lines alike.  Raises UsageError on parameters no check can decide on:
+    an unknown check, a missing or non-prime p (the F_p eliminations invert
+    by Fermat), and for verify-slash/verify-twist a negative n or a cap
+    below 2(p−1), whose valid window holds no degree.
+    """
+    if name not in CHECKS:
+        raise UsageError(f"unknown check {name!r}")
+    params = {k: v for k, v in params.items() if v is not None}
+    if "p" not in params:
+        raise UsageError("--p is required")
+    p = params["p"]
+    if not _is_prime(p):
+        raise UsageError(f"--p {p} is not a prime")
+    params = _fill_defaults(name, params)
+    argnames = CHECKS[name][1]
+    missing = [k for k in argnames if k not in params]
+    if missing:
+        raise UsageError(f"{name}: missing parameters {missing}")
+    if name in ("verify-slash", "verify-twist"):
+        if params["n"] < 0:
+            raise UsageError(f"--n {params['n']} is negative")
+        if params["cap"] < 2 * (p - 1):
+            raise UsageError(
+                f"--cap {params['cap']} leaves an empty valid window "
+                f"(the cap must be at least 2(p-1) = {2 * (p - 1)})"
+            )
+    return CheckSpec(name, {k: params[k] for k in argnames})
 
 
 def _parse_check_args(name, tokens):
     parser = argparse.ArgumentParser(prog=name)
-    for flag in ("p", "n", "a", "b", "cap", "kmax", "max", "amax", "nmax",
-                 "oracle_amax", "oracle_nmax"):
-        parser.add_argument(f"--{flag}", type=int, default=None)
-    ns = parser.parse_args(tokens)
-    params = {k: v for k, v in vars(ns).items() if v is not None}
-    for k, v in _DEFAULTS.items():
-        if v is not None and k in CHECKS[name][1]:
-            params.setdefault(k, v)
-    params = _fill_defaults(name, params)
-    missing = [k for k in CHECKS[name][1] if k not in params]
-    if missing:
-        raise SystemExit(f"{name}: missing parameters {missing}")
-    return CheckSpec(name, {k: params[k] for k in CHECKS[name][1]})
+    _add_check_flags(parser)
+    return _make_spec(name, vars(parser.parse_args(tokens)))
 
 
 def default_specs(config_path=None):
-    """Parse the pinned parameter file into CheckSpecs."""
+    """Parse the pinned parameter file into CheckSpecs.
+
+    Raises UsageError naming the line of the first invalid check.
+    """
     if config_path is None:
         config_path = os.environ.get("QFROB_CONFIG")
     if config_path:
@@ -447,15 +476,15 @@ def default_specs(config_path=None):
     else:
         text = resources.files("qfrob").joinpath("defaults.cfg").read_text()
     specs = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         tokens = shlex.split(line)
-        name, rest = tokens[0], tokens[1:]
-        if name not in CHECKS:
-            raise SystemExit(f"unknown check {name!r} in config")
-        specs.append(_parse_check_args(name, rest))
+        try:
+            specs.append(_parse_check_args(tokens[0], tokens[1:]))
+        except UsageError as exc:
+            raise UsageError(f"config line {lineno}: {exc}") from None
     return specs
 
 
@@ -481,9 +510,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in CHECKS:
         sp = sub.add_parser(name)
-        for flag in ("p", "n", "a", "b", "cap", "kmax", "max", "amax", "nmax",
-                     "oracle_amax", "oracle_nmax"):
-            sp.add_argument(f"--{flag}", type=int, default=None)
+        _add_check_flags(sp)
         sp.add_argument("--json", type=str, default=None)
     allp = sub.add_parser("report-all")
     allp.add_argument("--config", type=str, default=None)
@@ -491,34 +518,20 @@ def main(argv=None) -> int:
     allp.add_argument("--json", type=str, default=None)
     ns = parser.parse_args(argv)
 
-    if ns.command == "report-all":
-        specs = default_specs(ns.config)
-        if ns.jobs > 1:
-            with ThreadPoolExecutor(max_workers=ns.jobs) as pool:
-                reports = list(pool.map(run_check, specs))
+    try:
+        if ns.command == "report-all":
+            specs = default_specs(ns.config)
         else:
-            reports = [run_check(s) for s in specs]
-        _emit(reports, ns.json)
-        return 0 if all(r.status == "pass" for r in reports) else 1
-
-    params = {
-        k: v
-        for k, v in vars(ns).items()
-        if k not in ("command", "json") and v is not None
-    }
-    if "p" not in params:
-        parser.error("--p is required")
-    for k, v in _DEFAULTS.items():
-        if v is not None and k in CHECKS[ns.command][1]:
-            params.setdefault(k, v)
-    params = _fill_defaults(ns.command, params)
-    missing = [k for k in CHECKS[ns.command][1] if k not in params]
-    if missing:
-        parser.error(f"missing parameters: {missing}")
-    spec = CheckSpec(ns.command, {k: params[k] for k in CHECKS[ns.command][1]})
-    rep = run_check(spec)
-    _emit([rep], ns.json)
-    return 0 if rep.status == "pass" else 1
+            specs = [_make_spec(ns.command, {k: getattr(ns, k) for k in _FLAGS})]
+    except UsageError as exc:
+        parser.error(str(exc))
+    if ns.command == "report-all" and ns.jobs > 1:
+        with ThreadPoolExecutor(max_workers=ns.jobs) as pool:
+            reports = list(pool.map(run_check, specs))
+    else:
+        reports = [run_check(s) for s in specs]
+    _emit(reports, ns.json)
+    return 0 if all(r.status == "pass" for r in reports) else 1
 
 
 if __name__ == "__main__":

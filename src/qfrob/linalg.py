@@ -1,12 +1,25 @@
-"""Exact dense linear algebra over prime fields F_p.
+"""Exact linear algebra over prime fields F_p.
 
-All routines work on integer numpy arrays reduced mod p and use Gaussian
-elimination with the first usable row as pivot, scanning columns left to
-right.  With a fixed basis order this makes echelon forms, kernels and
-solutions fully deterministic, which the golden tests rely on.
+Two eliminations live here.
+
+* The sparse row kernel (`sparse_rref`, `sparse_rank`, `sparse_nullspace`,
+  `sparse_extend_basis`) works on vectors stored as ``{column: value}``
+  dicts.  Every p-complex computation in `pcomplex` runs on it: the
+  matrices of ∂^j there are well under 1 % nonzero.
+* The dense numpy routines (`rref`, `nullspace`, `solve`, ...) remain for
+  the linear solves of `pdgmod`, the coboundary membership tests of the
+  lima and theta0 checks, and as the oracle the tests compare the sparse
+  kernel against.
+
+Both take the first usable pivot scanning columns left to right (columns
+in key order for the sparse kernel), so echelon forms, kernels and chosen
+basis extensions are fully deterministic and agree between the two, which
+the golden tests rely on.  p must be prime: inverses are taken by Fermat.
 """
 
 from __future__ import annotations
+
+import heapq
 
 import numpy as np
 
@@ -19,6 +32,10 @@ __all__ = [
     "in_span",
     "extend_basis",
     "matmul_mod",
+    "sparse_rref",
+    "sparse_rank",
+    "sparse_nullspace",
+    "sparse_extend_basis",
 ]
 
 
@@ -169,3 +186,113 @@ def extend_basis(span_cols, candidate_cols, p: int):
     stacked = np.concatenate([span_cols, candidate_cols], axis=1)
     _, pivots = rref(stacked, p)
     return [c - ns for c in pivots if c >= ns]
+
+
+# --------------------------------------------------------------------------
+# sparse row kernel
+# --------------------------------------------------------------------------
+#
+# `pivots` maps a leading column to its row, normalized so row[lead] == 1.
+# Inserting a vector reduces it until its leading column is no pivot; what
+# is left becomes a new pivot row.  The rows are then in echelon form but
+# not reduced; `_back_substitute` makes them the reduced echelon form.
+
+
+def _insert(pivots: dict, vec: dict, p: int) -> bool:
+    """Add vec to the row space held in pivots; False if it was in it."""
+    vec = {k: v % p for k, v in vec.items() if v % p}
+    heap = list(vec)
+    heapq.heapify(heap)
+    get, pop, push = vec.get, heapq.heappop, heapq.heappush
+    while heap:
+        lead = pop(heap)
+        x = get(lead)
+        if x is None:  # cancelled, or a duplicate heap entry
+            continue
+        row = pivots.get(lead)
+        if row is None:
+            inv = pow(x, p - 2, p)
+            if inv != 1:
+                vec = {k: v * inv % p for k, v in vec.items()}
+            pivots[lead] = vec
+            return True
+        for k, y in row.items():
+            v = (get(k, 0) - x * y) % p
+            if v:
+                if k not in vec:
+                    push(heap, k)
+                vec[k] = v
+            else:
+                vec.pop(k, None)
+    return False
+
+
+def _back_substitute(pivots: dict, p: int) -> None:
+    """Clear every pivot column outside its own row, in place.
+
+    Rows are done by decreasing lead; a row only holds pivot columns to the
+    right of its lead, whose rows are then already reduced and hold no
+    pivot column but their own, so one pass per row suffices.
+    """
+    for lead in sorted(pivots, reverse=True):
+        row = pivots[lead]
+        for c in [c for c in row if c != lead and c in pivots]:
+            x = row.pop(c)
+            for k, y in pivots[c].items():
+                if k != c:
+                    v = (row.get(k, 0) - x * y) % p
+                    if v:
+                        row[k] = v
+                    else:
+                        row.pop(k, None)
+
+
+def _echelon(rows, p: int) -> dict:
+    pivots: dict = {}
+    for r in rows:
+        _insert(pivots, r, p)
+    return pivots
+
+
+def sparse_rref(rows, p: int):
+    """Reduced row echelon form of sparse rows mod p.
+
+    Returns (R, pivots): the nonzero rows of the reduced form, ordered by
+    their pivot column, each a {column: value} dict, and the sorted pivot
+    columns.  Equal to the nonzero rows of `rref` with columns in key order.
+    """
+    pivots = _echelon(rows, p)
+    _back_substitute(pivots, p)
+    leads = sorted(pivots)
+    return [dict(sorted(pivots[c].items())) for c in leads], leads
+
+
+def sparse_rank(rows, p: int) -> int:
+    return len(_echelon(rows, p))
+
+
+def sparse_nullspace(rows, columns, p: int) -> list:
+    """Basis of the right kernel of the sparse rows, over `columns`.
+
+    `columns` lists every column key in increasing order.  One vector per
+    non-pivot column c, in the order of `columns`: 1 at c, minus the
+    reduced row entries at the pivots, exactly the columns of `nullspace`.
+    """
+    pivots = _echelon(rows, p)
+    _back_substitute(pivots, p)
+    basis = {c: {c: 1} for c in columns if c not in pivots}
+    for lead, row in pivots.items():
+        for k, y in row.items():
+            if k != lead:
+                basis[k][lead] = -y % p
+    return list(basis.values())
+
+
+def sparse_extend_basis(span, candidates, p: int) -> list:
+    """Indices of the candidates that extend span to the joint span.
+
+    Candidates are tried in order and kept when they do not reduce to zero,
+    so earlier candidates win, as in `extend_basis`.
+    """
+    pivots = _echelon(span, p)
+    return [i for i, v in enumerate(candidates) if _insert(pivots, v, p)]

@@ -180,34 +180,18 @@ class PComplex:
         if err:
             raise ValueError(err)
         p = self.p
+        powers = _Powers(self)
         dims = {k: {} for k in range(p - 1)}
         reps = {k: {} for k in range(p - 1)}
         for d in self.valid_slash_degrees():
-            n = len(self.indices_at(d))
-            if n == 0:
-                continue
-            kers = [np.zeros((n, 0), dtype=np.int64)]
-            for j in range(1, p):
-                kers.append(linalg.nullspace(self.power_matrix(d, j), p))
-            kers.append(np.eye(n, dtype=np.int64))
+            kers = [[]] + [powers.kernel(d, j) for j in range(1, p)]
             for k in range(p - 1):
                 j = p - 1 - k
-                src = d - 2 * j
-                img = self.power_matrix(src, j) if self.indices_at(src) else np.zeros(
-                    (n, 0), dtype=np.int64
-                )
-                span = np.concatenate([img % p, kers[k]], axis=1)
-                chosen = linalg.extend_basis(span, kers[k + 1], p)
+                span = powers.images(d - 2 * j, j) + kers[k]
+                chosen = linalg.sparse_extend_basis(span, kers[k + 1], p)
                 if chosen:
                     dims[k][d] = len(chosen)
-                    local = self.indices_at(d)
-                    vecs = []
-                    for c in chosen:
-                        col = kers[k + 1][:, c]
-                        vecs.append(
-                            {local[r]: int(col[r]) for r in range(n) if col[r]}
-                        )
-                    reps[k][d] = vecs
+                    reps[k][d] = [dict(sorted(kers[k + 1][c].items())) for c in chosen]
         return SlashCohomology(
             p=p,
             dims=dims,
@@ -229,33 +213,15 @@ class PComplex:
         if err:
             raise ValueError(err)
         p = self.p
+        powers = _Powers(self)
         strings = []
         for d in self.support_degrees():
-            local = self.indices_at(d)
-            n = len(local)
-            kers = [np.zeros((n, 0), dtype=np.int64)]
-            for j in range(1, p):
-                kers.append(linalg.nullspace(self.power_matrix(d, j), p))
-            kers.append(np.eye(n, dtype=np.int64))  # ∂^p = 0
-            prev = self.indices_at(d - 2)
+            kers = [powers.kernel(d, j) for j in range(p + 1)]  # ∂^p = 0
             for length in range(p, 0, -1):
-                upper = kers[length + 1] if length + 1 <= p else np.eye(
-                    n, dtype=np.int64
-                )
-                if prev:
-                    kprev = (
-                        linalg.nullspace(self.power_matrix(d - 2, length + 1), p)
-                        if length + 1 < p
-                        else np.eye(len(prev), dtype=np.int64)
-                    )
-                    img = (self.matrix(d - 2) @ kprev) % p
-                else:
-                    img = np.zeros((n, 0), dtype=np.int64)
-                span = np.concatenate([kers[length - 1], img], axis=1)
-                for c in linalg.extend_basis(span, kers[length], p):
-                    col = kers[length][:, c]
-                    head = {local[r]: int(col[r]) for r in range(n) if col[r]}
-                    slots = [head]
+                img = [self.apply(v) for v in powers.kernel(d - 2, min(length + 1, p))]
+                span = kers[length - 1] + img
+                for c in linalg.sparse_extend_basis(span, kers[length], p):
+                    slots = [dict(sorted(kers[length][c].items()))]
                     for _ in range(length - 1):
                         slots.append(self.apply(slots[-1]))
                     strings.append(StringBasis(d, length, slots))
@@ -276,15 +242,12 @@ class PComplex:
         if err:
             raise ValueError(err)
         p = self.p
+        powers = _Powers(self)
         ranks: dict[int, list] = {}
         for d in self.support_degrees():
-            n = len(self.indices_at(d))
-            rs = [n]
-            power = np.eye(n, dtype=np.int64)
-            for j in range(1, p + 2):
-                power = linalg.matmul_mod(self.matrix(d + 2 * (j - 1)), power, p)
-                rs.append(linalg.rank(power, p) if power.size else 0)
-            ranks[d] = rs
+            ranks[d] = [len(self.indices_at(d))] + [
+                linalg.sparse_rank(powers.images(d, j), p) for j in range(1, p + 2)
+            ]
 
         def r(d, j):
             if d not in ranks:
@@ -327,6 +290,46 @@ class PComplex:
             dims={d: len(ix) for d, ix in self._by_degree.items()},
             window=(self.min_degree(), self.cap),
         )
+
+
+class _Powers:
+    """Sparse images ∂^j(e_i) of each degree's basis vectors and kernels of
+    ∂^j, built with `PComplex.apply` once per degree and reused across the
+    powers j within one computation."""
+
+    def __init__(self, c: PComplex):
+        self.c = c
+        self._images: dict[int, list] = {}
+        self._kernels: dict[tuple, list] = {}
+
+    def images(self, d, j):
+        """[∂^j(e_i) for e_i in the basis of degree d], as sparse vectors."""
+        powers = self._images.get(d)
+        if powers is None:
+            powers = self._images[d] = [[{i: 1} for i in self.c.indices_at(d)]]
+        while len(powers) <= j:
+            powers.append([self.c.apply(v) for v in powers[-1]])
+        return powers[j]
+
+    def kernel(self, d, j):
+        """Basis of Ker ∂^j on degree d, in the order `linalg.nullspace`
+        gives for the matrix of ∂^j: empty for j = 0, and the whole basis
+        for j ≥ p, whatever the truncation left of ∂^p."""
+        key = (d, j)
+        if key not in self._kernels:
+            local = self.c.indices_at(d)
+            if j == 0:
+                basis = []
+            elif j >= self.c.p:
+                basis = [{i: 1} for i in local]
+            else:
+                rows: dict[int, dict] = {}
+                for i, img in zip(local, self.images(d, j)):
+                    for t, x in img.items():
+                        rows.setdefault(t, {})[i] = x
+                basis = linalg.sparse_nullspace(rows.values(), local, self.c.p)
+            self._kernels[key] = basis
+        return self._kernels[key]
 
 
 # ---------- module-level operation surface ----------

@@ -7,6 +7,21 @@ import pytest
 from qfrob.cli import CheckSpec, default_specs, main, run_check
 
 
+# parameters no check can decide on: a non-prime p (the F_p eliminations
+# invert by Fermat), a negative n, and a cap below 2(p−1), which leaves an
+# empty valid window
+BAD_ARGS = [
+    "verify-slash --p 4 --n 2",
+    "verify-vi --p 0",
+    "verify-binom --p 1 --max 2",
+    "verify-lima --p 9 --a 1 --b 1",
+    "verify-slash --p 2 --n -1",
+    "verify-twist --p 3 --n -1",
+    "verify-slash --p 3 --n 2 --cap 3",
+    "verify-twist --p 3 --n 2 --cap 3",
+]
+
+
 class TestRunCheck:
     def test_lima_pass(self):
         rep = run_check(CheckSpec("verify-lima", {"p": 2, "a": 1, "b": 1}))
@@ -72,6 +87,13 @@ class TestMain:
             main(["verify-lima", "--a", "1", "--b", "1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("args", BAD_ARGS)
+    def test_bad_parameters_are_usage_errors(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(args.split())
+        assert exc.value.code == 2
+        capsys.readouterr()
+
 
 class TestConfig:
     def test_defaults_parse(self):
@@ -124,6 +146,15 @@ class TestConfig:
         cfg.write_text("verify-binom --p 2 --max 1\n")
         monkeypatch.setenv("QFROB_CONFIG", str(cfg))
         assert default_specs() == [CheckSpec("verify-binom", {"p": 2, "max": 1})]
+
+    @pytest.mark.parametrize("line", BAD_ARGS)
+    def test_bad_config_line_is_usage_error(self, line, tmp_path, capsys):
+        cfg = tmp_path / "own.cfg"
+        cfg.write_text(f"verify-binom --p 2 --max 1\n{line}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["report-all", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "config line 2" in capsys.readouterr().err
 
     def test_failing_config_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "own.cfg"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dense_oracle
 from qfrob import linalg
 from qfrob.pcomplex import (
     INF,
@@ -20,7 +21,21 @@ from qfrob.pcomplex import (
     tensor_strings,
     validate,
 )
-from qfrob.symfunc import sym_pcomplex, vab_pcomplex
+from qfrob.symfunc import sym_pcomplex, twist_pcomplex, vab_pcomplex
+
+
+def assert_matches_dense_oracle(c):
+    """Slash dims, representatives and strings equal the dense oracle's,
+    byte for byte (reprs compare key order too)."""
+    sl = slash_cohomology(c)
+    dims, reps = dense_oracle.slash_cohomology(c)
+    assert sl.dims == dims
+    assert repr(sl.reps) == repr(reps)
+
+    def flat(strings):
+        return repr([(s.head_degree, s.length, s.slots) for s in strings])
+
+    assert flat(string_decompose(c)) == flat(dense_oracle.string_decompose(c))
 
 
 def string_complex(p, heads):
@@ -344,3 +359,18 @@ def test_slash_agrees_with_strings_random(p, head_data, seed):
             expect[k][d] = expect[k].get(d, 0) + 1
     for k in range(p - 1):
         assert sl.dims.get(k, {}) == expect[k]
+    assert_matches_dense_oracle(c)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: sym_pcomplex(4, 3, 72),
+        lambda: twist_pcomplex(4, 1, 3, 72),
+        # basis vectors above the cap, where the window ends
+        lambda: tensor(sym_pcomplex(2, 3, 16), string_complex(3, [(0, 2), (2, 1)])),
+    ],
+    ids=["sym4", "twist4_1", "truncated_tensor"],
+)
+def test_sparse_matches_dense_oracle(make):
+    assert_matches_dense_oracle(make())
