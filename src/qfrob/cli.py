@@ -25,6 +25,7 @@ from math import comb, isqrt
 
 from . import pdgmod, qgroup, symfunc
 from .cyclotomic import binom_reduction_check, qbinom, to_op, varrho
+from .linalg import SparseSpan
 
 __all__ = ["main", "run_check", "Report", "CheckSpec"]
 
@@ -130,10 +131,6 @@ def check_verify_lima(p: int, a: int, b: int) -> tuple[str, dict]:
     # representatives must be exactly the expanded-box classes up to
     # coboundary: each is a cocycle, and they are independent in H_{/0}
     pos = {lam: i for i, lam in enumerate(c.labels)}
-    import numpy as np
-
-    from . import linalg
-
     for lam in lima:
         f = symfunc.schur(p, lam)
         img = f.diff()
@@ -148,16 +145,10 @@ def check_verify_lima(p: int, a: int, b: int) -> tuple[str, dict]:
         if sl.dims[0].get(d, 0) != len(lams):
             values["degree_mismatch"] = d
             return "fail", values
-        local = c.indices_at(d)
-        lpos = {i: r for r, i in enumerate(local)}
-        im = c.power_matrix(d - 2 * (p - 1), p - 1)
-        cols = []
-        for lam in lams:
-            v = np.zeros(len(local), dtype=np.int64)
-            v[lpos[pos[lam]]] = 1
-            cols.append(v)
-        cand = np.stack(cols, axis=1)
-        if len(linalg.extend_basis(im, cand, p)) != len(lams):
+        # independent modulo Im ∂^{p−1}: adding them raises the rank by one each
+        im = c.power_images(d - 2 * (p - 1), p - 1)
+        cand = [{pos[lam]: 1} for lam in lams]
+        if SparseSpan(im + cand, p).rank - SparseSpan(im, p).rank != len(lams):
             values["dependent_modulo_coboundary"] = d
             return "fail", values
     values["classes"] = [list(l) for l in lima]
@@ -340,18 +331,11 @@ def check_verify_theta0(p: int, kmax: int) -> tuple[str, dict]:
 
 def _factor_is_coboundary(lam, nvars, p):
     """Whether the class of π_λ dies in H_{/0}(Sym_nvars) (windowed)."""
-    import numpy as np
-
-    from . import linalg
-
     d = 2 * sum(lam)
     c = symfunc.sym_pcomplex(nvars, p, d + 2 * p)
-    local = c.indices_at(d)
-    lpos = {c.labels[i]: r for r, i in enumerate(local)}
-    v = np.zeros(len(local), dtype=np.int64)
-    v[lpos[tuple(lam)]] = 1
-    im = c.power_matrix(d - 2 * (p - 1), p - 1)
-    return linalg.in_span(im, v, p)
+    index = {c.labels[i]: i for i in c.indices_at(d)}
+    im = c.power_images(d - 2 * (p - 1), p - 1)
+    return {index[tuple(lam)]: 1} in SparseSpan(im, p)
 
 
 CHECKS = {
@@ -395,6 +379,21 @@ _FLAGS = ("p", "n", "a", "b", "cap", "kmax", "max", "amax", "nmax",
 
 _DEFAULTS = {"kmax": 3, "max": 4, "oracle_amax": 4, "oracle_nmax": 8}
 
+# The least value of each range parameter for which a check decides
+# anything; below it the check's domain is empty.
+_LEAST = {
+    "verify-slash": {"n": 0},
+    "verify-twist": {"n": 0},
+    "verify-lima": {"a": 0, "b": 0},
+    "verify-vi": {"kmax": 1},
+    "verify-binom": {"max": 0},
+    "verify-nilhecke": {"n": 1},
+    "verify-thick": {"a": 1},
+    "verify-grass": {"max": 0},
+    "verify-frobenius": {"amax": 0, "nmax": 0, "oracle_amax": 0, "oracle_nmax": 0},
+    "verify-theta0": {"kmax": 1},
+}
+
 
 class UsageError(ValueError):
     """Parameters no check can decide on; the command exits 2."""
@@ -417,7 +416,7 @@ def _fill_defaults(name, params):
         out.setdefault("cap", 8 * p * p)
     if name == "verify-nilhecke":
         out.setdefault("n", p)
-        out.setdefault("cap", 4 * max(out["n"], 1))
+        out.setdefault("cap", 4 * out["n"])
     if name == "verify-frobenius":
         out.setdefault("amax", 2 * p)
         out.setdefault("nmax", 4 * p)
@@ -430,9 +429,12 @@ def _make_spec(name, params) -> CheckSpec:
 
     The one path from flags to a check, for the command line and for config
     lines alike.  Raises UsageError on parameters no check can decide on:
-    an unknown check, a missing or non-prime p (the F_p eliminations invert
-    by Fermat), and for verify-slash/verify-twist a negative n or a cap
-    below 2(p−1), whose valid window holds no degree.
+    an unknown check, a missing or non-prime p (the F_p elimination inverts
+    by Fermat), a range parameter below its `_LEAST` value, and a cap that
+    leaves nothing to decide: below 2(p−1) for verify-slash/verify-twist,
+    whose valid window then holds no degree, and below 4n for
+    verify-nilhecke, whose relation window is then too small to be
+    conclusive.
     """
     if name not in CHECKS:
         raise UsageError(f"unknown check {name!r}")
@@ -447,14 +449,19 @@ def _make_spec(name, params) -> CheckSpec:
     missing = [k for k in argnames if k not in params]
     if missing:
         raise UsageError(f"{name}: missing parameters {missing}")
-    if name in ("verify-slash", "verify-twist"):
-        if params["n"] < 0:
-            raise UsageError(f"--n {params['n']} is negative")
-        if params["cap"] < 2 * (p - 1):
-            raise UsageError(
-                f"--cap {params['cap']} leaves an empty valid window "
-                f"(the cap must be at least 2(p-1) = {2 * (p - 1)})"
-            )
+    for k, least in _LEAST[name].items():
+        if params[k] < least:
+            raise UsageError(f"--{k} {params[k]} leaves nothing to decide (least {least})")
+    if name in ("verify-slash", "verify-twist") and params["cap"] < 2 * (p - 1):
+        raise UsageError(
+            f"--cap {params['cap']} leaves an empty valid window "
+            f"(the cap must be at least 2(p-1) = {2 * (p - 1)})"
+        )
+    if name == "verify-nilhecke" and params["cap"] < 4 * params["n"]:
+        raise UsageError(
+            f"--cap {params['cap']} is below 4n = {4 * params['n']}, too "
+            f"small a window to be conclusive"
+        )
     return CheckSpec(name, {k: params[k] for k in argnames})
 
 

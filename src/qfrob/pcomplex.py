@@ -27,8 +27,6 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import linalg
 
 __all__ = [
@@ -92,7 +90,6 @@ class PComplex:
         self._by_degree: dict[int, list] = {}
         for idx, d in enumerate(self.degrees):
             self._by_degree.setdefault(d, []).append(idx)
-        self._matrices: dict[int, np.ndarray] = {}
 
     # ---------- basic structure ----------
 
@@ -118,27 +115,9 @@ class PComplex:
         hi = self.cap - 2 * (self.p - 1)
         return [d for d in self.support_degrees() if d <= hi]
 
-    def matrix(self, d):
-        """∂ as a dense matrix from degree d to degree d+2."""
-        if d in self._matrices:
-            return self._matrices[d]
-        src = self.indices_at(d)
-        tgt = self.indices_at(d + 2)
-        pos = {i: r for r, i in enumerate(tgt)}
-        m = np.zeros((len(tgt), len(src)), dtype=np.int64)
-        for c, j in enumerate(src):
-            for i, coeff in self.diff.get(j, {}).items():
-                m[pos[i], c] = coeff % self.p
-        self._matrices[d] = m
-        return m
-
-    def power_matrix(self, d, j):
-        """∂^j as a matrix from degree d to degree d+2j."""
-        n = len(self.indices_at(d))
-        out = np.eye(n, dtype=np.int64)
-        for step in range(j):
-            out = linalg.matmul_mod(self.matrix(d + 2 * step), out, self.p)
-        return out
+    def power_images(self, d, j):
+        """[∂^j(e_i) for e_i in the basis of degree d], as sparse vectors."""
+        return _Powers(self).images(d, j)
 
     def apply(self, vec: dict) -> dict:
         out: dict[int, int] = {}
@@ -156,31 +135,14 @@ class PComplex:
     def validation_error(self):
         """None if homogeneous with windowed ∂^p = 0, else a message naming
         the first violating basis vector."""
-        for j in sorted(self.diff):
-            dj = self.degrees[j]
-            for i in self.diff[j]:
-                if self.degrees[i] != dj + 2:
-                    return (
-                        f"differential not homogeneous of degree 2 at basis "
-                        f"vector {self.labels[j]!r}"
-                    )
-        for j, d in enumerate(self.degrees):
-            if d <= self.cap - 2 * self.p:
-                vec = {j: 1}
-                for _ in range(self.p):
-                    vec = self.apply(vec)
-                if vec:
-                    return f"∂^{self.p} does not vanish on {self.labels[j]!r}"
-        return None
+        return _Powers(self).validation_error()
 
     # ---------- slash cohomology ----------
 
     def slash_cohomology(self) -> "SlashCohomology":
-        err = self.validation_error()
-        if err:
-            raise ValueError(err)
-        p = self.p
         powers = _Powers(self)
+        powers.validate()
+        p = self.p
         dims = {k: {} for k in range(p - 1)}
         reps = {k: {} for k in range(p - 1)}
         for d in self.valid_slash_degrees():
@@ -209,11 +171,9 @@ class PComplex:
         Ker ∂^{ℓ−1} + ∂(Ker ∂^{ℓ+1}) inside Ker ∂^ℓ; taking ∂-orbits of such
         complements, longest ℓ first, yields a basis of the whole complex.
         """
-        err = self.validation_error()
-        if err:
-            raise ValueError(err)
-        p = self.p
         powers = _Powers(self)
+        powers.validate()
+        p = self.p
         strings = []
         for d in self.support_degrees():
             kers = [powers.kernel(d, j) for j in range(p + 1)]  # ∂^p = 0
@@ -238,11 +198,9 @@ class PComplex:
         (r_{ℓ−1}(d) − r_ℓ(d−2)) − (r_ℓ(d) − r_{ℓ+1}(d−2)); this avoids
         building explicit vectors.
         """
-        err = self.validation_error()
-        if err:
-            raise ValueError(err)
-        p = self.p
         powers = _Powers(self)
+        powers.validate()
+        p = self.p
         ranks: dict[int, list] = {}
         for d in self.support_degrees():
             ranks[d] = [len(self.indices_at(d))] + [
@@ -302,6 +260,34 @@ class _Powers:
         self._images: dict[int, list] = {}
         self._kernels: dict[tuple, list] = {}
 
+    def validation_error(self):
+        """`PComplex.validation_error`, with ∂^p(e_i) taken as one more
+        `apply` on the images ∂^{p−1}(e_i) that the computations reuse."""
+        c = self.c
+        for j in sorted(c.diff):
+            dj = c.degrees[j]
+            for i in c.diff[j]:
+                if c.degrees[i] != dj + 2:
+                    return (
+                        f"differential not homogeneous of degree 2 at basis "
+                        f"vector {c.labels[j]!r}"
+                    )
+        bad = [
+            i
+            for d in c.support_degrees()
+            if d <= c.cap - 2 * c.p
+            for i, img in zip(c.indices_at(d), self.images(d, c.p - 1))
+            if c.apply(img)
+        ]
+        if bad:
+            return f"∂^{c.p} does not vanish on {c.labels[min(bad)]!r}"
+        return None
+
+    def validate(self):
+        err = self.validation_error()
+        if err:
+            raise ValueError(err)
+
     def images(self, d, j):
         """[∂^j(e_i) for e_i in the basis of degree d], as sparse vectors."""
         powers = self._images.get(d)
@@ -312,9 +298,9 @@ class _Powers:
         return powers[j]
 
     def kernel(self, d, j):
-        """Basis of Ker ∂^j on degree d, in the order `linalg.nullspace`
-        gives for the matrix of ∂^j: empty for j = 0, and the whole basis
-        for j ≥ p, whatever the truncation left of ∂^p."""
+        """Basis of Ker ∂^j on degree d, in the order `linalg.sparse_nullspace`
+        gives for the rows of ∂^j: empty for j = 0, and the whole basis for
+        j ≥ p, whatever the truncation left of ∂^p."""
         key = (d, j)
         if key not in self._kernels:
             local = self.c.indices_at(d)

@@ -719,9 +719,11 @@ class EndAlgebra:
         for src, row in self.D.items():
             for tgt, c in row.items():
                 self.D_rev.setdefault(tgt, {})[src] = c
-        self._solvers: dict[int, tuple] = {}
+        self._expansion = _Coordinates(p, self._expansion_basis, "free module expansion")
         self._scalar_strings = None
-        self._u_transforms: dict[int, tuple] = {}
+        self._u_coords = _Coordinates(
+            p, lambda d: _slot_basis(self._u_strings(), d), "V⊗V^* string slots"
+        )
         self._r_string_cache: dict = {}
 
     def _module_diff(self, prefixes):
@@ -778,39 +780,20 @@ class EndAlgebra:
         rec(0, sizes, [])
         return sorted(out)
 
-    def _solver(self, pd):
-        """Inverse of the multiplication map ⊕_j Sym_N{..} → module at
-        polynomial degree pd, cached."""
-        if pd in self._solvers:
-            return self._solvers[pd]
-        p = self.p
-        rows = self._poly_degree_tuples(pd)
-        row_pos = {t: i for i, t in enumerate(rows)}
+    def _expansion_basis(self, pd):
+        """The products π_ν · basis_j of polynomial degree pd, labelled
+        (j, ν), which must form a basis of the block coordinates of that
+        degree."""
         cols = []
         col_vecs = []
         for j, t in enumerate(self.basis):
-            pdj = 2 * sum(sum(l) for l in t)
-            rest = pd - pdj
+            rest = pd - 2 * sum(sum(l) for l in t)
             if rest < 0 or rest % 2:
                 continue
             for nu in pt.partitions_of(rest // 2, max_rows=self.nvars):
-                vec = self._basis_times_sym(j, nu)
                 cols.append((j, nu))
-                col_vecs.append(vec)
-        m = np.zeros((len(rows), len(cols)), dtype=np.int64)
-        for cidx, vec in enumerate(col_vecs):
-            for t, c in vec.items():
-                m[row_pos[t], cidx] = c
-        if m.shape[0] != m.shape[1]:
-            raise AssertionError(
-                f"free module expansion is not square at degree {pd}: {m.shape}"
-            )
-        inv = linalg.solve(m, np.eye(m.shape[0], dtype=np.int64), p)
-        if inv is None:
-            raise AssertionError("expansion matrix is singular")
-        solver = (rows, row_pos, cols, inv)
-        self._solvers[pd] = solver
-        return solver
+                col_vecs.append(self._basis_times_sym(j, nu))
+        return cols, col_vecs, len(self._poly_degree_tuples(pd))
 
     def _basis_times_sym(self, j, nu):
         """Block coordinates of π_ν(all variables) · basis_j."""
@@ -848,15 +831,8 @@ class EndAlgebra:
             by_pd.setdefault(pd, {})[t] = c % self.p
         out: dict[int, dict] = {}
         for pd, part in by_pd.items():
-            rows, row_pos, cols, inv = self._solver(pd)
-            vec = np.zeros(len(rows), dtype=np.int64)
-            for t, c in part.items():
-                vec[row_pos[t]] = c
-            sol = (inv @ vec) % self.p
-            for cidx, (j, nu) in enumerate(cols):
-                c = int(sol[cidx])
-                if c:
-                    out.setdefault(j, {})[nu] = c
+            for (j, nu), c in self._expansion(pd, part).items():
+                out.setdefault(j, {})[nu] = c
         return {
             j: SchurPoly(self.p, coeffs, self.nvars) for j, coeffs in out.items()
         }
@@ -981,37 +957,16 @@ class EndAlgebra:
             )
         return self._scalar_strings
 
-    def _u_transform(self, d):
-        """Per-degree inverse transform on V⊗V^*: unit vector (i,j) ↦
-        coordinates over (string, slot) pairs."""
-        if d in self._u_transforms:
-            return self._u_transforms[d]
-        strings = self._u_strings()
-        cols = []
-        keys = set()
-        for si, s in enumerate(strings):
-            for t, vec in enumerate(s.slots):
-                if s.head_degree + 2 * t == d:
-                    cols.append(((si, t), vec))
-                    keys.update(vec)
-        keys = sorted(keys)
-        kpos = {k: i for i, k in enumerate(keys)}
-        m = np.zeros((len(keys), len(cols)), dtype=np.int64)
-        for cidx, (_, vec) in enumerate(cols):
-            for k, c in vec.items():
-                m[kpos[k], cidx] = c
-        if m.shape[0] != m.shape[1]:
-            raise AssertionError("string slots do not span the degree piece")
-        inv = linalg.solve(m, np.eye(m.shape[0], dtype=np.int64), self.p)
-        if inv is None:
-            raise AssertionError("string transform singular")
-        self._u_transforms[d] = (kpos, [c[0] for c in cols], inv)
-        return self._u_transforms[d]
-
     def _r_strings(self, cap):
+        """Sym_N truncated at cap, its strings, and coordinates over their
+        slots."""
         if cap not in self._r_string_cache:
             r = sym_pcomplex(self.nvars, self.p, cap)
-            self._r_string_cache[cap] = (r, r.string_decompose())
+            strings = r.string_decompose()
+            coords = _Coordinates(
+                self.p, lambda d: _slot_basis(strings, d), "Sym_N string slots"
+            )
+            self._r_string_cache[cap] = (r, strings, coords)
         return self._r_string_cache[cap]
 
     def is_slash_coboundary(self, x: PDGMatrix) -> bool:
@@ -1027,50 +982,13 @@ class EndAlgebra:
         g = x.degree()
         maxpoly = max(f.degree() for f in x.entries.values())
         cap = maxpoly + 2 * p
-        r, rstrings = self._r_strings(cap)
+        r, rstrings, r_coords = self._r_strings(cap)
         r_index = {lam: i for i, lam in enumerate(r.labels)}
-        rtransforms: dict[int, tuple] = {}
-
-        def r_coords(terms: dict, d):
-            """String-slot coordinates of a Sym_N element of degree d."""
-            if d not in rtransforms:
-                cols = []
-                keys = set()
-                for si, s in enumerate(rstrings):
-                    for t, vec in enumerate(s.slots):
-                        if s.head_degree + 2 * t == d:
-                            cols.append(((si, t), vec))
-                            keys.update(vec)
-                kpos = {k: i for i, k in enumerate(sorted(keys))}
-                m = np.zeros((len(kpos), len(cols)), dtype=np.int64)
-                for cidx, (_, vec) in enumerate(cols):
-                    for k, c in vec.items():
-                        m[kpos[k], cidx] = c
-                if m.shape[0] != m.shape[1]:
-                    raise AssertionError("Sym strings do not span the degree piece")
-                inv = linalg.solve(m, np.eye(m.shape[0], dtype=np.int64), p)
-                if inv is None:
-                    raise AssertionError("Sym string transform singular")
-                rtransforms[d] = (kpos, [c[0] for c in cols], inv)
-            kpos, colkeys, inv = rtransforms[d]
-            vec = np.zeros(len(kpos), dtype=np.int64)
-            for lam, c in terms.items():
-                vec[kpos[r_index[lam]]] = c
-            sol = (inv @ vec) % p
-            return {colkeys[i]: int(sol[i]) for i in range(len(colkeys)) if sol[i]}
-
         blocks: dict[tuple, dict] = {}
         for (i, j), f in x.entries.items():
             du = self.degrees[i] - self.degrees[j]
-            dr = g - du
-            ukpos, ucolkeys, uinv = self._u_transform(du)
-            uvec = np.zeros(len(ukpos), dtype=np.int64)
-            uvec[ukpos[(i, j)]] = 1
-            usol = (uinv @ uvec) % p
-            ucoords = {
-                ucolkeys[idx]: int(usol[idx]) for idx in range(len(ucolkeys)) if usol[idx]
-            }
-            rc = r_coords(f.terms, dr)
+            ucoords = self._u_coords(du, {(i, j): 1})
+            rc = r_coords(g - du, {r_index[lam]: c for lam, c in f.terms.items()})
             for (rs, rslot), c1 in rc.items():
                 for (us, uslot), c2 in ucoords.items():
                     vec = blocks.setdefault((rs, us), {})
@@ -1089,41 +1007,70 @@ class EndAlgebra:
             # cap choice; a nonzero component there would be unsound
             if rstr.length < p and rstr.head_degree + 2 * (p - 1) > cap:
                 raise AssertionError("component on a possibly cut string")
-            if not _jj_membership(rstr.length, ustrings[us].length, p, vec):
+            if vec not in _jj_image(rstr.length, ustrings[us].length, p):
                 return False
         return True
 
 
 @functools.cache
-def _jj_im_basis(l1, l2, p):
-    """Basis columns of Im(∂^{p−1}) in J_{l1}⊗J_{l2}, over (s,t) keys."""
+def _jj_image(l1, l2, p):
+    """Im(∂^{p−1}) in J_{l1}⊗J_{l2}, over (s,t) keys."""
     c = jj_complex(l1, l2, p)
-    keys = list(c.labels)
-    kpos = {k: i for i, k in enumerate(keys)}
-    cols = []
+    images = []
     for j in range(c.dim):
         vec = {j: 1}
         for _ in range(p - 1):
             vec = c.apply(vec)
         if vec:
-            col = np.zeros(len(keys), dtype=np.int64)
-            for i, v in vec.items():
-                col[kpos[c.labels[i]]] = v
-            cols.append(col)
-    m = (
-        np.stack(cols, axis=1)
-        if cols
-        else np.zeros((len(keys), 0), dtype=np.int64)
-    )
-    return kpos, m
+            images.append({c.labels[i]: v for i, v in vec.items()})
+    return linalg.SparseSpan(images, p)
 
 
-def _jj_membership(l1, l2, p, vec) -> bool:
-    kpos, m = _jj_im_basis(l1, l2, p)
-    v = np.zeros(len(kpos), dtype=np.int64)
-    for st, c in vec.items():
-        v[kpos[st]] = c
-    return linalg.in_span(m, v, p)
+def _slot_basis(strings, d):
+    """The string slots in degree d, labelled (string index, slot), for
+    `_Coordinates`: they must form a basis of the keys they touch."""
+    labels = []
+    vectors = []
+    for si, s in enumerate(strings):
+        for t, vec in enumerate(s.slots):
+            if s.head_degree + 2 * t == d:
+                labels.append((si, t))
+                vectors.append(vec)
+    return labels, vectors, len(set().union(*vectors))
+
+
+class _Coordinates:
+    """Coordinates over a basis given degree by degree, one
+    `linalg.SparseSpan` per degree, built on first use.
+
+    basis_at(d) returns (labels, vectors, dim): the basis vectors of degree
+    d as sparse dicts with a label each, and the dimension of the space
+    they must be a basis of; `what` names them in errors.
+    """
+
+    def __init__(self, p, basis_at, what):
+        self.p = p
+        self.basis_at = basis_at
+        self.what = what
+        self._spans: dict = {}
+
+    def __call__(self, d, vec: dict) -> dict:
+        """{label: coefficient} of vec, nonzero ones in basis order."""
+        hit = self._spans.get(d)
+        if hit is None:
+            labels, vectors, dim = self.basis_at(d)
+            span = linalg.SparseSpan(vectors, self.p)
+            if len(labels) != dim or span.rank != dim:
+                raise AssertionError(
+                    f"{self.what} at degree {d}: {len(labels)} vectors of rank "
+                    f"{span.rank} are no basis of dimension {dim}"
+                )
+            hit = self._spans[d] = (labels, span)
+        labels, span = hit
+        x = span.coords(vec)
+        if x is None:
+            raise AssertionError(f"{self.what} at degree {d} do not span {vec}")
+        return {labels[i]: c for i, c in x.items()}
 
 
 @functools.cache

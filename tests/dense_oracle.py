@@ -1,22 +1,126 @@
-"""Dense reference versions of the p-complex computations.
+"""Dense reference versions of the F_p elimination and the p-complex
+computations.
 
-Slash cohomology and string decomposition computed the slow way: dense
-matrices of ∂^j from `PComplex.power_matrix`/`PComplex.matrix` and numpy
-elimination from `linalg`.  `pcomplex` computes both on the sparse row
-kernel; the tests require the two to agree byte for byte.
+Plain numpy Gaussian elimination mod p (`rref`, `rank`, `nullspace`,
+`solve`, `in_span`, `extend_basis`), dense matrices of ∂ and ∂^j
+(`matrix`, `power_matrix`), and slash cohomology and string decomposition
+computed the slow way on them.  `qfrob` computes all of these on its
+sparse row kernel; the tests require the two to agree.
 """
 
 import numpy as np
 
-from qfrob import linalg
 from qfrob.pcomplex import StringBasis
+
+
+def as_fp(a, p):
+    """Coerce to a 2-d int64 array with entries in [0, p)."""
+    m = np.array(a, dtype=np.int64, copy=True)
+    if m.ndim == 1:
+        m = m.reshape(-1, 1)
+    return np.mod(m, p)
+
+
+def rref(a, p):
+    """(R, pivots): reduced row echelon form mod p and the pivot column of
+    each nonzero row; pivoting takes the first usable row, column by
+    column."""
+    r = as_fp(a, p)
+    nrows, ncols = r.shape
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        if row >= nrows:
+            break
+        nz = np.nonzero(r[row:, col])[0]
+        if nz.size == 0:
+            continue
+        piv = row + int(nz[0])
+        r[[row, piv]] = r[[piv, row]]
+        r[row] = (r[row] * pow(int(r[row, col]), p - 2, p)) % p
+        rows = np.nonzero(r[:, col])[0]
+        rows = rows[rows != row]
+        r[rows] = (r[rows] - np.outer(r[rows, col], r[row])) % p
+        pivots.append(col)
+        row += 1
+    return r, pivots
+
+
+def rank(a, p):
+    return len(rref(a, p)[1])
+
+
+def nullspace(a, p):
+    """Columns form a basis of the right kernel: one per free column."""
+    m = as_fp(a, p)
+    r, pivots = rref(m, p)
+    free = [c for c in range(m.shape[1]) if c not in pivots]
+    basis = np.zeros((m.shape[1], len(free)), dtype=np.int64)
+    for k, fc in enumerate(free):
+        basis[fc, k] = 1
+        for i, pc in enumerate(pivots):
+            basis[pc, k] = (-r[i, fc]) % p
+    return basis
+
+
+def solve(a, b, p):
+    """One solution X of A X = B mod p (free variables zero), or None."""
+    a = as_fp(a, p)
+    b = np.array(b, dtype=np.int64, copy=True) % p
+    vector_input = b.ndim == 1
+    if vector_input:
+        b = b.reshape(-1, 1)
+    n = a.shape[1]
+    r, pivots = rref(np.concatenate([a, b], axis=1), p)
+    if any(c >= n for c in pivots):
+        return None
+    x = np.zeros((n, b.shape[1]), dtype=np.int64)
+    for i, pc in enumerate(pivots):
+        x[pc] = r[i, n:]
+    return x[:, 0] if vector_input else x
+
+
+def in_span(basis_cols, v, p):
+    """Whether column vector v lies in the column span of basis_cols."""
+    return solve(basis_cols, v, p) is not None
+
+
+def extend_basis(span_cols, candidate_cols, p):
+    """Indices of the candidate columns that extend span_cols to the joint
+    span, earlier candidates first."""
+    span_cols = as_fp(span_cols, p)
+    stacked = np.concatenate([span_cols, as_fp(candidate_cols, p)], axis=1)
+    ns = span_cols.shape[1]
+    return [c - ns for c in rref(stacked, p)[1] if c >= ns]
+
+
+def matrix(c, d):
+    """∂ of the p-complex c as a dense matrix from degree d to degree d+2."""
+    src = c.indices_at(d)
+    pos = {i: r for r, i in enumerate(c.indices_at(d + 2))}
+    m = np.zeros((len(pos), len(src)), dtype=np.int64)
+    for col, j in enumerate(src):
+        for i, coeff in c.diff.get(j, {}).items():
+            m[pos[i], col] = coeff % c.p
+    return m
+
+
+def power_matrix(c, d, j):
+    """∂^j as a dense matrix from degree d to degree d+2j."""
+    out = np.eye(len(c.indices_at(d)))
+    for step in range(j):
+        m = matrix(c, d + 2 * step)
+        # float64 products are exact while every dot product stays below 2^53
+        assert m.shape[1] * (c.p - 1) ** 2 < 2**53
+        out = np.mod(m.astype(np.float64) @ out, c.p)
+    return out.astype(np.int64)
 
 
 def _kernels(c, d):
     n = len(c.indices_at(d))
     kers = [np.zeros((n, 0), dtype=np.int64)]
     for j in range(1, c.p):
-        kers.append(linalg.nullspace(c.power_matrix(d, j), c.p))
+        kers.append(nullspace(power_matrix(c, d, j), c.p))
     kers.append(np.eye(n, dtype=np.int64))  # ∂^p = 0
     return kers
 
@@ -38,11 +142,11 @@ def slash_cohomology(c):
             j = p - 1 - k
             src = d - 2 * j
             if c.indices_at(src):
-                img = c.power_matrix(src, j)
+                img = power_matrix(c, src, j)
             else:
                 img = np.zeros((n, 0), dtype=np.int64)
             span = np.concatenate([img % p, kers[k]], axis=1)
-            chosen = linalg.extend_basis(span, kers[k + 1], p)
+            chosen = extend_basis(span, kers[k + 1], p)
             if chosen:
                 dims[k][d] = len(chosen)
                 reps[k][d] = [_vector(local, kers[k + 1][:, i]) for i in chosen]
@@ -61,15 +165,15 @@ def string_decompose(c):
         for length in range(p, 0, -1):
             if prev:
                 kprev = (
-                    linalg.nullspace(c.power_matrix(d - 2, length + 1), p)
+                    nullspace(power_matrix(c, d - 2, length + 1), p)
                     if length + 1 < p
                     else np.eye(len(prev), dtype=np.int64)
                 )
-                img = (c.matrix(d - 2) @ kprev) % p
+                img = (matrix(c, d - 2) @ kprev) % p
             else:
                 img = np.zeros((n, 0), dtype=np.int64)
             span = np.concatenate([kers[length - 1], img], axis=1)
-            for i in linalg.extend_basis(span, kers[length], p):
+            for i in extend_basis(span, kers[length], p):
                 slots = [_vector(local, kers[length][:, i])]
                 for _ in range(length - 1):
                     slots.append(c.apply(slots[-1]))

@@ -19,6 +19,19 @@ BAD_ARGS = [
     "verify-twist --p 3 --n -1",
     "verify-slash --p 3 --n 2 --cap 3",
     "verify-twist --p 3 --n 2 --cap 3",
+    "verify-vi --p 3 --kmax 0",
+    "verify-theta0 --p 2 --kmax 0",
+    "verify-binom --p 2 --max -1",
+    "verify-grass --p 3 --max -1",
+    "verify-lima --p 2 --a -1 --b 1",
+    "verify-lima --p 2 --a 1 --b -1",
+    "verify-frobenius --p 2 --amax -1",
+    "verify-frobenius --p 2 --nmax -1",
+    "verify-frobenius --p 3 --oracle_amax -1",
+    "verify-frobenius --p 3 --oracle_nmax -1",
+    "verify-thick --p 2 --a 0",
+    "verify-nilhecke --p 2 --n 0",
+    "verify-nilhecke --p 3 --n 3 --cap 11",
 ]
 
 
@@ -158,8 +171,9 @@ class TestConfig:
 
     def test_failing_config_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "own.cfg"
-        # a = −1 crashes the check, which counts as a failure
-        cfg.write_text("verify-lima --p 2 --a -1 --b 1\n")
+        # a·p = 7 is over the size guard of the thick check, which then
+        # raises; a crashed check counts as a failure
+        cfg.write_text("verify-thick --p 7 --a 1\n")
         rc = main(["report-all", "--config", str(cfg)])
         capsys.readouterr()
         assert rc == 1

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_oracle
-from qfrob import linalg
 from qfrob.pcomplex import (
     INF,
     KunnethPreconditionError,
@@ -65,7 +64,7 @@ def scramble(c: PComplex, seed=0):
                 [[rng.randrange(p) for _ in range(n)] for _ in range(n)],
                 dtype=np.int64,
             )
-            if linalg.rank(m, p) == n:
+            if dense_oracle.rank(m, p) == n:
                 break
         transforms[d] = m
     for d in c.support_degrees():
@@ -73,9 +72,9 @@ def scramble(c: PComplex, seed=0):
         tgt = c.indices_at(d + 2)
         if not tgt:
             continue
-        a = c.matrix(d)
-        minv = linalg.solve(transforms[d], np.eye(len(src), dtype=np.int64), p)
-        b = linalg.matmul_mod(linalg.matmul_mod(transforms[d + 2], a, p), minv, p)
+        a = dense_oracle.matrix(c, d)
+        minv = dense_oracle.solve(transforms[d], np.eye(len(src), dtype=np.int64), p)
+        b = (((transforms[d + 2] @ a) % p) @ minv) % p
         for cix, j in enumerate(src):
             col = {tgt[r]: int(b[r, cix]) for r in range(len(tgt)) if b[r, cix]}
             if col:
@@ -103,6 +102,30 @@ class TestValidate:
         c = PComplex(2, ["a", "b"], [0, 4], {0: {1: 1}}, cap=INF)
         assert not validate(c)
         assert "homogeneous" in c.validation_error()
+
+    def test_first_violator_by_index(self):
+        # both heads violate ∂^3 = 0; the head at degree 2 comes first by
+        # index although the one at degree 0 comes first by degree
+        c = string_complex(3, [(2, 4), (0, 4)])
+        assert c.validation_error() == f"∂^3 does not vanish on {c.labels[0]!r}"
+
+    @pytest.mark.parametrize(
+        "compute",
+        [slash_cohomology, string_decompose, PComplex.string_stats],
+        ids=["slash_cohomology", "string_decompose", "string_stats"],
+    )
+    @pytest.mark.parametrize(
+        "c",
+        [
+            string_complex(3, [(2, 4), (0, 4)]),
+            PComplex(2, ["a", "b", "c"], [0, 2, 4], {0: {1: 1}, 1: {0: 1}}, cap=INF),
+        ],
+        ids=["too_long_string", "inhomogeneous"],
+    )
+    def test_computations_validate(self, compute, c):
+        with pytest.raises(ValueError) as exc:
+            compute(c)
+        assert str(exc.value) == c.validation_error()
 
 
 class TestSlashCohomology:
@@ -167,7 +190,7 @@ class TestStrings:
                             col[local.index(i)] = v
                         cols.append(col)
             m = np.stack(cols, axis=1)
-            assert linalg.rank(m, 3) == len(local)
+            assert dense_oracle.rank(m, 3) == len(local)
 
     def test_bookkeeping_identity(self):
         c = scramble(string_complex(3, [(0, 3), (0, 2), (2, 1), (2, 3)]), seed=3)
