@@ -1,11 +1,11 @@
 """Batch verification harness: one named check per verified statement.
 
 Each subcommand maps to a deterministic check over explicit parameters and
-produces a Report with status pass/fail (or skipped-window), the computed
-values, the parameters echoed back, and wall time.  `report-all` replays
-the pinned default parameter set from the packaged config file (override
-with --config or the QFROB_CONFIG environment variable), optionally in
-parallel, and writes a machine-readable JSON report with --json.
+produces a Report with status pass/fail, the computed values, the
+parameters echoed back, and wall time.  `report-all` replays the pinned
+default parameter set from the packaged config file (override with
+--config or the QFROB_CONFIG environment variable) and writes a
+machine-readable JSON report with --json.
 
 Exit codes: 0 all pass, 1 any failure, 2 usage error.
 """
@@ -18,7 +18,6 @@ import os
 import shlex
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from math import comb, isqrt
@@ -42,7 +41,7 @@ class CheckSpec:
 class Report:
     check: str
     params: dict
-    status: str  # pass / fail / skipped-window
+    status: str  # pass / fail
     values: dict = field(default_factory=dict)
     ms: float = 0.0
 
@@ -521,7 +520,6 @@ def main(argv=None) -> int:
         sp.add_argument("--json", type=str, default=None)
     allp = sub.add_parser("report-all")
     allp.add_argument("--config", type=str, default=None)
-    allp.add_argument("--jobs", type=int, default=1)
     allp.add_argument("--json", type=str, default=None)
     ns = parser.parse_args(argv)
 
@@ -532,11 +530,7 @@ def main(argv=None) -> int:
             specs = [_make_spec(ns.command, {k: getattr(ns, k) for k in _FLAGS})]
     except UsageError as exc:
         parser.error(str(exc))
-    if ns.command == "report-all" and ns.jobs > 1:
-        with ThreadPoolExecutor(max_workers=ns.jobs) as pool:
-            reports = list(pool.map(run_check, specs))
-    else:
-        reports = [run_check(s) for s in specs]
+    reports = [run_check(s) for s in specs]
     _emit(reports, ns.json)
     return 0 if all(r.status == "pass" for r in reports) else 1
 

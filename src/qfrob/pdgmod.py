@@ -1,5 +1,5 @@
 """NilHecke operators, Grassmannian block modules and their endomorphism
-p-DG matrix algebras over characteristic-p symmetric polynomials.
+p-DG algebras over characteristic-p symmetric polynomials.
 
 The module has three layers.
 
@@ -18,17 +18,20 @@ The module has three layers.
     single-box neighbours with coefficient (content − prefix size), and
     boxes leaving the index rectangle carry coefficient exactly 0.
 
-3.  Endomorphism matrix algebras END_{Sym_N}(module) in that basis, whose
-    differential is entrywise ∂ plus the commutator with the scalar matrix
-    of the module differential.  As a p-complex this is the tensor product
-    of truncated Sym_N with the finite complex V ⊗ V^*, which keeps slash
-    cohomology and coboundary-membership computations small: both are done
-    through exact string decompositions of the tensor factors.
+3.  Endomorphism algebras END_{Sym_N}(module), whose elements are
+    block-local operators (`BlockOp`): rules on block coordinates that are
+    composed and compared on the free basis, with differential the
+    commutator with the module differential.  Expanded over the free basis,
+    END is the tensor product of truncated Sym_N with the finite complex
+    V ⊗ V^* (V the free basis with the scalar module differential), which
+    keeps slash cohomology and coboundary-membership computations small:
+    both are done through exact string decompositions of the tensor
+    factors.
 
 Thick crossings are composites of Demazure operators along a fixed reduced
 word of the minimal-length block-interchange permutation; dots multiply a
 p-block by e_p^p.  Sending nilHecke dots/crossings (with degrees dilated by
-p²) to these matrices defines the thickening of NH_a into END of the p-block
+p²) to these operators defines the thickening of NH_a into END of the p-block
 module, whose relation and slash-cohomology checks live here as well.
 """
 
@@ -68,7 +71,6 @@ __all__ = [
     "grass_rank_ok",
     "EndAlgebra",
     "BlockOp",
-    "PDGMatrix",
     "end_algebra",
     "thick_crossing",
     "theta_plus",
@@ -584,109 +586,15 @@ class BlockOp:
         d = self.alg.op_diff()
         return d.compose(self) - self.compose(d)
 
-    def to_matrix(self) -> "PDGMatrix":
-        """Free-basis matrix of the operator (expansion solve per column)."""
-        entries: dict[tuple, "SchurPoly"] = {}
-        for j, img in enumerate(self.images()):
-            for i, f in self.alg.expand(img).items():
-                entries[(i, j)] = f
-        return PDGMatrix(self.alg, entries)
-
-
-class PDGMatrix:
-    """Sparse matrix over Sym_N representing an endomorphism of the block
-    module; entry (i, j) multiplies the j-th basis vector into the i-th."""
-
-    __slots__ = ("alg", "entries")
-
-    def __init__(self, alg: "EndAlgebra", entries):
-        self.alg = alg
-        self.entries = {
-            ij: f for ij, f in entries.items() if not f.is_zero()
-        }
-
-    def is_zero(self):
-        return not self.entries
-
-    def __eq__(self, other):
-        if not isinstance(other, PDGMatrix):
-            return NotImplemented
-        return self.alg is other.alg and self.entries == other.entries
-
-    def __add__(self, other):
-        out = dict(self.entries)
-        for ij, f in other.entries.items():
-            out[ij] = out[ij] + f if ij in out else f
-        return PDGMatrix(self.alg, out)
-
-    def __neg__(self):
-        return PDGMatrix(self.alg, {ij: -f for ij, f in self.entries.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return PDGMatrix(
-                self.alg, {ij: f * other for ij, f in self.entries.items()}
-            )
-        if other.alg is not self.alg:
-            raise ValueError("matrices over different algebras")
-        by_row: dict[int, list] = {}
-        for (k, j), g in other.entries.items():
-            by_row.setdefault(k, []).append((j, g))
-        out: dict[tuple, SchurPoly] = {}
-        for (i, k), f in self.entries.items():
-            for j, g in by_row.get(k, []):
-                prod = f * g
-                if prod.is_zero():
-                    continue
-                key = (i, j)
-                out[key] = out[key] + prod if key in out else prod
-        return PDGMatrix(self.alg, out)
-
-    __rmul__ = __mul__
-
-    def degree(self):
-        degs = set()
-        for (i, j), f in self.entries.items():
-            degs.add(f.homogeneous_degree() + self.alg.degrees[i] - self.alg.degrees[j])
-        if len(degs) > 1:
-            raise ValueError(f"inhomogeneous matrix, degrees {sorted(degs)}")
-        return degs.pop() if degs else None
-
-    def diff(self) -> "PDGMatrix":
-        """Entrywise ∂ plus the commutator with the module differential."""
-        alg = self.alg
-        out: dict[tuple, SchurPoly] = {}
-
-        def add(i, j, f):
-            if f.is_zero():
-                return
-            key = (i, j)
-            out[key] = out[key] + f if key in out else f
-
-        for (i, j), f in self.entries.items():
-            add(i, j, f.diff())
-            for k, c in alg.D.get(i, {}).items():  # D·T: rows follow ∂ of b_i
-                add(k, j, f * c)
-            for l, c in alg.D_rev.get(j, {}).items():  # −T·D: ∂ of b_l hits b_j
-                add(i, l, f * (-c))
-        return PDGMatrix(alg, out)
-
-    def to_text(self):
-        lines = []
-        for (i, j) in sorted(self.entries):
-            lines.append(f"[{i},{j}] {self.entries[(i, j)].to_text()}")
-        return "\n".join(lines) if lines else "0"
-
 
 class EndAlgebra:
     """END_{Sym_N}(block module) with the ∂-stable free basis.
 
     `blocks` lists the tensor block sizes; the free basis over Sym_N is
     indexed by tuples (λ_1, ..., λ_r) with λ_i ∈ P(b_i, b_1+...+b_{i−1}),
-    so λ_1 = () always.  D is the scalar matrix of the module differential.
+    so λ_1 = () always.  Elements of END are the Sym_N-linear `BlockOp`s;
+    D is the module differential on the free basis, whose structure
+    constants are scalars.
     """
 
     SIZE_GUARD = 400
@@ -714,50 +622,20 @@ class EndAlgebra:
         )
         self.degrees = [2 * sum(sum(l) for l in t) + shift for t in self.basis]
         self.gen_degree = shift
-        self.D = self._module_diff(prefixes)
-        self.D_rev: dict[int, dict[int, int]] = {}
-        for src, row in self.D.items():
-            for tgt, c in row.items():
-                self.D_rev.setdefault(tgt, {})[src] = c
+        # op_diff read off on the free basis, which it must preserve: a box
+        # leaving an index rectangle carries coefficient exactly 0
+        self.D: dict[int, dict[int, int]] = {}
+        for j, img in enumerate(self.op_diff().images()):
+            if any(t not in self.pos for t in img):
+                raise AssertionError("escaping box with nonzero coefficient")
+            if img:
+                self.D[j] = {self.pos[t]: c for t, c in img.items()}
         self._expansion = _Coordinates(p, self._expansion_basis, "free module expansion")
         self._scalar_strings = None
         self._u_coords = _Coordinates(
             p, lambda d: _slot_basis(self._u_strings(), d), "V⊗V^* string slots"
         )
         self._r_string_cache: dict = {}
-
-    def _module_diff(self, prefixes):
-        p = self.p
-        diff: dict[int, dict[int, int]] = {}
-        for j, t in enumerate(self.basis):
-            row: dict[int, int] = {}
-            for bi, lam in enumerate(t):
-                for r, content in pt.addable_boxes(lam, max_rows=self.blocks[bi]):
-                    c = (content - prefixes[bi]) % p
-                    if not c:
-                        continue
-                    mu = pt.with_box(lam, r)
-                    t2 = t[:bi] + (mu,) + t[bi + 1 :]
-                    if t2 not in self.pos:
-                        raise AssertionError("escaping box with nonzero coefficient")
-                    row[self.pos[t2]] = c
-            if row:
-                diff[j] = row
-        return diff
-
-    # ---- matrices ----
-
-    def zero(self) -> PDGMatrix:
-        return PDGMatrix(self, {})
-
-    def identity(self) -> PDGMatrix:
-        one = SchurPoly.one(self.p, self.nvars)
-        return PDGMatrix(self, {(i, i): one for i in range(len(self.basis))})
-
-    def unit(self, i, j, f=None) -> PDGMatrix:
-        if f is None:
-            f = SchurPoly.one(self.p, self.nvars)
-        return PDGMatrix(self, {(i, j): f})
 
     # ---- expansion of module elements over the free basis ----
 
@@ -913,14 +791,6 @@ class EndAlgebra:
 
         return BlockOp(self, fn, 2)
 
-    def dot(self, k: int) -> PDGMatrix:
-        """Free-basis matrix of op_dot(k)."""
-        return self.op_dot(k).to_matrix()
-
-    def crossing(self, k: int) -> PDGMatrix:
-        """Free-basis matrix of op_crossing(k)."""
-        return self.op_crossing(k).to_matrix()
-
     # ---- the p-complex structure ----
 
     def scalar_complex(self) -> PComplex:
@@ -969,23 +839,34 @@ class EndAlgebra:
             self._r_string_cache[cap] = (r, strings, coords)
         return self._r_string_cache[cap]
 
-    def is_slash_coboundary(self, x: PDGMatrix) -> bool:
+    def is_slash_coboundary(self, x: BlockOp) -> bool:
         """Membership of x in Im(∂^{p−1}) of the END p-complex.
 
-        Decomposes END = Sym^{trunc} ⊗ (V⊗V^*) into string ⊗ string blocks
+        Expands the images of the free basis into entries over Sym_N, then
+        decomposes END = Sym^{trunc} ⊗ (V⊗V^*) into string ⊗ string blocks
         and tests membership block by block; this is exact because the
-        image of a direct sum is the direct sum of the images.
+        image of a direct sum is the direct sum of the images.  Raises
+        ValueError unless every entry f at (i, j) has degree
+        deg f + deg_i − deg_j = x.shift.
         """
-        if x.is_zero():
-            return True
+        if x.alg is not self:
+            raise ValueError("operator over a different module")
         p = self.p
-        g = x.degree()
-        maxpoly = max(f.degree() for f in x.entries.values())
+        g = x.shift
+        entries: dict[tuple, SchurPoly] = {}
+        for j, img in enumerate(x.images()):
+            for i, f in self.expand(img).items():
+                if f.homogeneous_degree() + self.degrees[i] - self.degrees[j] != g:
+                    raise ValueError(f"entry ({i}, {j}) is not of degree {g}")
+                entries[(i, j)] = f
+        if not entries:
+            return True
+        maxpoly = max(f.degree() for f in entries.values())
         cap = maxpoly + 2 * p
         r, rstrings, r_coords = self._r_strings(cap)
         r_index = {lam: i for i, lam in enumerate(r.labels)}
         blocks: dict[tuple, dict] = {}
-        for (i, j), f in x.entries.items():
+        for (i, j), f in entries.items():
             du = self.degrees[i] - self.degrees[j]
             ucoords = self._u_coords(du, {(i, j): 1})
             rc = r_coords(g - du, {r_index[lam]: c for lam, c in f.terms.items()})
@@ -1134,20 +1015,20 @@ def _end_algebra_cached(blocks: tuple, p: int) -> EndAlgebra:
 
 
 def end_algebra(a: int, b: int, p: int) -> EndAlgebra:
-    """END_{Sym_{a+b}}(S_{a,b}) as a matrix p-DG algebra handle; handles
-    are canonical per (blocks, p), so matrices from separate calls mix."""
+    """END_{Sym_{a+b}}(S_{a,b}) as a p-DG algebra handle; handles are
+    canonical per (blocks, p), so operators from separate calls compose."""
     return _end_algebra_cached((a, b), p)
 
 
-def thick_crossing(a: int, b: int, p: int) -> PDGMatrix:
-    """The block-swap Demazure composite as a matrix in END(S_{a,b});
+def thick_crossing(a: int, b: int, p: int) -> BlockOp:
+    """The block-swap Demazure composite as an element of END(S_{a,b});
     equal block sizes only."""
     if a != b:
         raise ValueError("the crossing endomorphism needs a = b")
-    return _end_algebra_cached((a, b), p).crossing(1)
+    return _end_algebra_cached((a, b), p).op_crossing(1)
 
 
-def theta_plus(kind: str, k: int, a: int, p: int) -> PDGMatrix:
+def theta_plus(kind: str, k: int, a: int, p: int) -> BlockOp:
     """Image of a nilHecke generator in END(S_{(p^a)}).
 
     kind "dot": the k-th dot ↦ multiplication by e_p^p(block k), degree 2p².
@@ -1158,11 +1039,11 @@ def theta_plus(kind: str, k: int, a: int, p: int) -> PDGMatrix:
     if kind == "dot":
         if not 1 <= k <= a:
             raise ValueError("dot index out of range")
-        return alg.dot(k)
+        return alg.op_dot(k)
     if kind == "crossing":
         if not 1 <= k <= a - 1:
             raise ValueError("crossing index out of range")
-        return alg.crossing(k)
+        return alg.op_crossing(k)
     raise ValueError("kind must be 'dot' or 'crossing'")
 
 
@@ -1223,7 +1104,7 @@ def thick_nilhecke_check(a: int, p: int, hilbert_extra: int = None) -> dict:
     (1) each crossing squares to zero exactly;
     (2) adjacent crossings satisfy the braid relation exactly (a ≥ 3);
     (3) both dot-slide identities hold modulo Im(∂^{p−1}), i.e. the defect
-        against the identity matrix is a slash coboundary;
+        against the identity is a slash coboundary;
     (4) the graded dims of H_/(END) match NH_a with degrees dilated by p²
         on the trusted window.
 
@@ -1260,7 +1141,7 @@ def thick_nilhecke_check(a: int, p: int, hilbert_extra: int = None) -> dict:
             if not xop.commutator_with_diff().is_zero():
                 slides.append(False)
                 continue
-            slides.append(alg.is_slash_coboundary(xop.to_matrix()))
+            slides.append(alg.is_slash_coboundary(xop))
     report["dot_slide_mod_coboundary"] = all(slides)
     span = max(alg.degrees) - min(alg.degrees)
     extra = hilbert_extra if hilbert_extra is not None else 4 * p * p + 2

@@ -147,8 +147,9 @@ class SchurPoly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     # ---- the differential and the involution ----

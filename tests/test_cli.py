@@ -145,15 +145,6 @@ class TestConfig:
         assert rc == 0
         assert out.count("PASS") == 2
 
-    def test_report_all_parallel(self, tmp_path, capsys):
-        cfg = tmp_path / "own.cfg"
-        cfg.write_text(
-            "verify-binom --p 2 --max 2\nverify-binom --p 3 --max 2\n"
-        )
-        rc = main(["report-all", "--config", str(cfg), "--jobs", "2"])
-        capsys.readouterr()
-        assert rc == 0
-
     def test_env_var_config(self, tmp_path, monkeypatch):
         cfg = tmp_path / "env.cfg"
         cfg.write_text("verify-binom --p 2 --max 1\n")

@@ -70,6 +70,22 @@ class TestMult:
                 conv[key] = (conv.get(key, 0) + c1 * c2) % p
         assert lhs == {k: v for k, v in conv.items() if v}
 
+    def test_power_squares_only_while_bits_remain(self, monkeypatch):
+        # f ** k: one product per set bit of k and one squaring per bit
+        # below the top one, against repeated multiplication
+        mul = SchurPoly.__mul__
+        calls = []
+        monkeypatch.setattr(
+            SchurPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b)
+        )
+        f = schur(3, (1,), n=2) + schur(3, (1, 1), n=2)
+        expect = SchurPoly.one(3, 2)
+        for k in range(9):
+            calls.clear()
+            assert f ** k == expect
+            assert len(calls) == max(k.bit_length() - 1, 0) + bin(k).count("1")
+            expect = mul(expect, f)
+
 
 class TestGenerators:
     def test_elementary_zero_index(self):
