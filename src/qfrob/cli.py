@@ -433,7 +433,8 @@ def _make_spec(name, params) -> CheckSpec:
     leaves nothing to decide: below 2(p−1) for verify-slash/verify-twist,
     whose valid window then holds no degree, and below 4n for
     verify-nilhecke, whose relation window is then too small to be
-    conclusive.
+    conclusive; and verify-thick with a·p over the size guard
+    `pdgmod.THICK_MAX_AP`, where the check does not run.
     """
     if name not in CHECKS:
         raise UsageError(f"unknown check {name!r}")
@@ -460,6 +461,11 @@ def _make_spec(name, params) -> CheckSpec:
         raise UsageError(
             f"--cap {params['cap']} is below 4n = {4 * params['n']}, too "
             f"small a window to be conclusive"
+        )
+    if name == "verify-thick" and params["a"] * p > pdgmod.THICK_MAX_AP:
+        raise UsageError(
+            f"--a {params['a']} --p {p}: a*p is over the size guard "
+            f"{pdgmod.THICK_MAX_AP} of the thick check"
         )
     return CheckSpec(name, {k: params[k] for k in argnames})
 

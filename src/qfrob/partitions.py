@@ -1,11 +1,15 @@
-"""Partition combinatorics: boxes, transposes, rectangle enumeration,
-Littlewood-Richardson expansion, and Schur-to-monomial conversion.
+"""Partition combinatorics: boxes and the box-adding rule, transposes,
+rectangle enumeration, Littlewood-Richardson expansion, and
+Schur-to-monomial conversion.
 
 Partitions are tuples of weakly decreasing positive integers; () is the
-empty partition.  Products and restrictions are computed over Z with the
-classical LR rule (horizontal-strip growth plus the reverse-reading-word
-ballot condition) and cached, so characteristic-p callers reduce mod p
-after lookup.
+empty partition.  `add_box` is the one box-adding rule: every differential
+in qfrob adds a box with coefficient content + twist.  Littlewood-Richardson
+coefficients come from one search, the ballot-pruned filling of LR skew
+tableaux: `lr_restrict` counts the tableaux of shape lam/mu by content, and
+`lr_expand` reads c^lam_{mu,nu} off the tableaux of shape lam/mu with
+content nu for every candidate shape lam.  Both are exact over Z and cached,
+so characteristic-p callers reduce mod p after lookup.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ __all__ = [
     "partitions_in_box",
     "partitions_of",
     "addable_boxes",
+    "add_box",
     "expand_p",
     "lima_partitions",
     "complement",
@@ -126,6 +131,16 @@ def with_box(lam: Partition, row: int) -> Partition:
     return tuple(parts)
 
 
+def add_box(lam: Partition, twist: int, max_rows=None):
+    """The box-adding rule behind every differential in qfrob: the pairs
+    (mu, content + twist), one for each partition mu = lam plus one box,
+    with the content of that box.  max_rows is as for `addable_boxes`."""
+    return [
+        (with_box(lam, r), content + twist)
+        for r, content in addable_boxes(lam, max_rows=max_rows)
+    ]
+
+
 def expand_p(lam: Partition, p: int) -> Partition:
     """Blow each box up to a p×p square: every part is repeated p times and
     multiplied by p."""
@@ -173,48 +188,91 @@ def _horizontal_strips(lam: Partition, size: int):
     return results
 
 
-def _ballot_ok(fillings) -> bool:
-    """Reverse reading word (rows top→bottom, right→left) ballot check."""
-    counts: dict[int, int] = {}
-    for row in fillings:
-        for entry in reversed(row):
-            if entry == 0:
-                continue
-            counts[entry] = counts.get(entry, 0) + 1
-            if entry > 1 and counts[entry] > counts.get(entry - 1, 0):
-                return False
-    return True
+def _lr_shapes(mu: Partition, nu: Partition):
+    """The shapes lam that can carry c^lam_{mu,nu} ≠ 0: lam ⊇ mu ∪ nu,
+    |lam| = |mu| + |nu|, lam_i ≤ mu_i + nu_1 and at most len(mu) + len(nu)
+    rows."""
+    rows = len(mu) + len(nu)
+    mu_r = list(mu) + [0] * len(nu)
+    nu_r = list(nu) + [0] * len(mu)
+    lo = [max(m, n) for m, n in zip(mu_r, nu_r)]
+    hi = [m + (nu[0] if nu else 0) for m in mu_r]
+    rest = [0] * (rows + 1)  # rest[i]: the least size rows i.. can hold
+    for i in range(rows - 1, -1, -1):
+        rest[i] = rest[i + 1] + lo[i]
+    out = []
+
+    def rec(i, left, prefix):
+        if i == rows:
+            if left == 0:
+                out.append(tuple(x for x in prefix if x))
+            return
+        top = min(hi[i], left - rest[i + 1], prefix[-1] if prefix else left)
+        for x in range(top, lo[i] - 1, -1):
+            prefix.append(x)
+            rec(i + 1, left - x, prefix)
+            prefix.pop()
+
+    rec(0, sum(mu) + sum(nu), [])
+    return out
+
+
+def _lr_tableaux(lam: Partition, mu: Partition, most) -> dict:
+    """LR skew tableaux of shape lam/mu (mu ⊆ lam) with at most most[e−1]
+    entries e, counted by content: {content: number of tableaux}."""
+    # Fill cells row by row, right to left; this order is the reverse
+    # reading word, so ballot prefixes prune the search directly.
+    order = [
+        (r, c)
+        for r in range(len(lam))
+        for c in range(lam[r] - 1, (mu[r] if r < len(mu) else 0) - 1, -1)
+    ]
+    top = len(most)
+    out: dict[Partition, int] = {}
+    entry_at: dict[tuple, int] = {}
+    counts = [0] * (top + 1)
+
+    def rec(idx):
+        if idx == len(order):
+            k = max(entry_at.values(), default=0)
+            content = tuple(counts[1 : k + 1])
+            out[content] = out.get(content, 0) + 1
+            return
+        r, c = order[idx]
+        lo = 1
+        up = entry_at.get((r - 1, c))
+        if up is not None:
+            lo = up + 1  # columns strictly increase
+        right = entry_at.get((r, c + 1))
+        hi = right if right is not None else top  # rows weakly increase
+        for e in range(lo, hi + 1):
+            if counts[e] == most[e - 1] or (e > 1 and counts[e] == counts[e - 1]):
+                continue  # content bound or ballot prefix fails
+            entry_at[(r, c)] = e
+            counts[e] += 1
+            rec(idx + 1)
+            counts[e] -= 1
+            del entry_at[(r, c)]
+
+    rec(0)
+    return out
 
 
 @functools.cache
 def lr_expand(mu: Partition, nu: Partition) -> dict:
     """Littlewood-Richardson expansion of the product s_mu · s_nu over Z.
 
-    Grows mu by horizontal strips labelled 1..len(nu) of sizes nu_i and
-    keeps the fillings whose reverse reading word is a ballot sequence.
+    Reads c^lam_{mu,nu} for every candidate shape lam from the LR skew
+    tableaux of shape lam/mu with content nu (the smaller of the two
+    partitions).
     """
     if sum(mu) < sum(nu):
         mu, nu = nu, mu
     out: dict[Partition, int] = {}
-    state = [(mu, ())]  # (shape, tuple of previous shapes)
-    for i, size in enumerate(nu):
-        nxt = []
-        for shape, history in state:
-            for bigger in _horizontal_strips(shape, size):
-                nxt.append((bigger, history + (shape,)))
-        state = nxt
-    for shape, history in state:
-        chain = history + (shape,)
-        nrows = len(shape)
-        fill = [[0] * shape[r] for r in range(nrows)]
-        for step in range(1, len(chain)):
-            prev, cur = chain[step - 1], chain[step]
-            for r in range(len(cur)):
-                lo = prev[r] if r < len(prev) else 0
-                for c in range(lo, cur[r]):
-                    fill[r][c] = step
-        if _ballot_ok(fill):
-            out[shape] = out.get(shape, 0) + 1
+    for lam in _lr_shapes(mu, nu):
+        c = _lr_tableaux(lam, mu, nu).get(nu)
+        if c:
+            out[lam] = c
     return out
 
 
@@ -226,43 +284,8 @@ def lr_restrict(lam: Partition, mu: Partition) -> dict:
         mu
     ) > len(lam):
         return {}
-    cells = []
-    for r in range(len(lam)):
-        lo = mu[r] if r < len(mu) else 0
-        for c in range(lo, lam[r]):
-            cells.append((r, c))
-    # Fill cells row by row, right to left; this order is the reverse
-    # reading word, so ballot prefixes prune the search directly.
-    order = sorted(cells, key=lambda rc: (rc[0], -rc[1]))
-    nmax = len(cells)
-    out: dict[Partition, int] = {}
-    entry_at: dict[tuple, int] = {}
-    counts = [0] * (nmax + 2)
-
-    def rec(idx):
-        if idx == len(order):
-            top = max(entry_at.values(), default=0)
-            content = tuple(counts[1 : top + 1])
-            out[content] = out.get(content, 0) + 1
-            return
-        r, c = order[idx]
-        lo = 1
-        up = entry_at.get((r - 1, c))
-        if up is not None:
-            lo = up + 1  # columns strictly increase
-        right = entry_at.get((r, c + 1))
-        hi = right if right is not None else nmax  # rows weakly increase
-        for e in range(lo, hi + 1):
-            if e > 1 and counts[e] + 1 > counts[e - 1]:
-                continue  # ballot prefix fails
-            entry_at[(r, c)] = e
-            counts[e] += 1
-            rec(idx + 1)
-            counts[e] -= 1
-            del entry_at[(r, c)]
-
-    rec(0)
-    return out
+    ncells = sum(lam) - sum(mu)
+    return _lr_tableaux(lam, mu, [ncells] * ncells)
 
 
 def pieri_e(lam: Partition, r: int, max_rows=None):

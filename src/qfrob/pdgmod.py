@@ -54,7 +54,7 @@ from .pcomplex import (
     tensor_strings,
     jj_complex,
 )
-from .symfunc import SchurPoly, split_blocks, sym_pcomplex
+from .symfunc import SchurPoly, _content_complex, split_blocks, sym_pcomplex
 
 __all__ = [
     "PolElem",
@@ -81,11 +81,15 @@ __all__ = [
     "block_swap_word",
     "demazure_word",
     "PAIRING_SIGN",
+    "THICK_MAX_AP",
 ]
 
 # Global sign of the Demazure pairing, fixed once by the brute-force
 # (a,b) = (1,1) derivation: ∂_w(π_λ(x)·π_{λ̂}(x')) = PAIRING_SIGN·(−1)^{|λ̂|}.
 PAIRING_SIGN = 1
+
+# The largest a·p at which thick_nilhecke_check works on END(S_{(p^a)}).
+THICK_MAX_AP = 6
 
 
 # --------------------------------------------------------------------------
@@ -410,26 +414,15 @@ def nilhecke_relations_check(n: int, p: int, window: int):
 def staircase_complex(p: int) -> PComplex:
     """The scalar box complex of the twisted module Pol_p·v over Sym_p.
 
-    Basis x_2^{c_2}...x_p^{c_p} v with 0 ≤ c_i ≤ i−1; the twisted
-    differential sends c to c + e_i with coefficient c_i − (i−1), so each
+    Pol_p·v is the block module with p blocks of size 1.  Its free basis
+    x_2^{c_2}...x_p^{c_p} v, 0 ≤ c_i ≤ i−1, is labelled by the one-row
+    partitions (c_i) of the blocks, and block i has twist −(i−1), so the
+    differential sends c to c + e_i with coefficient c_i − (i−1).  Each
     factor is a single string of length i and the whole complex is a tensor
-    J_1 ⊗ J_2 ⊗ ... ⊗ J_p, contractible because of the J_p factor.
+    J_1 ⊗ J_2 ⊗ ... ⊗ J_p, contractible because of the J_p factor.  The
+    degrees include the generator degree −p(p−1)/2.
     """
-    ranges = [range(i) for i in range(2, p + 1)]
-    labels = sorted(itertools.product(*ranges)) if p > 1 else [()]
-    pos = {c: i for i, c in enumerate(labels)}
-    diff = {}
-    for j, cs in enumerate(labels):
-        row = {}
-        for k, c in enumerate(cs):
-            coeff = (c - (k + 1)) % p
-            if coeff and c + 1 <= k + 1:
-                nxt = cs[:k] + (c + 1,) + cs[k + 1 :]
-                row[pos[nxt]] = coeff
-        if row:
-            diff[j] = row
-    degrees = [2 * sum(c) for c in labels]
-    return PComplex(p, labels, degrees, diff, cap=INF)
+    return _end_algebra_cached((1,) * p, p).scalar_complex()
 
 
 def nh_acyclicity_check(p: int, cap=None):
@@ -457,35 +450,13 @@ def _box_labels(rows: int, cols: int):
     return pt.partitions_in_box(rows, cols)
 
 
-def _scalar_box_diff(labels, rows, twist, p):
-    """Single-box differential with coefficients (content + twist) mod p on
-    a partition label set closed under in-rectangle box addition."""
-    pos = {lam: i for i, lam in enumerate(labels)}
-    diff = {}
-    for j, lam in enumerate(labels):
-        row = {}
-        for r, content in pt.addable_boxes(lam, max_rows=rows):
-            c = (content + twist) % p
-            if not c:
-                continue
-            mu = pt.with_box(lam, r)
-            if mu not in pos:
-                raise AssertionError(
-                    f"escaping box at {mu} has nonzero coefficient {c}"
-                )
-            row[pos[mu]] = c
-        if row:
-            diff[j] = row
-    return diff
-
-
 class GrassModule:
     """S_{a,b} = Sym_a ⊗ Sym_b · v over Sym_{a+b}, ∂(v) = −a e_1(x') v.
 
-    The ∂-stable basis {π_λ(x')·v : λ ∈ P(b, a)} carries the scalar
-    differential λ ↦ λ+box with coefficient (content − a); the box escaping
-    through column a+1 has content exactly a, hence coefficient 0.  The
-    generator degree is −ab.
+    The ∂-stable basis {π_λ(x')·v : λ ∈ P(b, a)} carries the content
+    differential with twist −a: λ ↦ λ+box with coefficient (content − a);
+    the box escaping through column a+1 has content exactly a, hence
+    coefficient 0.  The generator degree is −ab.
     """
 
     def __init__(self, a, b, p):
@@ -494,7 +465,7 @@ class GrassModule:
         self.p = p
         self.basis = list(_box_labels(b, a))
         self.degrees = [2 * sum(lam) - a * b for lam in self.basis]
-        self.diff = _scalar_box_diff(self.basis, b, -a, p)
+        self.diff = _content_complex(p, self.basis, -a, INF, max_rows=b).diff
 
     def complex(self) -> PComplex:
         return PComplex(self.p, self.basis, self.degrees, self.diff, cap=INF)
@@ -771,17 +742,17 @@ class EndAlgebra:
         i a box is added with coefficient (content − prefix size); no
         rectangle constraint applies off the free basis."""
         p = self.p
-        prefixes = [sum(self.blocks[:i]) for i in range(len(self.blocks))]
+        twists = [-sum(self.blocks[:i]) for i in range(len(self.blocks))]
 
         def fn(elem):
             out: dict[tuple, int] = {}
             for t, c0 in elem.items():
                 for bi, lam in enumerate(t):
-                    for r, content in pt.addable_boxes(lam, max_rows=self.blocks[bi]):
-                        c = (c0 * (content - prefixes[bi])) % p
+                    for mu, coeff in pt.add_box(lam, twists[bi], max_rows=self.blocks[bi]):
+                        c = (c0 * coeff) % p
                         if not c:
                             continue
-                        key = t[:bi] + (pt.with_box(lam, r),) + t[bi + 1 :]
+                        key = t[:bi] + (mu,) + t[bi + 1 :]
                         val = (out.get(key, 0) + c) % p
                         if val:
                             out[key] = val
@@ -959,15 +930,19 @@ def _pair_crossing(alpha, beta, b, p):
     """Action of the block-swap Demazure composite on
     π_α(x-block) · π_β(x'-block), both blocks of size b, in pair-Schur
     coordinates: {(α', β'): coeff}."""
-    m = 2 * b
+    f = _two_block_schur(alpha, b, beta, b, p)
+    g = demazure_word(block_swap_word(b, b), f)
+    return _pair_schur_coords(g, b)
+
+
+def _two_block_schur(alpha, a, beta, b, p) -> PolElem:
+    """π_α(x)·π_β(x′) in a + b variables: x the first a, x′ the last b."""
     terms: dict[tuple, int] = {}
-    for e1, c1 in pt.schur_monomials(alpha, b).items():
+    for e1, c1 in pt.schur_monomials(alpha, a).items():
         for e2, c2 in pt.schur_monomials(beta, b).items():
             key = e1 + e2
             terms[key] = terms.get(key, 0) + c1 * c2
-    f = PolElem(m, p, terms)
-    g = demazure_word(block_swap_word(b, b), f)
-    return _pair_schur_coords(g, b)
+    return PolElem(a + b, p, terms)
 
 
 def _pair_schur_coords(g: PolElem, b: int):
@@ -1053,12 +1028,7 @@ def pairing_value(a: int, b: int, p: int, lam, mu):
     if sum(lam) + sum(mu) != a * b:
         raise ValueError("pairing needs complementary total size ab")
     m = a + b
-    terms: dict[tuple, int] = {}
-    for e1, c1 in pt.schur_monomials(tuple(lam), a).items():
-        for e2, c2 in pt.schur_monomials(tuple(mu), b).items():
-            key = e1 + e2
-            terms[key] = terms.get(key, 0) + c1 * c2
-    f = PolElem(m, p, terms)
+    f = _two_block_schur(tuple(lam), a, tuple(mu), b, p)
     g = demazure_word(block_swap_word(a, b), f)
     if g.is_zero():
         return 0
@@ -1110,8 +1080,8 @@ def thick_nilhecke_check(a: int, p: int, hilbert_extra: int = None) -> dict:
 
     Returns a report dict with one entry per sub-check plus the caps used.
     """
-    if a * p > 6:
-        raise ValueError("a*p > 6 exceeds the size guard")
+    if a * p > THICK_MAX_AP:
+        raise ValueError(f"a*p > {THICK_MAX_AP} exceeds the size guard")
     alg = _end_algebra_cached((p,) * a, p)
     report: dict[str, object] = {"a": a, "p": p}
     crossings = {k: alg.op_crossing(k) for k in range(1, a)}

@@ -155,20 +155,14 @@ class SchurPoly:
     # ---- the differential and the involution ----
 
     def diff(self):
-        out: dict[tuple, int] = {}
-        for lam, c in self.terms.items():
-            for row, content in pt.addable_boxes(lam, max_rows=self.n):
-                mu = pt.with_box(lam, row)
-                out[mu] = out.get(mu, 0) + c * content
-        return SchurPoly(self.p, out, self.n)
+        return self.twisted_diff(0)
 
     def twisted_diff(self, a):
         """∂(f) + a·e_1·f: box adding with coefficients content + a."""
         out: dict[tuple, int] = {}
         for lam, c in self.terms.items():
-            for row, content in pt.addable_boxes(lam, max_rows=self.n):
-                mu = pt.with_box(lam, row)
-                out[mu] = out.get(mu, 0) + c * (content + a)
+            for mu, coeff in pt.add_box(lam, a, max_rows=self.n):
+                out[mu] = out.get(mu, 0) + c * coeff
         return SchurPoly(self.p, out, self.n)
 
     def omega(self):
@@ -340,8 +334,9 @@ def theta0(monomials: dict, p: int, n=None) -> SchurPoly:
 # ---------- p-complex builders ----------
 
 
-def _content_complex(p, labels, coeff_of_box, cap, max_rows):
-    """Assemble a box-adding complex on the given partition labels.
+def _content_complex(p, labels, twist, cap, max_rows):
+    """Assemble the box-adding complex on the given partition labels, a
+    box of content C carrying coefficient C + twist.
 
     Boxes leaving the label set other than through the degree cap must
     carry coefficient 0 mod p; a violation means the label set is not
@@ -352,11 +347,10 @@ def _content_complex(p, labels, coeff_of_box, cap, max_rows):
     diff: dict[int, dict[int, int]] = {}
     for j, lam in enumerate(labels):
         row: dict[int, int] = {}
-        for r, content in pt.addable_boxes(lam, max_rows=max_rows):
-            c = coeff_of_box(content) % p
+        for mu, c in pt.add_box(lam, twist, max_rows=max_rows):
+            c %= p
             if not c:
                 continue
-            mu = pt.with_box(lam, r)
             if mu in pos:
                 row[pos[mu]] = c
             elif 2 * sum(mu) <= cap:
@@ -376,7 +370,7 @@ def sym_pcomplex(n: int, p: int, cap: int) -> PComplex:
         for m in range(0, cap // 2 + 1)
         for lam in pt.partitions_of(m, max_rows=n)
     ]
-    return _content_complex(p, labels, lambda c: c, cap, max_rows=n)
+    return _content_complex(p, labels, 0, cap, max_rows=n)
 
 
 def twist_pcomplex(n: int, a: int, p: int, cap: int) -> PComplex:
@@ -386,13 +380,13 @@ def twist_pcomplex(n: int, a: int, p: int, cap: int) -> PComplex:
         for m in range(0, cap // 2 + 1)
         for lam in pt.partitions_of(m, max_rows=n)
     ]
-    return _content_complex(p, labels, lambda c: c + a, cap, max_rows=n)
+    return _content_complex(p, labels, a, cap, max_rows=n)
 
 
 def vab_pcomplex(a: int, b: int, p: int) -> PComplex:
     """The finite box complex on P(bp, ap) with the content differential."""
     labels = pt.partitions_in_box(b * p, a * p)
-    return _content_complex(p, labels, lambda c: c, INF, max_rows=b * p)
+    return _content_complex(p, labels, 0, INF, max_rows=b * p)
 
 
 def vi_pcomplex(i: int, k: int, p: int) -> PComplex:
@@ -403,7 +397,7 @@ def vi_pcomplex(i: int, k: int, p: int) -> PComplex:
     if cols < 0:
         raise ValueError("kp - i must be nonnegative")
     labels = pt.partitions_in_box(i, cols)
-    return _content_complex(p, labels, lambda c: c + i, INF, max_rows=i)
+    return _content_complex(p, labels, i, INF, max_rows=i)
 
 
 def as_pcomplex(source: str, p: int, **params) -> PComplex:

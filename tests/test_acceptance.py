@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import dense_oracle
+from qfrob.cli import check_verify_slash
 from qfrob.cyclotomic import binom_reduction_check
 from qfrob.pcomplex import slash_cohomology, string_decompose
 from qfrob.pdgmod import (
@@ -31,7 +32,6 @@ from qfrob.qgroup import (
 )
 from qfrob.symfunc import (
     lima_partitions,
-    sym_pcomplex,
     twist_pcomplex,
     vab_pcomplex,
     vi_pcomplex,
@@ -49,24 +49,11 @@ def test_criterion_01_sym_slash_formality():
     t0 = time.time()
     ok = True
     for p in (2, 3):
-        cap = 8 * p * p
         for n in range(1, 7):
-            sl = slash_cohomology(sym_pcomplex(n, p, cap))
-            hi = sl.valid_window[1]
-            gens = [2 * j * p * p for j in range(1, n // p + 1)]
-            expect = {0: 1}
-            for g in gens:
-                nxt = dict(expect)
-                for d, m in expect.items():
-                    e = d + g
-                    while e <= hi:
-                        nxt[e] = nxt.get(e, 0) + m
-                        e += g
-                expect = nxt
-            expect = {d: m for d, m in expect.items() if d <= hi}
-            if sl.dims[0] != expect:
+            status, values = check_verify_slash(p, n, 8 * p * p)
+            if status != "pass" or values["H0_dims"] != values["expected"]:
                 ok = False
-            if any(sl.dims.get(k) for k in range(1, p - 1)):
+            if values["higher_slash"]:
                 ok = False
     announce(1, "slash formality of Sym_n (p in {2,3}, n <= 6, cap 8p^2)", ok, t0)
 

@@ -4,12 +4,13 @@ import sys
 
 import pytest
 
+from qfrob import cli
 from qfrob.cli import CheckSpec, default_specs, main, run_check
 
 
 # parameters no check can decide on: a non-prime p (the F_p eliminations
-# invert by Fermat), a negative n, and a cap below 2(p−1), which leaves an
-# empty valid window
+# invert by Fermat), a negative n, a cap below 2(p−1), which leaves an
+# empty valid window, and a thick check with a·p over its size guard
 BAD_ARGS = [
     "verify-slash --p 4 --n 2",
     "verify-vi --p 0",
@@ -32,6 +33,8 @@ BAD_ARGS = [
     "verify-thick --p 2 --a 0",
     "verify-nilhecke --p 2 --n 0",
     "verify-nilhecke --p 3 --n 3 --cap 11",
+    "verify-thick --p 7 --a 1",
+    "verify-thick --p 3 --a 3",
 ]
 
 
@@ -160,11 +163,14 @@ class TestConfig:
         assert exc.value.code == 2
         assert "config line 2" in capsys.readouterr().err
 
-    def test_failing_config_exit_one(self, tmp_path, capsys):
+    def test_failing_config_exit_one(self, tmp_path, capsys, monkeypatch):
+        def crash(p, maxab):
+            raise RuntimeError("check crashed")
+
+        # a crashed check counts as a failure
+        monkeypatch.setitem(cli.CHECKS, "verify-binom", (crash, ("p", "max")))
         cfg = tmp_path / "own.cfg"
-        # a·p = 7 is over the size guard of the thick check, which then
-        # raises; a crashed check counts as a failure
-        cfg.write_text("verify-thick --p 7 --a 1\n")
+        cfg.write_text("verify-binom --p 2 --max 1\n")
         rc = main(["report-all", "--config", str(cfg)])
         capsys.readouterr()
         assert rc == 1

@@ -1,7 +1,9 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import lr_oracle
 from qfrob import partitions as pt
 
 
@@ -67,7 +69,26 @@ class TestBasics:
             assert len(pt.lima_partitions(b, a, p)) == comb(a + b, a)
 
 
+@st.composite
+def lr_pairs(draw):
+    """(mu, nu) with |mu| + |nu| ≤ 12."""
+    total = draw(st.integers(0, 12))
+    m = draw(st.integers(0, total))
+    mu = draw(st.sampled_from(pt.partitions_of(m)))
+    nu = draw(st.sampled_from(pt.partitions_of(total - m)))
+    return mu, nu
+
+
 class TestLittlewoodRichardson:
+    @settings(max_examples=300, deadline=None)
+    @given(lr_pairs())
+    def test_matches_strip_chain_oracle(self, pair):
+        mu, nu = pair
+        expect = lr_oracle.lr_expand(mu, nu)
+        assert pt.lr_expand(mu, nu) == expect
+        for lam, c in expect.items():
+            assert pt.lr_restrict(lam, mu).get(nu, 0) == c
+
     def test_square_of_box(self):
         assert pt.lr_expand((1,), (1,)) == {(2,): 1, (1, 1): 1}
 
