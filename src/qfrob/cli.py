@@ -20,7 +20,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from importlib import resources
-from math import comb, isqrt
+from math import comb, factorial, isqrt
 
 from . import pdgmod, qgroup, symfunc
 from .cyclotomic import binom_reduction_check, qbinom, to_op, varrho
@@ -433,8 +433,9 @@ def _make_spec(name, params) -> CheckSpec:
     leaves nothing to decide: below 2(p−1) for verify-slash/verify-twist,
     whose valid window then holds no degree, and below 4n for
     verify-nilhecke, whose relation window is then too small to be
-    conclusive; and verify-thick with a·p over the size guard
-    `pdgmod.THICK_MAX_AP`, where the check does not run.
+    conclusive; verify-nilhecke with p!, the module rank of its staircase
+    complex, over `pdgmod.EndAlgebra.SIZE_GUARD`; and verify-thick with a·p
+    over the size guard `pdgmod.THICK_MAX_AP`, where the check does not run.
     """
     if name not in CHECKS:
         raise UsageError(f"unknown check {name!r}")
@@ -461,6 +462,11 @@ def _make_spec(name, params) -> CheckSpec:
         raise UsageError(
             f"--cap {params['cap']} is below 4n = {4 * params['n']}, too "
             f"small a window to be conclusive"
+        )
+    if name == "verify-nilhecke" and factorial(p) > pdgmod.EndAlgebra.SIZE_GUARD:
+        raise UsageError(
+            f"--p {p}: the staircase module rank p! = {factorial(p)} is over "
+            f"the size guard {pdgmod.EndAlgebra.SIZE_GUARD}"
         )
     if name == "verify-thick" and params["a"] * p > pdgmod.THICK_MAX_AP:
         raise UsageError(

@@ -3,12 +3,13 @@ p-DG algebras over characteristic-p symmetric polynomials.
 
 The module has three layers.
 
-1.  Windowed operators on truncated polynomial rings: multiplication by
-    variables and divided-difference (Demazure) operators
-    δ_i(f) = (f − s_i f)/(x_i − x_{i+1}), realizing the nilHecke algebra
-    NH_n = END_{Sym_n}(Pol_n).  Relations are checked degreewise; since the
-    relations are equalities of homogeneous Sym_n-linear operators, windowed
-    equality at sufficient width decides them.
+1.  The nilHecke algebra NH_n = END_{Sym_n}(Pol_n), generated by
+    multiplication by variables and the divided-difference (Demazure)
+    operators δ_i(f) = (f − s_i f)/(x_i − x_{i+1}), as `BlockOp`s on a
+    `PolWindow`, the monomials of degree ≤ cap.  Relations are checked by
+    evaluating both sides exactly on every monomial of the window; since
+    the relations are equalities of homogeneous Sym_n-linear operators,
+    windowed equality at sufficient width decides them.
 
 2.  Block modules: for block sizes (b_1, ..., b_r), the free module
     Sym_{b_1} ⊗ ... ⊗ Sym_{b_r} · v over Sym_N, N = Σ b_i, with the
@@ -41,8 +42,6 @@ import functools
 import itertools
 import math
 
-import numpy as np
-
 from . import linalg
 from . import partitions as pt
 from .cyclotomic import LaurentPoly, qbinom
@@ -61,8 +60,6 @@ __all__ = [
     "monomial",
     "demazure",
     "PolWindow",
-    "OperatorOnWindow",
-    "nh_differential",
     "nilhecke_relations_check",
     "nh_acyclicity_check",
     "staircase_complex",
@@ -240,23 +237,23 @@ def demazure_word(word, f: PolElem) -> PolElem:
 
 
 # --------------------------------------------------------------------------
-# windowed operators on Pol_n
+# the nilHecke algebra on a window of Pol_n
 # --------------------------------------------------------------------------
 
 
 class PolWindow:
-    """Monomial bases of Pol_n in each degree ≤ cap."""
+    """Pol_n in degrees ≤ cap, as a space that `BlockOp`s act on.
+
+    `basis` holds every monomial of degree ≤ cap as an exponent tuple,
+    ordered by degree; operators act on {exponents: coeff} dicts.
+    """
 
     def __init__(self, n, p, cap):
         self.n = n
         self.p = p
-        self.cap = cap
-        self.basis = {}
-        self.index = {}
-        for m in range(cap // 2 + 1):
-            monos = sorted(self._compositions(m, n))
-            self.basis[2 * m] = monos
-            self.index[2 * m] = {e: i for i, e in enumerate(monos)}
+        self.basis = [
+            e for m in range(cap // 2 + 1) for e in sorted(self._compositions(m, n))
+        ]
 
     @staticmethod
     def _compositions(m, n):
@@ -268,107 +265,22 @@ class PolWindow:
                 out.append((first,) + rest)
         return out
 
-    def degrees(self):
-        return sorted(self.basis)
+    def op(self, shift: int, fmap) -> "BlockOp":
+        """The operator of degree `shift` given by a PolElem → PolElem map."""
+        n, p = self.n, self.p
+        return BlockOp(self, lambda e: fmap(PolElem(n, p, e)).terms, shift)
 
-    def to_vec(self, f: PolElem, d):
-        v = np.zeros(len(self.basis[d]), dtype=np.int64)
-        for e, c in f.terms.items():
-            if 2 * sum(e) != d:
-                raise ValueError("inhomogeneous element")
-            v[self.index[d][e]] = c
-        return v
-
-    def elem(self, d, i) -> PolElem:
-        return monomial(self.n, self.p, self.basis[d][i])
-
-
-class OperatorOnWindow:
-    """Degreewise matrices of a homogeneous operator on a PolWindow."""
-
-    def __init__(self, window: PolWindow, shift: int, mats: dict):
-        self.window = window
-        self.shift = shift
-        self.mats = mats  # source degree -> matrix
-
-    @classmethod
-    def from_map(cls, window: PolWindow, shift: int, fmap):
-        mats = {}
-        for d in window.degrees():
-            if d + shift not in window.basis or d + shift < 0:
-                continue
-            src = window.basis[d]
-            tgt_index = window.index[d + shift]
-            m = np.zeros((len(window.basis[d + shift]), len(src)), dtype=np.int64)
-            for c, exps in enumerate(src):
-                img = fmap(monomial(window.n, window.p, exps))
-                for e, coeff in img.terms.items():
-                    m[tgt_index[e], c] = coeff
-            mats[d] = m % window.p
-        return cls(window, shift, mats)
-
-    def compose(self, other: "OperatorOnWindow") -> "OperatorOnWindow":
-        """self ∘ other."""
-        p = self.window.p
-        mats = {}
-        for d, m in other.mats.items():
-            upper = self.mats.get(d + other.shift)
-            if upper is not None:
-                mats[d] = (upper @ m) % p
-        return OperatorOnWindow(self.window, self.shift + other.shift, mats)
-
-    def __add__(self, other):
-        if self.shift != other.shift:
-            raise ValueError("shift mismatch")
-        p = self.window.p
-        mats = {}
-        for d in set(self.mats) & set(other.mats):
-            mats[d] = (self.mats[d] + other.mats[d]) % p
-        return OperatorOnWindow(self.window, self.shift, mats)
-
-    def __sub__(self, other):
-        if self.shift != other.shift:
-            raise ValueError("shift mismatch")
-        p = self.window.p
-        mats = {}
-        for d in set(self.mats) & set(other.mats):
-            mats[d] = (self.mats[d] - other.mats[d]) % p
-        return OperatorOnWindow(self.window, self.shift, mats)
-
-    def scale(self, c: int):
-        p = self.window.p
-        return OperatorOnWindow(
-            self.window, self.shift, {d: (m * c) % p for d, m in self.mats.items()}
-        )
-
-    def equals(self, other: "OperatorOnWindow") -> bool:
-        """Equality on all shared degrees (the windowed notion)."""
-        if self.shift != other.shift:
-            return False
-        shared = set(self.mats) & set(other.mats)
-        if not shared:
-            raise ValueError("no common window to compare on")
-        return all(np.array_equal(self.mats[d], other.mats[d]) for d in shared)
-
-    def is_zero(self) -> bool:
-        return all(not m.any() for m in self.mats.values())
-
-
-def _pol_diff_operator(window: PolWindow) -> OperatorOnWindow:
-    return OperatorOnWindow.from_map(window, 2, lambda f: f.diff())
-
-
-def nh_differential(t: OperatorOnWindow) -> OperatorOnWindow:
-    """Commutator of t with the polynomial differential ∂(x_i) = x_i²."""
-    d = _pol_diff_operator(t.window)
-    return d.compose(t) - t.compose(d)
+    def op_diff(self) -> "BlockOp":
+        """The polynomial differential ∂(x_i) = x_i²."""
+        return self.op(2, PolElem.diff)
 
 
 def nilhecke_relations_check(n: int, p: int, window: int):
-    """Exact nilHecke relations on Pol_n, checked as windowed operators.
+    """Exact nilHecke relations on Pol_n, checked on a window.
 
     Verifies δ_i² = 0, the braid relation, and both dot-slide identities
-    x_i δ_i − δ_i x_{i+1} = 1 = δ_i x_i − x_{i+1} δ_i.  Returns
+    x_i δ_i − δ_i x_{i+1} = 1 = δ_i x_i − x_{i+1} δ_i, evaluating both
+    sides exactly on every monomial of degree ≤ window.  Returns
     (ok, first failing relation or None).
     """
     if n == 1:
@@ -377,15 +289,12 @@ def nilhecke_relations_check(n: int, p: int, window: int):
         raise ValueError("window too small to be conclusive")
     win = PolWindow(n, p, window)
     x = [
-        OperatorOnWindow.from_map(win, 2, lambda f, i=i: monomial(n, p, tuple(
+        win.op(2, lambda f, i=i: monomial(n, p, tuple(
             1 if j == i else 0 for j in range(n))) * f)
         for i in range(n)
     ]
-    dd = [
-        OperatorOnWindow.from_map(win, -2, lambda f, i=i: demazure(i + 1, f))
-        for i in range(n - 1)
-    ]
-    ident = OperatorOnWindow.from_map(win, 0, lambda f: f)
+    dd = [win.op(-2, lambda f, i=i: demazure(i + 1, f)) for i in range(n - 1)]
+    ident = win.op(0, lambda f: f)
     for i in range(n - 1):
         if not dd[i].compose(dd[i]).is_zero():
             return False, f"delta_{i+1}^2 != 0"
@@ -487,13 +396,17 @@ def grass_rank_ok(gm: GrassModule) -> bool:
 
 
 class BlockOp:
-    """A Sym_N-linear operator on the block module, given by a local rule
-    on block coordinates.
+    """A Sym-linear operator given by a rule on the coordinates of a space.
 
-    Crossings, dots and the module differential all act block-locally, so
-    arbitrary composites stay cheap: no free-basis expansion is involved.
-    Two Sym_N-linear operators are equal iff they agree on the free basis,
-    which `equals` checks exactly.
+    The space `alg` provides `p`, a `basis` of coordinate keys and
+    `op_diff()`, its differential as a BlockOp; rules map {key: coeff}
+    dicts to such dicts.  Two spaces do: an `EndAlgebra`, whose keys are
+    tuples of block partitions and whose rules for crossings, dots and the
+    module differential act block-locally, and a `PolWindow`, whose keys
+    are monomial exponents.  Composites stay cheap: no expansion over a
+    basis is involved.  `equals` compares the images of `basis` exactly;
+    on the free basis of a block module this decides equality of Sym_N-linear
+    operators, on a window it is equality there.
     """
 
     __slots__ = ("alg", "fn", "shift")

@@ -7,11 +7,9 @@ Run with `pytest tests/test_acceptance.py -s` to see the lines.
 import time
 from math import comb
 
-import numpy as np
 import pytest
 
-import dense_oracle
-from qfrob.cli import check_verify_slash
+from qfrob.cli import check_verify_lima, check_verify_slash
 from qfrob.cyclotomic import binom_reduction_check
 from qfrob.pcomplex import slash_cohomology, string_decompose
 from qfrob.pdgmod import (
@@ -30,12 +28,7 @@ from qfrob.qgroup import (
     kernel_check,
     oracle_product_agrees,
 )
-from qfrob.symfunc import (
-    lima_partitions,
-    twist_pcomplex,
-    vab_pcomplex,
-    vi_pcomplex,
-)
+from qfrob.symfunc import lima_partitions, twist_pcomplex, vi_pcomplex
 
 
 def announce(num, name, ok, t0, detail=""):
@@ -78,33 +71,13 @@ def test_criterion_03_lima_classes():
     cases = [(2, a, b) for a, b in ((1, 1), (1, 2), (2, 1), (2, 2))]
     cases += [(3, a, b) for a, b in ((1, 1), (1, 2), (2, 1))]
     for p, a, b in cases:
-        c = vab_pcomplex(a, b, p)
-        sl = slash_cohomology(c)
-        lima = lima_partitions(b, a, p)
-        total = sum(sum(v.values()) for v in sl.dims.values())
-        if total != comb(a + b, a):
+        status, values = check_verify_lima(p, a, b)
+        if (
+            status != "pass"
+            or values["dim"] != comb(a + b, a)
+            or values["classes"] != [list(l) for l in lima_partitions(b, a, p)]
+        ):
             ok = False
-            continue
-        pos = {lam: i for i, lam in enumerate(c.labels)}
-        by_degree = {}
-        for lam in lima:
-            by_degree.setdefault(2 * sum(lam), []).append(lam)
-        for d, lams in by_degree.items():
-            if sl.dims[0].get(d, 0) != len(lams):
-                ok = False
-            local = c.indices_at(d)
-            lpos = {i: r for r, i in enumerate(local)}
-            cols = []
-            for lam in lams:
-                v = np.zeros(len(local), dtype=np.int64)
-                v[lpos[pos[lam]]] = 1
-                cols.append(v)
-                img = c.apply({pos[lam]: 1})
-                if img:  # expanded-box classes are honest cocycles
-                    ok = False
-            im = dense_oracle.power_matrix(c, d - 2 * (p - 1), p - 1)
-            if len(dense_oracle.extend_basis(im, np.stack(cols, axis=1), p)) != len(lams):
-                ok = False
     announce(3, "expanded-box classes span H_/(V_{a,b})", ok, t0)
 
 

@@ -10,7 +10,8 @@ from qfrob.cli import CheckSpec, default_specs, main, run_check
 
 # parameters no check can decide on: a non-prime p (the F_p eliminations
 # invert by Fermat), a negative n, a cap below 2(p−1), which leaves an
-# empty valid window, and a thick check with a·p over its size guard
+# empty valid window, a thick check with a·p over its size guard, and a
+# nilHecke check whose staircase module rank p! is over the END size guard
 BAD_ARGS = [
     "verify-slash --p 4 --n 2",
     "verify-vi --p 0",
@@ -35,6 +36,8 @@ BAD_ARGS = [
     "verify-nilhecke --p 3 --n 3 --cap 11",
     "verify-thick --p 7 --a 1",
     "verify-thick --p 3 --a 3",
+    "verify-nilhecke --p 7",
+    "verify-nilhecke --p 7 --n 2 --cap 8",
 ]
 
 
@@ -97,6 +100,15 @@ class TestMain:
             capture_output=True,
         )
         assert proc.returncode == 2
+
+    def test_import_loads_no_numpy(self):
+        # numpy is a test-only dependency
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, qfrob.cli; print('numpy' in sys.modules)"],
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip() == "False"
 
     def test_missing_p_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

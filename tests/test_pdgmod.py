@@ -1,14 +1,13 @@
-import numpy as np
 import pytest
 
 from qfrob import partitions as pt
+from qfrob import pdgmod
 from qfrob.cyclotomic import qbinom
 from qfrob.pcomplex import slash_cohomology, string_decompose
 from qfrob.pdgmod import (
     PAIRING_SIGN,
     BlockOp,
     EndAlgebra,
-    OperatorOnWindow,
     PolElem,
     PolWindow,
     block_swap_word,
@@ -20,7 +19,6 @@ from qfrob.pdgmod import (
     grass_rank_ok,
     monomial,
     nh_acyclicity_check,
-    nh_differential,
     nh_graded_dims,
     nilhecke_relations_check,
     pairing_value,
@@ -69,7 +67,7 @@ class TestDemazure:
 
 
 class TestNilHeckeRelations:
-    @pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 5)])
     def test_relations_hold(self, n, p):
         ok, detail = nilhecke_relations_check(n, p, 4 * n)
         assert ok, detail
@@ -81,51 +79,53 @@ class TestNilHeckeRelations:
         with pytest.raises(ValueError):
             nilhecke_relations_check(2, 3, 6)
 
+    def test_wrong_demazure_in_one_degree_fails(self, monkeypatch):
+        real = pdgmod.demazure
+
+        def doubled_at_six(i, f):
+            g = real(i, f)
+            return g * 2 if f.degree() == 6 else g
+
+        monkeypatch.setattr(pdgmod, "demazure", doubled_at_six)
+        assert nilhecke_relations_check(3, 3, 12) == (
+            False,
+            "dot slide (left) fails at 1",
+        )
+
 
 class TestNhDifferential:
     def test_multiplication_operator(self):
         win = PolWindow(2, 3, 10)
-        x1 = OperatorOnWindow.from_map(
-            win, 2, lambda f: monomial(2, 3, (1, 0)) * f
-        )
-        img = nh_differential(x1)
-        sq = OperatorOnWindow.from_map(
-            win, 4, lambda f: monomial(2, 3, (2, 0)) * f
-        )
-        # degree mismatch: compare by composing nothing; the commutator of a
-        # multiplication operator is multiplication by the derivative
+        x1 = win.op(2, lambda f: monomial(2, 3, (1, 0)) * f)
+        img = x1.commutator_with_diff()
+        sq = win.op(4, lambda f: monomial(2, 3, (2, 0)) * f)
+        # the commutator of a multiplication operator is multiplication by
+        # the derivative
         assert img.shift == 4
-        shared = set(img.mats) & set(sq.mats)
-        assert shared and all(
-            np.array_equal(img.mats[d], sq.mats[d]) for d in shared
-        )
+        assert img.equals(sq)
 
     def test_identity_commutes(self):
         win = PolWindow(2, 3, 10)
-        ident = OperatorOnWindow.from_map(win, 0, lambda f: f)
-        assert nh_differential(ident).is_zero()
+        ident = win.op(0, lambda f: f)
+        assert ident.commutator_with_diff().is_zero()
 
     def test_divided_difference_closed_form(self):
         # [∂, δ_1] = −e_1 δ_1 on two variables
         win = PolWindow(2, 5, 12)
-        dd = OperatorOnWindow.from_map(win, -2, lambda f: demazure(1, f))
+        dd = win.op(-2, lambda f: demazure(1, f))
         e1 = monomial(2, 5, (1, 0)) + monomial(2, 5, (0, 1))
-        target = OperatorOnWindow.from_map(
-            win, 0, lambda f: e1 * demazure(1, f)
-        ).scale(-1)
-        assert nh_differential(dd).equals(target)
+        target = win.op(0, lambda f: e1 * demazure(1, f)).scale(-1)
+        assert dd.commutator_with_diff().equals(target)
 
     def test_pointwise_up_to_degree_ten(self):
         win = PolWindow(2, 3, 10)
-        dd = OperatorOnWindow.from_map(win, -2, lambda f: demazure(1, f))
-        comm = nh_differential(dd)
-        for d in comm.mats:
-            for c, exps in enumerate(win.basis[d]):
-                f = monomial(2, 3, exps)
-                # [∂, δ_1](f) = ∂(δ_1 f) − δ_1(∂ f), evaluated directly
-                direct = demazure(1, f).diff() - demazure(1, f.diff())
-                got = comm.mats[d][:, c]
-                assert np.array_equal(got, win.to_vec(direct, d) % 3)
+        comm = win.op(-2, lambda f: demazure(1, f)).commutator_with_diff()
+        assert max(2 * sum(e) for e in win.basis) == 10
+        for e in win.basis:
+            f = monomial(2, 3, e)
+            # [∂, δ_1](f) = ∂(δ_1 f) − δ_1(∂ f), evaluated directly
+            direct = demazure(1, f).diff() - demazure(1, f.diff())
+            assert comm({e: 1}) == direct.terms
 
 
 class TestNhAcyclicity:
