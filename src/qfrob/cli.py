@@ -415,7 +415,7 @@ def _fill_defaults(name, params):
         out.setdefault("cap", 8 * p * p)
     if name == "verify-nilhecke":
         out.setdefault("n", p)
-        out.setdefault("cap", 4 * out["n"])
+        out.setdefault("cap", pdgmod.nilhecke_least_window(out["n"]))
     if name == "verify-frobenius":
         out.setdefault("amax", 2 * p)
         out.setdefault("nmax", 4 * p)
@@ -431,9 +431,9 @@ def _make_spec(name, params) -> CheckSpec:
     an unknown check, a missing or non-prime p (the F_p elimination inverts
     by Fermat), a range parameter below its `_LEAST` value, and a cap that
     leaves nothing to decide: below 2(p−1) for verify-slash/verify-twist,
-    whose valid window then holds no degree, and below 4n for
-    verify-nilhecke, whose relation window is then too small to be
-    conclusive; verify-nilhecke with p!, the module rank of its staircase
+    whose valid window then holds no degree, and below max(4n, n(n−1)) for
+    verify-nilhecke, whose relation window then misses part of a Sym_n-basis
+    of Pol_n; verify-nilhecke with p!, the module rank of its staircase
     complex, over `pdgmod.EndAlgebra.SIZE_GUARD`; and verify-thick with a·p
     over the size guard `pdgmod.THICK_MAX_AP`, where the check does not run.
     """
@@ -458,11 +458,13 @@ def _make_spec(name, params) -> CheckSpec:
             f"--cap {params['cap']} leaves an empty valid window "
             f"(the cap must be at least 2(p-1) = {2 * (p - 1)})"
         )
-    if name == "verify-nilhecke" and params["cap"] < 4 * params["n"]:
-        raise UsageError(
-            f"--cap {params['cap']} is below 4n = {4 * params['n']}, too "
-            f"small a window to be conclusive"
-        )
+    if name == "verify-nilhecke":
+        least = pdgmod.nilhecke_least_window(params["n"])
+        if params["cap"] < least:
+            raise UsageError(
+                f"--cap {params['cap']} is below max(4n, n(n-1)) = {least}, "
+                f"too small a window to be conclusive"
+            )
     if name == "verify-nilhecke" and factorial(p) > pdgmod.EndAlgebra.SIZE_GUARD:
         raise UsageError(
             f"--p {p}: the staircase module rank p! = {factorial(p)} is over "

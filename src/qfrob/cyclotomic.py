@@ -1,7 +1,10 @@
 """Exact arithmetic in Z[v^{±1}] and in the quotient O_p = Z[v^{±1}]/(Psi_p(v^2)).
 
-`LaurentPoly` is a sparse one-variable integer Laurent polynomial; quantum
-integers [n] = (v^n − v^{−n})/(v − v^{−1}), quantum factorials and Gaussian
+`LaurentPoly` is a one-variable integer Laurent polynomial stored sparsely
+(exponent → nonzero coefficient); its product convolves densely over the
+exponent span, which stays small here (a few hundred exponents at most),
+and stores back only the nonzero entries.  Quantum integers
+[n] = (v^n − v^{−n})/(v − v^{−1}), quantum factorials and Gaussian
 binomials live here.  `CycElem` is an element of O_p written on the Z-basis
 {1, q, ..., q^(2p−3)}, where q is the image of v; in O_p one has q^(2p) = 1,
 and q^(2p−2), q^(2p−1) are rewritten through 1 + q^2 + ... + q^(2(p−1)) = 0.
@@ -113,12 +116,22 @@ class LaurentPoly:
             return LaurentPoly({e: c * other for e, c in self.coeffs.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(out)
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return LaurentPoly()
+        # dense convolution over the exponent span, both operands shifted
+        # to start at exponent 0; only nonzero entries are stored back
+        lo_a, lo_b = min(a), min(b)
+        acc = [0] * (max(a) - lo_a + max(b) - lo_b + 1)
+        right = [(e - lo_b, c) for e, c in b.items()]
+        for e1, c1 in a.items():
+            base = e1 - lo_a
+            for e2, c2 in right:
+                acc[base + e2] += c1 * c2
+        lo = lo_a + lo_b
+        out = LaurentPoly.__new__(LaurentPoly)  # entries are already nonzero
+        out.coeffs = {i + lo: c for i, c in enumerate(acc) if c}
+        return out
 
     __rmul__ = __mul__
 

@@ -9,7 +9,11 @@ The module has three layers.
     `PolWindow`, the monomials of degree ≤ cap.  Relations are checked by
     evaluating both sides exactly on every monomial of the window; since
     the relations are equalities of homogeneous Sym_n-linear operators,
-    windowed equality at sufficient width decides them.
+    windowed equality at sufficient width decides them.  Sufficient width
+    is cap ≥ max(4n, n(n−1)) (`nilhecke_least_window`): with deg x_i = 2,
+    n(n−1) is the top degree of the Sym_n-basis x^a (a_i ≤ n−i) of Pol_n,
+    so the window holds a whole basis and a Sym_n-linear operator is
+    determined by its values there.
 
 2.  Block modules: for block sizes (b_1, ..., b_r), the free module
     Sym_{b_1} ⊗ ... ⊗ Sym_{b_r} · v over Sym_N, N = Σ b_i, with the
@@ -60,6 +64,7 @@ __all__ = [
     "monomial",
     "demazure",
     "PolWindow",
+    "nilhecke_least_window",
     "nilhecke_relations_check",
     "nh_acyclicity_check",
     "staircase_complex",
@@ -275,6 +280,13 @@ class PolWindow:
         return self.op(2, PolElem.diff)
 
 
+def nilhecke_least_window(n: int) -> int:
+    """The least window at which `nilhecke_relations_check` decides the
+    relations on all of Pol_n: it must reach n(n−1), the top degree of the
+    Sym_n-basis x^a (a_i ≤ n−i), and never falls below 4n."""
+    return max(4 * n, n * (n - 1))
+
+
 def nilhecke_relations_check(n: int, p: int, window: int):
     """Exact nilHecke relations on Pol_n, checked on a window.
 
@@ -285,7 +297,7 @@ def nilhecke_relations_check(n: int, p: int, window: int):
     """
     if n == 1:
         return True, None
-    if window < 4 * n:
+    if window < nilhecke_least_window(n):
         raise ValueError("window too small to be conclusive")
     win = PolWindow(n, p, window)
     x = [

@@ -19,6 +19,12 @@ contains a brute-force rational-field oracle that expands products of
 divided powers over Z[v^{±1}] in the monomial basis θ^i ϑ^j 1_n using only
 the defining relations, and the formula is validated against it before
 anything else trusts it (see the test suite and the oracle check below).
+The oracle writes both sides as numerators over θ^i ϑ^j 1_n divided by
+products of quantum factorials and compares them over one common
+denominator D = [A]!·[B]!, A and B the total numbers of θ and ϑ: every
+denominator that occurs divides D, each cofactor is an exact quotient
+computed once, and Z[v^{±1}] has no zero divisors, so equal scaled
+numerators are exactly equal fractions in Q(v).
 
 Coefficient rings are selected by a tag: "generic" keeps Z[v^{±1}]
 structure constants, "op" evaluates them in O_p through v ↦ q, and "rho"
@@ -535,14 +541,45 @@ def oracle_monomials(b: int, a: int, n: int):
 
 
 def oracle_word_expansion(w: CBWord):
-    """(numerator over θ^i ϑ^j 1_n, denominator) of a canonical word, the
-    denominator being [a]!·[b]!."""
-    den = qfact(w.a) * qfact(w.b)
+    """Numerator of a canonical word over the monomials θ^i ϑ^j 1_n; the
+    word is that numerator divided by [a]!·[b]!."""
     if w.shape == "EF":
-        num = {(w.a, w.b): LaurentPoly.one()}
-    else:
-        num = oracle_monomials(w.b, w.a, w.n)
-    return num, den
+        return {(w.a, w.b): LaurentPoly.one()}
+    return oracle_monomials(w.b, w.a, w.n)
+
+
+@functools.cache
+def _cofactor(top: tuple, bottom: tuple) -> LaurentPoly:
+    """Π_{t ∈ top} [t]! divided exactly by Π_{s ∈ bottom} [s]!."""
+    num, den = LaurentPoly.one(), LaurentPoly.one()
+    for t in top:
+        num = num * qfact(t)
+    for s in bottom:
+        den = den * qfact(s)
+    return num.divexact(den)
+
+
+def _fractions_agree(A, B, lhs_num, lhs_bottom, rhs_terms) -> bool:
+    """Whether lhs_num/Π_{s ∈ lhs_bottom}[s]! equals Σ coeff·num/([a]!·[b]!)
+    over rhs_terms = [(coeff, num, a, b)], monomial by monomial, with both
+    sides scaled to D = [A]!·[B]! (exact: see the module docstring).  The
+    caller picks A, B so that D is a multiple of the left denominator; a
+    right-hand word with a > A or b > B raises.
+    """
+    rhs: dict[tuple, LaurentPoly] = {}
+    for coeff, num, a, b in rhs_terms:
+        if a > A or b > B:
+            raise ValueError(f"word ({a}, {b}) lies outside D = [{A}]!·[{B}]!")
+        scale = coeff * _cofactor((A, B), (a, b))
+        for key, c in num.items():
+            poly = scale * c
+            rhs[key] = rhs[key] + poly if key in rhs else poly
+    lhs_scale = _cofactor((A, B), tuple(sorted(lhs_bottom)))
+    zero = LaurentPoly.zero()
+    return all(
+        lhs_num.get(key, zero) * lhs_scale == rhs.get(key, zero)
+        for key in lhs_num.keys() | rhs.keys()
+    )
 
 
 def _monomial_product(num1, n1, num2, n2):
@@ -550,10 +587,11 @@ def _monomial_product(num1, n1, num2, n2):
     out: dict[tuple, LaurentPoly] = {}
     for (i1, j1), c1 in num1.items():
         for (i2, j2), c2 in num2.items():
+            c12 = c1 * c2
             mid = oracle_monomials(j1, i2, n2 - 2 * j2)
             for (k, l), c in mid.items():
                 key = (i1 + k, l + j2)
-                poly = c1 * c2 * c
+                poly = c12 * c
                 if key in out:
                     out[key] = out[key] + poly
                 else:
@@ -563,59 +601,37 @@ def _monomial_product(num1, n1, num2, n2):
 
 def oracle_product_agrees(w1: CBWord, w2: CBWord) -> bool:
     """Whether udot_mult over the generic ring matches the rational-field
-    expansion of w1·w2 (zero when weights mismatch)."""
+    expansion of w1·w2 (zero when weights mismatch).
+
+    Compared over D = [a1+a2]!·[b1+b2]!: every word of the product has
+    a ≤ a1+a2 and b ≤ b1+b2, so D is a multiple of its [a]!·[b]!, and of
+    the left side's [a1]![b1]![a2]![b2]! by a product of two Gaussian
+    binomials."""
     ring = CoeffRing("generic")
     prod = udot_mult(
         UdotElem(ring, {w1: ring.one()}), UdotElem(ring, {w2: ring.one()})
     )
     if w1.n != w2.left_weight():
         return prod.is_zero()
-    num1, den1 = oracle_word_expansion(w1)
-    num2, den2 = oracle_word_expansion(w2)
-    lhs_num = _monomial_product(num1, w1.n, num2, w2.n)
-    lhs_den = den1 * den2
-    # expand the rewritten product the same way and compare fractions
-    rhs: dict[tuple, tuple] = {}
-    for w, coeff in prod.terms.items():
-        numw, denw = oracle_word_expansion(w)
-        for key, c in numw.items():
-            add_num = coeff * c
-            if key in rhs:
-                n0, d0 = rhs[key]
-                rhs[key] = (n0 * denw + add_num * d0, d0 * denw)
-            else:
-                rhs[key] = (add_num, denw)
-    keys = set(lhs_num) | set(rhs)
-    for key in keys:
-        ln = lhs_num.get(key, LaurentPoly.zero())
-        rn, rd = rhs.get(key, (LaurentPoly.zero(), LaurentPoly.one()))
-        if ln * rd != rn * lhs_den:
-            return False
-    return True
+    lhs_num = _monomial_product(
+        oracle_word_expansion(w1), w1.n, oracle_word_expansion(w2), w2.n
+    )
+    rhs_terms = [
+        (coeff, oracle_word_expansion(w), w.a, w.b)
+        for w, coeff in prod.terms.items()
+    ]
+    return _fractions_agree(
+        w1.a + w2.a, w1.b + w2.b, lhs_num, (w1.a, w1.b, w2.a, w2.b), rhs_terms
+    )
 
 
 def commutation_formula_agrees(A: int, B: int, n: int) -> bool:
     """Direct oracle validation of the divided-power commutation:
-    E^{(A)}F^{(B)}1_n = Σ_j [A−B+n, j]·F^{(B−j)}E^{(A−j)}1_n over Q(v)."""
-    lhs_num = {(A, B): LaurentPoly.one()}
-    lhs_den = qfact(A) * qfact(B)
-    rhs: dict[tuple, tuple] = {}
+    E^{(A)}F^{(B)}1_n = Σ_j [A−B+n, j]·F^{(B−j)}E^{(A−j)}1_n over Q(v),
+    compared over the common denominator [A]!·[B]! (left cofactor 1)."""
+    rhs_terms = []
     for j in range(min(A, B) + 1):
         c = qbinom_int(A - B + n, j)
-        if c.is_zero():
-            continue
-        numw = oracle_monomials(B - j, A - j, n)
-        denw = qfact(A - j) * qfact(B - j)
-        for key, poly in numw.items():
-            add_num = c * poly
-            if key in rhs:
-                n0, d0 = rhs[key]
-                rhs[key] = (n0 * denw + add_num * d0, d0 * denw)
-            else:
-                rhs[key] = (add_num, denw)
-    for key in set(lhs_num) | set(rhs):
-        ln = lhs_num.get(key, LaurentPoly.zero())
-        rn, rd = rhs.get(key, (LaurentPoly.zero(), LaurentPoly.one()))
-        if ln * rd != rn * lhs_den:
-            return False
-    return True
+        if not c.is_zero():
+            rhs_terms.append((c, oracle_monomials(B - j, A - j, n), A - j, B - j))
+    return _fractions_agree(A, B, {(A, B): LaurentPoly.one()}, (A, B), rhs_terms)

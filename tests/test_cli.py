@@ -38,6 +38,7 @@ BAD_ARGS = [
     "verify-thick --p 3 --a 3",
     "verify-nilhecke --p 7",
     "verify-nilhecke --p 7 --n 2 --cap 8",
+    "verify-nilhecke --p 5 --n 6 --cap 24",
 ]
 
 

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from laurent_oracle import schoolbook_mul
 from qfrob.cyclotomic import (
     CycElem,
     ExactDivisionError,
@@ -77,6 +78,36 @@ class TestQbinom:
         assert qbinom_int(-1, 1) == qint(-1)
         assert qbinom_int(-1, 2) == (qint(-1) * qint(-2)).divexact(qfact(2))
         assert qbinom_int(-3, 2) == (qint(-3) * qint(-4)).divexact(qfact(2))
+
+
+_COEFF = st.one_of(st.integers(-9, 9), st.integers(-(2**80), 2**80))
+_POLY = st.dictionaries(st.integers(-15, 15), _COEFF, max_size=8).map(LaurentPoly)
+
+
+class TestDenseProduct:
+    @settings(max_examples=300, deadline=None)
+    @given(_POLY, st.one_of(_POLY, st.integers(-(2**70), 2**70)))
+    def test_matches_schoolbook(self, a, b):
+        # same coeffs dict, key set included, in both operand orders
+        assert (a * b).coeffs == schoolbook_mul(a, b).coeffs
+        assert (b * a).coeffs == schoolbook_mul(a, b).coeffs
+
+    @settings(max_examples=100, deadline=None)
+    @given(_POLY, st.integers(1, 6), st.integers(1, 6))
+    def test_cancellation(self, a, d, m):
+        # (v^d − 1)(1 + v^d + ... + v^{(m−1)d}) = v^{md} − 1: every interior
+        # coefficient cancels to zero and must not be stored
+        g = LaurentPoly({d: 1, 0: -1})
+        h = LaurentPoly({k * d: 1 for k in range(m)})
+        assert (g * h).coeffs == {m * d: 1, 0: -1}
+        assert (a * (g - g)).coeffs == {} == (a * 0).coeffs
+        assert (a * g * h).coeffs == schoolbook_mul(a, g * h).coeffs
+
+    @settings(max_examples=200, deadline=None)
+    @given(_POLY, _POLY)
+    def test_divexact_inverts(self, a, b):
+        if not b.is_zero():
+            assert (a * b).divexact(b) == a
 
 
 class TestToOp:

@@ -78,6 +78,10 @@ class TestNilHeckeRelations:
     def test_window_guard(self):
         with pytest.raises(ValueError):
             nilhecke_relations_check(2, 3, 6)
+        # 24 = 4n lies below n(n-1) = 30, the top degree of the Sym_6-basis
+        # of Pol_6
+        with pytest.raises(ValueError):
+            nilhecke_relations_check(6, 5, 24)
 
     def test_wrong_demazure_in_one_degree_fails(self, monkeypatch):
         real = pdgmod.demazure

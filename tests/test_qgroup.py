@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from qfrob import qgroup
 from qfrob.cyclotomic import CycElem, LaurentPoly, qbinom, qint, to_op
 from qfrob.qgroup import (
     CBWord,
@@ -21,6 +22,7 @@ from qfrob.qgroup import (
     oracle_product_agrees,
     udot,
     udot_mult,
+    _canonical,
 )
 
 G = CoeffRing("generic")
@@ -104,7 +106,6 @@ class TestUdotMult:
         assert x == UdotElem(G, {CBWord("EF", 2, 0, -2): qbinom(2, 1)})
 
     def test_e2_f2_against_oracle(self):
-        w1 = CBWord("EF", 2, 0, -2)._replace()  # E^{(2)}1_{−2}
         w1 = CBWord("EF" if -2 <= -2 else "FE", 2, 0, -2)
         w2 = CBWord("EF", 0, 2, 2)
         assert oracle_product_agrees(w1, w2)
@@ -132,6 +133,63 @@ class TestCommutationOracle:
         for w1 in words:
             for w2 in words:
                 assert oracle_product_agrees(w1, w2), (w1, w2)
+
+    def test_product_oracle_rejects_a_wrong_binomial(self, monkeypatch):
+        # the generic [2, 1] gains a v^5 term; the oracle must reject
+        # exactly the pairs whose product that changes (206 of the 2025)
+        words = canonical_words(2, 2, -4, 4)
+        mult = {
+            (w1, w2): udot_mult(
+                UdotElem(G, {w1: G.one()}), UdotElem(G, {w2: G.one()})
+            )
+            for w1 in words
+            for w2 in words
+        }
+        real = qgroup._ring_binom
+
+        def wrong(tag, p, m, k):
+            c = real(tag, p, m, k)
+            return c + LaurentPoly.v_power(5) if (tag, m, k) == ("generic", 2, 1) else c
+
+        # nothing downstream caches ring binomials, so replacing the
+        # function is all it takes
+        monkeypatch.setattr(qgroup, "_ring_binom", wrong)
+        assert not oracle_product_agrees(
+            _canonical("EF", 1, 0, 0), _canonical("EF", 1, 0, -2)
+        )
+        rejected = 0
+        for (w1, w2), right in mult.items():
+            agrees = oracle_product_agrees(w1, w2)
+            x, y = UdotElem(G, {w1: G.one()}), UdotElem(G, {w2: G.one()})
+            assert agrees == (udot_mult(x, y) == right), (w1, w2)
+            rejected += not agrees
+        assert rejected == 206
+
+    def test_product_word_outside_the_denominator_raises(self, monkeypatch):
+        # E·1_0 · E·1_{−2} has D = [2]!·[0]!; the denominator of a word
+        # with b = 2 does not divide D, so no cofactor can be trusted
+        monkeypatch.setattr(
+            qgroup,
+            "udot_mult",
+            lambda x, y: UdotElem(G, {CBWord("EF", 1, 2, -2): G.one()}),
+        )
+        with pytest.raises(ValueError):
+            oracle_product_agrees(_canonical("EF", 1, 0, 0), _canonical("EF", 1, 0, -2))
+
+    def test_commutation_oracle_rejects_a_wrong_binomial(self, monkeypatch):
+        # [1, 1] gains a v^5 term: exactly the formulas that use it fail
+        real = qgroup.qbinom_int
+
+        def wrong(m, k):
+            c = real(m, k)
+            return c + LaurentPoly.v_power(5) if (m, k) == (1, 1) else c
+
+        monkeypatch.setattr(qgroup, "qbinom_int", wrong)
+        for A in range(4):
+            for B in range(4):
+                for n in range(-4, 5):
+                    uses_it = A - B + n == 1 and min(A, B) >= 1
+                    assert commutation_formula_agrees(A, B, n) != uses_it, (A, B, n)
 
 
 class TestAssociativity:
