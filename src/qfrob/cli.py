@@ -249,19 +249,7 @@ def check_verify_frobenius(
         if qgroup.frobenius(qgroup.frobenius_section(e)) != e:
             section_ok = False
             break
-    words = qgroup.canonical_words(oracle_amax, oracle_amax, -oracle_nmax, oracle_nmax)
-    oracle_pairs = 0
-    oracle_ok = True
-    for w1 in words:
-        for w2 in words:
-            if w1.n != w2.left_weight():
-                continue
-            oracle_pairs += 1
-            if not qgroup.oracle_product_agrees(w1, w2):
-                oracle_ok = False
-                break
-        if not oracle_ok:
-            break
+    oracle_pairs, oracle_ok = qgroup.oracle_box_check(oracle_amax, oracle_nmax)
     values = {
         "hom_pairs": hom["pairs"],
         "hom_ok": hom["ok"],
@@ -434,8 +422,10 @@ def _make_spec(name, params) -> CheckSpec:
     whose valid window then holds no degree, and below max(4n, n(n−1)) for
     verify-nilhecke, whose relation window then misses part of a Sym_n-basis
     of Pol_n; verify-nilhecke with p!, the module rank of its staircase
-    complex, over `pdgmod.EndAlgebra.SIZE_GUARD`; and verify-thick with a·p
-    over the size guard `pdgmod.THICK_MAX_AP`, where the check does not run.
+    complex, over `pdgmod.EndAlgebra.SIZE_GUARD`; verify-thick with a·p
+    over the size guard `pdgmod.THICK_MAX_AP`, where the check does not run;
+    and verify-frobenius with amax = nmax = 0, where the kernel check has
+    no triple (z·u·z' needs a word z of weight ±2, outside the box).
     """
     if name not in CHECKS:
         raise UsageError(f"unknown check {name!r}")
@@ -465,6 +455,10 @@ def _make_spec(name, params) -> CheckSpec:
                 f"--cap {params['cap']} is below max(4n, n(n-1)) = {least}, "
                 f"too small a window to be conclusive"
             )
+    if name == "verify-frobenius" and params["amax"] == params["nmax"] == 0:
+        raise UsageError(
+            "--amax 0 --nmax 0 leaves the kernel check no triple to decide"
+        )
     if name == "verify-nilhecke" and factorial(p) > pdgmod.EndAlgebra.SIZE_GUARD:
         raise UsageError(
             f"--p {p}: the staircase module rank p! = {factorial(p)} is over "

@@ -3,11 +3,17 @@
 `LaurentPoly` is a one-variable integer Laurent polynomial stored sparsely
 (exponent → nonzero coefficient); its product convolves densely over the
 exponent span, which stays small here (a few hundred exponents at most),
-and stores back only the nonzero entries.  Quantum integers
-[n] = (v^n − v^{−n})/(v − v^{−1}), quantum factorials and Gaussian
-binomials live here.  `CycElem` is an element of O_p written on the Z-basis
-{1, q, ..., q^(2p−3)}, where q is the image of v; in O_p one has q^(2p) = 1,
-and q^(2p−2), q^(2p−1) are rewritten through 1 + q^2 + ... + q^(2(p−1)) = 0.
+and stores back only the nonzero entries.  When one operand is a monomial
+c·v^e the product shifts the other by e and scales it by c instead.
+Quantum integers [n] = (v^n − v^{−n})/(v − v^{−1}), quantum factorials and
+Gaussian binomials live here.  `CycElem` is an element of O_p written on
+the Z-basis {1, q, ..., q^(2p−3)}, where q is the image of v; in O_p one
+has q^(2p) = 1, and q^(2p−2), q^(2p−1) are rewritten through
+1 + q^2 + ... + q^(2(p−1)) = 0.  A product with an integer c·1 (most
+structure constants at a root of unity are 0 or 1) scales the other
+operand's coefficient vector, which stays canonical, and returns it as it
+is when c = 1; only a product of two non-scalar elements folds exponents
+and reduces.  An element is true when a coefficient is nonzero.
 
 Base changes:
   * to_op:   v ↦ q                       (Z[v^{±1}] → O_p)
@@ -119,6 +125,15 @@ class LaurentPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return LaurentPoly()
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # a monomial c·v^e shifts and scales the other operand; Z has
+            # no zero divisors, so every product entry stays nonzero
+            ((e, c),) = b.items()
+            out = LaurentPoly.__new__(LaurentPoly)
+            out.coeffs = {k + e: x * c for k, x in a.items()}
+            return out
         # dense convolution over the exponent span, both operands shifted
         # to start at exponent 0; only nonzero entries are stored back
         lo_a, lo_b = min(a), min(b)
@@ -325,7 +340,10 @@ class CycElem:
         return cls.from_exponents(p, {e: c})
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not self
+
+    def __bool__(self):
+        return any(self.coeffs)
 
     def as_int(self):
         """The integer c if the element equals c·1, else None."""
@@ -362,11 +380,17 @@ class CycElem:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return CycElem(self.p, tuple(a * other for a in self.coeffs))
+            return self._scaled(other)
         if not isinstance(other, CycElem):
             return NotImplemented
         if other.p != self.p:
             raise ValueError("mixed p")
+        c = other.as_int()
+        if c is not None:
+            return self._scaled(c)
+        c = self.as_int()
+        if c is not None:
+            return other._scaled(c)
         exps: dict[int, int] = {}
         for e1, c1 in enumerate(self.coeffs):
             if c1 == 0:
@@ -379,6 +403,15 @@ class CycElem:
         return CycElem.from_exponents(self.p, exps)
 
     __rmul__ = __mul__
+
+    def _scaled(self, c: int) -> "CycElem":
+        """c·self; the canonical form is kept, so nothing is reduced."""
+        if c == 1:
+            return self
+        out = CycElem.__new__(CycElem)
+        out.p = self.p
+        out.coeffs = tuple(a * c for a in self.coeffs)
+        return out
 
     def __str__(self):
         if self.is_zero():

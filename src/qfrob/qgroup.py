@@ -69,6 +69,7 @@ __all__ = [
     "canonical_words",
     "frobenius_hom_check",
     "kernel_check",
+    "oracle_box_check",
     "k0_symbol_check",
     "oracle_monomials",
     "oracle_word_expansion",
@@ -121,7 +122,7 @@ class HalfElem:
 
     def __init__(self, ring: CoeffRing, terms=None):
         self.ring = ring
-        self.terms = {a: c for a, c in (terms or {}).items() if not _is_zero(c)}
+        self.terms = {a: c for a, c in (terms or {}).items() if c}
 
     def is_zero(self):
         return not self.terms
@@ -138,10 +139,6 @@ class HalfElem:
         for a, c in other.terms.items():
             out[a] = out[a] + c if a in out else c
         return HalfElem(self.ring, out)
-
-
-def _is_zero(c):
-    return c.is_zero() if hasattr(c, "is_zero") else c == 0
 
 
 def half_elem(ring: CoeffRing, a: int, coeff=None) -> HalfElem:
@@ -168,7 +165,7 @@ def half_comult(x: HalfElem) -> dict:
             coeff = c * x.ring.of(LaurentPoly.v_power(k * (k - a)))
             key = (k, a - k)
             out[key] = out[key] + coeff if key in out else coeff
-    return {k: c for k, c in out.items() if not _is_zero(c)}
+    return {k: c for k, c in out.items() if c}
 
 
 def half_frobenius(x: HalfElem) -> HalfElem:
@@ -226,7 +223,7 @@ class UdotElem:
         self.ring = ring
         clean = {}
         for w, c in (terms or {}).items():
-            if _is_zero(c):
+            if not c:
                 continue
             if not w.is_canonical():
                 raise ValueError(f"non-canonical word {w}")
@@ -281,7 +278,7 @@ def _commute_to_FE(ring, A, B, n):
     out = []
     for j in range(min(A, B) + 1):
         c = ring.binom(A - B + n, j)
-        if not _is_zero(c):
+        if c:
             out.append((A - j, B - j, c))
     return out
 
@@ -291,13 +288,16 @@ def _commute_to_EF(ring, A, B, n):
     out = []
     for j in range(min(A, B) + 1):
         c = ring.binom(B - A - n, j)
-        if not _is_zero(c):
+        if c:
             out.append((A - j, B - j, c))
     return out
 
 
 def _push_canonical(ring, shape, a, b, n, coeff, acc):
-    """Normalize one (possibly non-canonical) word into the accumulator."""
+    """Normalize one (possibly non-canonical) word into the accumulator;
+    a zero coefficient is dropped before it is multiplied or commuted."""
+    if not coeff:
+        return
     w = CBWord(shape, a, b, n)
     if w.is_canonical() or n == b - a:
         w = _canonical(shape, a, b, n)
@@ -474,6 +474,27 @@ def kernel_check(p: int, amax: int, nmax: int) -> dict:
         "ok": not failures,
         "failures": failures[:3],
     }
+
+
+@functools.cache
+def oracle_box_check(amax: int, nmax: int) -> tuple[int, bool]:
+    """(pairs, ok): whether `oracle_product_agrees` holds for every
+    weight-matched pair of canonical words with a, b ≤ amax, |n| ≤ nmax,
+    stopping at the first disagreement (pairs then counts up to it).
+
+    The oracle works over Z[v^{±1}] and does not depend on p, so the
+    decision is made once per process for each box.
+    """
+    words = canonical_words(amax, amax, -nmax, nmax)
+    pairs = 0
+    for w1 in words:
+        for w2 in words:
+            if w1.n != w2.left_weight():
+                continue
+            pairs += 1
+            if not oracle_product_agrees(w1, w2):
+                return pairs, False
+    return pairs, True
 
 
 def k0_symbol_check(a: int, b: int, p: int) -> bool:

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from qfrob import cli
+from qfrob import cli, qgroup
+from qfrob.cyclotomic import LaurentPoly
 from qfrob.cli import CheckSpec, default_specs, main, run_check
 
 
@@ -31,6 +32,7 @@ BAD_ARGS = [
     "verify-frobenius --p 2 --nmax -1",
     "verify-frobenius --p 3 --oracle_amax -1",
     "verify-frobenius --p 3 --oracle_nmax -1",
+    "verify-frobenius --p 2 --amax 0 --nmax 0",
     "verify-thick --p 2 --a 0",
     "verify-nilhecke --p 2 --n 0",
     "verify-nilhecke --p 3 --n 3 --cap 11",
@@ -67,6 +69,37 @@ class TestRunCheck:
         rep = run_check(CheckSpec("verify-lima", {"p": 2, "a": -1, "b": 1}))
         assert rep.status == "fail"
         assert "error" in rep.values
+
+
+class TestOracleBoxOnce:
+    def test_second_p_reuses_the_decision(self):
+        qgroup.oracle_box_check.cache_clear()
+        _, v2 = cli.check_verify_frobenius(2, 1, 2, 2, 4)
+        _, v3 = cli.check_verify_frobenius(3, 1, 2, 2, 4)
+        info = qgroup.oracle_box_check.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert v2["oracle_pairs"] == v3["oracle_pairs"] > 0
+        assert v2["oracle_ok"] is v3["oracle_ok"] is True
+
+    def test_wrong_binomial_fails_the_check(self, monkeypatch):
+        # the generic [2, 1] gains a v^5 term, as in the qgroup oracle
+        # test; the box decision is cached per process, so the cache is
+        # cleared on both sides of the change
+        real = qgroup._ring_binom
+
+        def wrong(tag, p, m, k):
+            c = real(tag, p, m, k)
+            return c + LaurentPoly.v_power(5) if (tag, m, k) == ("generic", 2, 1) else c
+
+        qgroup.oracle_box_check.cache_clear()
+        monkeypatch.setattr(qgroup, "_ring_binom", wrong)
+        try:
+            status, values = cli.check_verify_frobenius(2, 1, 2, 2, 4)
+        finally:
+            qgroup.oracle_box_check.cache_clear()
+        assert status == "fail"
+        assert values["oracle_ok"] is False
+        assert values["hom_ok"] and values["kernel_ok"]
 
 
 class TestMain:

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyc_oracle import fold_mul
 from laurent_oracle import schoolbook_mul
 from qfrob.cyclotomic import (
     CycElem,
@@ -82,11 +83,16 @@ class TestQbinom:
 
 _COEFF = st.one_of(st.integers(-9, 9), st.integers(-(2**80), 2**80))
 _POLY = st.dictionaries(st.integers(-15, 15), _COEFF, max_size=8).map(LaurentPoly)
+# c·v^e, c ≠ 0: the operand that the product shifts and scales
+_MONOMIAL = st.builds(
+    LaurentPoly.v_power, st.integers(-15, 15), _COEFF.filter(bool)
+)
+_OPERAND = st.one_of(_POLY, _MONOMIAL)
 
 
 class TestDenseProduct:
     @settings(max_examples=300, deadline=None)
-    @given(_POLY, st.one_of(_POLY, st.integers(-(2**70), 2**70)))
+    @given(_OPERAND, st.one_of(_OPERAND, st.integers(-(2**70), 2**70)))
     def test_matches_schoolbook(self, a, b):
         # same coeffs dict, key set included, in both operand orders
         assert (a * b).coeffs == schoolbook_mul(a, b).coeffs
@@ -229,3 +235,47 @@ class TestCycElemCanonical:
 
     def test_basis_length(self):
         assert len(CycElem.one(5).coeffs) == 8
+
+
+def _cyc_operand(p):
+    """0, ±1, other integers c·1, single q-powers c·q^e, general vectors."""
+    return st.one_of(
+        st.sampled_from((0, 1, -1)).map(lambda c: CycElem.from_int(p, c)),
+        _COEFF.map(lambda c: CycElem.from_int(p, c)),
+        st.builds(
+            lambda e, c: CycElem.q_power(p, e, c), st.integers(-30, 30), _COEFF
+        ),
+        st.lists(_COEFF, min_size=2 * (p - 1), max_size=2 * (p - 1)).map(
+            lambda v: CycElem(p, v)
+        ),
+    )
+
+
+_CYC_PAIR = st.sampled_from((2, 3, 5, 7)).flatmap(
+    lambda p: st.tuples(_cyc_operand(p), _cyc_operand(p))
+)
+
+
+class TestCycProductFastPaths:
+    @settings(max_examples=400, deadline=None)
+    @given(_CYC_PAIR)
+    def test_matches_fold(self, pair):
+        # same coeffs in both operand orders, whichever operand is c·1
+        x, y = pair
+        want = fold_mul(x, y).coeffs
+        assert (x * y).coeffs == want
+        assert (y * x).coeffs == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(_CYC_PAIR, _COEFF)
+    def test_integer_operand(self, pair, c):
+        x, _ = pair
+        want = fold_mul(x, c).coeffs
+        assert (x * c).coeffs == want == (c * x).coeffs
+
+    @settings(max_examples=200, deadline=None)
+    @given(_CYC_PAIR)
+    def test_truthiness(self, pair):
+        for x in pair:
+            nonzero = any(c != 0 for c in x.coeffs)
+            assert bool(x) == (not x.is_zero()) == nonzero

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from qfrob import qgroup
-from qfrob.cyclotomic import CycElem, LaurentPoly, qbinom, qint, to_op
+from qfrob.cyclotomic import CycElem, LaurentPoly, qbinom, qint, rho, to_op
 from qfrob.qgroup import (
     CBWord,
     CoeffRing,
@@ -349,6 +349,31 @@ class TestBaseChangeCoherence:
             )
             assert mapped == direct, (w1, w2)
             done += 1
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_every_pair_base_changes_with_zero_images_dropped(self, p):
+        # the O_p and rho products drop zero terms early; on every
+        # weight-matched pair they equal the generic product with each
+        # coefficient base-changed and the zero images left out
+        words = canonical_words(3, 3, -6, 6)
+        pairs = 0
+        for tag, base_change in (("op", to_op), ("rho", rho)):
+            R = CoeffRing(tag, p)
+            for w1 in words:
+                x, gx = UdotElem(R, {w1: R.one()}), UdotElem(G, {w1: G.one()})
+                for w2 in words:
+                    if w1.n != w2.left_weight():
+                        continue
+                    generic = udot_mult(gx, UdotElem(G, {w2: G.one()}))
+                    want = {}
+                    for w, c in generic.terms.items():
+                        img = base_change(c, p)
+                        if any(img.coeffs):
+                            want[w] = img
+                    direct = udot_mult(x, UdotElem(R, {w2: R.one()}))
+                    assert direct.terms == want, (tag, w1, w2)
+                    pairs += 1
+        assert pairs == 2 * 2688
 
 
 class TestWordHygiene:
