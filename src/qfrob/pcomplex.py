@@ -3,13 +3,15 @@
 A p-complex here is a graded F_p-vector space U with a homogeneous operator
 ∂ of degree +2 satisfying ∂^p = 0.  Core computations:
 
-  * slash cohomology  H_{/k}(U) = Ker ∂^{k+1} / (Im ∂^{p−k−1} + Ker ∂^k),
-    k = 0..p−2, with explicit representatives;
   * decomposition of ∂ into strings (graded Jordan form of the nilpotent
     operator); strings of length exactly p make up the contractible part,
     the shorter strings carry all slash cohomology: a string of length
     ℓ ≤ p−1 with head degree h contributes one class to H_{/k} at degree
-    h + 2(ℓ−1−k) for each k ≤ ℓ−1;
+    h + 2(ℓ−1−k) for each k ≤ ℓ−1, represented by its slot ℓ−1−k;
+  * slash cohomology  H_{/k}(U) = Ker ∂^{k+1} / (Im ∂^{p−k−1} + Ker ∂^k),
+    k = 0..p−2, by that rule: dims from the string multiplicities, which
+    ranks of ∂^j give without explicit vectors, and representatives read
+    off the explicit strings only when they are asked for;
   * tensor products with the Leibniz differential (no signs: all degrees
     are even);
   * string *statistics* and their tensor calculus, which let tensor
@@ -109,12 +111,6 @@ class PComplex:
     def indices_at(self, d):
         return self._by_degree.get(d, [])
 
-    def valid_slash_degrees(self):
-        """Degrees where slash cohomology of the (possibly truncated)
-        complex is trusted: d + 2(p−1) ≤ cap."""
-        hi = self.cap - 2 * (self.p - 1)
-        return [d for d in self.support_degrees() if d <= hi]
-
     def power_images(self, d, j):
         """[∂^j(e_i) for e_i in the basis of degree d], as sparse vectors."""
         return _Powers(self).images(d, j)
@@ -140,26 +136,13 @@ class PComplex:
     # ---------- slash cohomology ----------
 
     def slash_cohomology(self) -> "SlashCohomology":
-        powers = _Powers(self)
-        powers.validate()
-        p = self.p
-        dims = {k: {} for k in range(p - 1)}
-        reps = {k: {} for k in range(p - 1)}
-        for d in self.valid_slash_degrees():
-            kers = [[]] + [powers.kernel(d, j) for j in range(1, p)]
-            for k in range(p - 1):
-                j = p - 1 - k
-                span = powers.images(d - 2 * j, j) + kers[k]
-                chosen = linalg.sparse_extend_basis(span, kers[k + 1], p)
-                if chosen:
-                    dims[k][d] = len(chosen)
-                    reps[k][d] = [dict(sorted(kers[k + 1][c].items())) for c in chosen]
+        """Slash dims from the ranks behind `string_stats`; representatives
+        are read off `string_decompose` on first access to `reps`."""
         return SlashCohomology(
-            p=p,
-            dims=dims,
-            reps=reps,
-            valid_window=(self.min_degree(), self.cap - 2 * (p - 1)),
-            labels=self.labels,
+            p=self.p,
+            dims=slash_dims_from_stats(self.string_stats(), self.p),
+            valid_window=(self.min_degree(), self.cap - 2 * (self.p - 1)),
+            source=self,
         )
 
     # ---------- string decomposition ----------
@@ -206,6 +189,7 @@ class PComplex:
             ranks[d] = [len(self.indices_at(d))] + [
                 linalg.sparse_rank(powers.images(d, j), p) for j in range(1, p + 2)
             ]
+            powers.release(d)
 
         def r(d, j):
             if d not in ranks:
@@ -297,6 +281,10 @@ class _Powers:
             powers.append([self.c.apply(v) for v in powers[-1]])
         return powers[j]
 
+    def release(self, d):
+        """Forget the images of degree d once no later step needs them."""
+        self._images.pop(d, None)
+
     def kernel(self, d, j):
         """Basis of Ker ∂^j on degree d, in the order `linalg.sparse_nullspace`
         gives for the rows of ∂^j: empty for j = 0, and the whole basis for
@@ -346,14 +334,26 @@ class SlashCohomology:
     """Slash cohomology with chosen homogeneous representatives.
 
     dims[k][d] and reps[k][d] cover k = 0..p−2 and degrees in the valid
-    window; degrees outside the window are unknown, not zero.
+    window; degrees outside the window are unknown, not zero.  `reps` is
+    read off the strings of `source` on first access.
     """
 
     p: int
     dims: dict
-    reps: dict
     valid_window: tuple
-    labels: list = field(repr=False)
+    source: PComplex = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def reps(self) -> dict:
+        """reps[k][d]: slot ℓ−1−k of each string of length ℓ < p through
+        degree d, in `string_decompose` order, as key-sorted vectors."""
+        found = {k: {} for k in range(self.p - 1)}
+        for s in self.source.string_decompose():
+            for k, d, slot in _string_classes(
+                s.head_degree, s.length, self.p, self.valid_window[1]
+            ):
+                found[k].setdefault(d, []).append(dict(sorted(s.slots[slot].items())))
+        return {k: dict(sorted(per.items())) for k, per in found.items()}
 
     def total_dims(self) -> dict:
         out: dict[int, int] = {}
@@ -362,12 +362,11 @@ class SlashCohomology:
                 out[d] = out.get(d, 0) + n
         return out
 
-    def dim(self, k, d) -> int:
-        if not self.valid_window[0] <= d <= self.valid_window[1]:
-            raise KeyError(f"degree {d} outside valid window {self.valid_window}")
-        return self.dims.get(k, {}).get(d, 0)
-
     def is_zero(self) -> bool:
+        """Whether every H_{/k} vanishes on the valid window; an empty window
+        decides nothing and raises ValueError."""
+        if self.valid_window[1] < self.valid_window[0]:
+            raise ValueError(f"empty valid window {self.valid_window}")
         return all(not v for v in self.dims.values())
 
     def hilbert(self) -> GradedDims:
@@ -468,11 +467,9 @@ def _string_tensor_table(l1: int, l2: int, p: int):
     """Exact decomposition of J_{l1} ⊗ J_{l2} over F_p[∂]/∂^p: a tuple of
     ((head degree offset, length), multiplicity), heads relative to the sum
     of the two head degrees."""
-    c = jj_complex(l1, l2, p)
     table: dict[tuple, int] = {}
-    for s in c.string_decompose():
-        key = (s.head_degree, s.length)
-        table[key] = table.get(key, 0) + 1
+    for head, length, _ in _jj_strings(l1, l2, p):
+        table[(head, length)] = table.get((head, length), 0) + 1
     return tuple(sorted(table.items()))
 
 
@@ -505,22 +502,28 @@ def tensor_stats(s1: StringStats, s2: StringStats, p: int) -> StringStats:
     return StringStats(counts=counts, cap=cap, p=p)
 
 
-def slash_dims_from_stats(stats: StringStats, p: int):
-    """Graded dims of H_{/k} from string statistics, on the valid window.
+def _string_classes(head: int, length: int, p: int, hi):
+    """The slash classes of one string, as (k, degree, slot) on degrees ≤ hi.
 
-    A string of length ℓ ≤ p−1 with head degree h gives one class in
-    H_{/k} at degree h + 2(ℓ−1−k) for each k ≤ ℓ−1; length-p strings give
-    nothing.
+    A string of length ℓ ≤ p−1 with head degree h gives one class in H_{/k}
+    at degree h + 2(ℓ−1−k) for each k ≤ ℓ−1, represented by its slot
+    ℓ−1−k; length-p strings give nothing.
     """
+    if length >= p:
+        return
+    for k in range(length):
+        slot = length - 1 - k
+        if head + 2 * slot <= hi:
+            yield k, head + 2 * slot, slot
+
+
+def slash_dims_from_stats(stats: StringStats, p: int):
+    """Graded dims of H_{/k} from string statistics, on the valid window."""
     hi = stats.cap - 2 * (p - 1)
     out = {k: {} for k in range(p - 1)}
     for (h, l), m in stats.counts.items():
-        if l >= p:
-            continue
-        for k in range(l):
-            d = h + 2 * (l - 1 - k)
-            if d <= hi:
-                out[k][d] = out[k].get(d, 0) + m
+        for k, d, _ in _string_classes(h, l, p, hi):
+            out[k][d] = out[k].get(d, 0) + m
     return out
 
 

@@ -354,16 +354,11 @@ def nh_acyclicity_check(p: int, cap=None):
     p-complex is Sym_p^{trunc} ⊗ (V ⊗ V^*) and its slash dims follow from
     string statistics.  Returns (ok, dims, valid_cap).
     """
-    v = staircase_complex(p)
     if cap is None:
-        span = v.max_degree() - v.min_degree()
-        cap = 2 * span + 4 * p * p + 2 * p
-    u_stats = tensor_stats(v.string_stats(), v.dual().string_stats(), p)
-    r_stats = sym_pcomplex(p, p, cap).string_stats()
-    dims = slash_dims_from_stats(tensor_stats(r_stats, u_stats, p), p)
-    ok = all(not v for v in dims.values())
-    valid_cap = min(r_stats.cap + u_stats.min_head(), cap) - 2 * (p - 1)
-    return ok, dims, valid_cap
+        v = staircase_complex(p)
+        cap = 2 * (v.max_degree() - v.min_degree()) + 4 * p * p + 2 * p
+    dims, valid_cap = _end_algebra_cached((1,) * p, p).slash_hilbert(cap)
+    return all(not per for per in dims.values()), dims, valid_cap
 
 
 @functools.cache

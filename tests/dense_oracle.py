@@ -130,13 +130,18 @@ def _vector(local, col):
 
 
 def slash_cohomology(c):
-    """(dims, reps) as `PComplex.slash_cohomology` reports them."""
+    """(dims, reps) as `PComplex.slash_cohomology` reports them: dims from
+    kernels of ∂^j and `extend_basis`, degree by degree on the valid window,
+    and reps read off the strings of `string_decompose`, the class of
+    H_{/k} at degree h + 2(ℓ−1−k) being slot ℓ−1−k of a string of length
+    ℓ < p with head degree h."""
     p = c.p
+    hi = c.cap - 2 * (p - 1)
     dims = {k: {} for k in range(p - 1)}
-    reps = {k: {} for k in range(p - 1)}
-    for d in c.valid_slash_degrees():
-        local = c.indices_at(d)
-        n = len(local)
+    for d in c.support_degrees():
+        if d > hi:
+            continue
+        n = len(c.indices_at(d))
         kers = _kernels(c, d)
         for k in range(p - 1):
             j = p - 1 - k
@@ -149,7 +154,16 @@ def slash_cohomology(c):
             chosen = extend_basis(span, kers[k + 1], p)
             if chosen:
                 dims[k][d] = len(chosen)
-                reps[k][d] = [_vector(local, kers[k + 1][:, i]) for i in chosen]
+    reps = {k: {} for k in range(p - 1)}
+    for s in string_decompose(c):
+        if s.length >= p:
+            continue
+        for k in range(s.length):
+            slot = s.length - 1 - k
+            d = s.head_degree + 2 * slot
+            if d <= hi:
+                reps[k].setdefault(d, []).append(dict(sorted(s.slots[slot].items())))
+    reps = {k: dict(sorted(per.items())) for k, per in reps.items()}
     return dims, reps
 
 

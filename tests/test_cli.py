@@ -6,6 +6,7 @@ import pytest
 
 from qfrob import cli, qgroup
 from qfrob.cyclotomic import LaurentPoly
+from qfrob.pcomplex import PComplex
 from qfrob.cli import CheckSpec, default_specs, main, run_check
 
 
@@ -100,6 +101,17 @@ class TestOracleBoxOnce:
         assert status == "fail"
         assert values["oracle_ok"] is False
         assert values["hom_ok"] and values["kernel_ok"]
+
+
+class TestRankOnlySlash:
+    def test_dims_callers_build_no_strings(self, monkeypatch):
+        # slash dims come from ranks; explicit strings are only for reps
+        def refuse(self):
+            raise AssertionError("string_decompose called")
+
+        monkeypatch.setattr(PComplex, "string_decompose", refuse)
+        assert cli.check_verify_slash(3, 4, 72)[0] == "pass"
+        assert cli.check_verify_twist(3, 4, 72)[0] == "pass"
 
 
 class TestMain:

@@ -37,6 +37,33 @@ def assert_matches_dense_oracle(c):
     assert flat(string_decompose(c)) == flat(dense_oracle.string_decompose(c))
 
 
+def assert_reps_form_basis(c):
+    """reps[k][d] is a basis of H_{/k} at degree d: dims[k][d] cocycles of
+    ∂^{k+1} that raise the dense rank of Im ∂^{p−k−1} + Ker ∂^k by
+    dims[k][d]."""
+    p = c.p
+    sl = slash_cohomology(c)
+    for k in range(p - 1):
+        assert {d: len(vecs) for d, vecs in sl.reps[k].items()} == sl.dims[k]
+        for d, vecs in sl.reps[k].items():
+            for v in vecs:
+                for _ in range(k + 1):
+                    v = c.apply(v)
+                assert not v
+            local = c.indices_at(d)
+            cols = np.zeros((len(local), len(vecs)), dtype=np.int64)
+            for col, v in enumerate(vecs):
+                for i, x in v.items():
+                    cols[local.index(i), col] = x
+            j = p - 1 - k
+            span = [dense_oracle._kernels(c, d)[k]]
+            if c.indices_at(d - 2 * j):
+                span.append(dense_oracle.power_matrix(c, d - 2 * j, j))
+            span = np.concatenate(span, axis=1)
+            gain = dense_oracle.rank(np.concatenate([span, cols], axis=1), p)
+            assert gain - dense_oracle.rank(span, p) == sl.dims[k][d]
+
+
 def string_complex(p, heads):
     """Complex assembled from given (head degree, length) strings."""
     labels, degrees, diff = [], [], {}
@@ -145,6 +172,14 @@ class TestSlashCohomology:
         sl = slash_cohomology(string_complex(3, [(0, 2)]))
         assert sl.dims[0] == {2: 1}  # tail class
         assert sl.dims[1] == {0: 1}  # head class
+
+    def test_empty_window_is_not_zero(self):
+        # cap 2 at p = 3 leaves the valid window (0, −2): nothing is decided
+        c = PComplex(3, ["a", "b"], [0, 2], {0: {1: 1}}, cap=2)
+        sl = slash_cohomology(c)
+        assert sl.valid_window == (0, -2)
+        with pytest.raises(ValueError, match="empty valid window"):
+            sl.is_zero()
 
     def test_representatives_are_cocycles(self):
         c = scramble(string_complex(3, [(0, 2), (2, 1), (0, 3)]), seed=5)
@@ -358,8 +393,7 @@ class TestTruncationBoundary:
         }
 
 
-@settings(max_examples=25, deadline=None)
-@given(
+scrambled_string_complexes = given(
     st.sampled_from([2, 3]),
     st.lists(
         st.tuples(st.integers(0, 3), st.integers(1, 3)),
@@ -368,6 +402,10 @@ class TestTruncationBoundary:
     ),
     st.integers(0, 10_000),
 )
+
+
+@settings(max_examples=25, deadline=None)
+@scrambled_string_complexes
 def test_slash_agrees_with_strings_random(p, head_data, seed):
     heads = [(2 * h, min(l, p)) for h, l in head_data]
     c = scramble(string_complex(p, heads), seed=seed)
@@ -385,7 +423,14 @@ def test_slash_agrees_with_strings_random(p, head_data, seed):
     assert_matches_dense_oracle(c)
 
 
-@pytest.mark.parametrize(
+@settings(max_examples=25, deadline=None)
+@scrambled_string_complexes
+def test_reps_form_basis_random(p, head_data, seed):
+    heads = [(2 * h, min(l, p)) for h, l in head_data]
+    assert_reps_form_basis(scramble(string_complex(p, heads), seed=seed))
+
+
+oracle_complexes = pytest.mark.parametrize(
     "make",
     [
         lambda: sym_pcomplex(4, 3, 72),
@@ -395,5 +440,13 @@ def test_slash_agrees_with_strings_random(p, head_data, seed):
     ],
     ids=["sym4", "twist4_1", "truncated_tensor"],
 )
+
+
+@oracle_complexes
 def test_sparse_matches_dense_oracle(make):
     assert_matches_dense_oracle(make())
+
+
+@oracle_complexes
+def test_reps_form_basis(make):
+    assert_reps_form_basis(make())
