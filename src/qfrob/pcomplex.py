@@ -454,13 +454,6 @@ class StringStats:
     def min_head(self):
         return min((h for h, _ in self.counts), default=0)
 
-    def total_dim_at(self, d):
-        n = 0
-        for (h, l), m in self.counts.items():
-            if h <= d <= h + 2 * (l - 1) and (d - h) % 2 == 0:
-                n += m
-        return n
-
 
 @functools.cache
 def _string_tensor_table(l1: int, l2: int, p: int):

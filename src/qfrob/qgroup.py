@@ -26,6 +26,23 @@ denominator that occurs divides D, each cofactor is an exact quotient
 computed once, and Z[v^{±1}] has no zero divisors, so equal scaled
 numerators are exactly equal fractions in Q(v).
 
+The oracle compares those numerators by Kronecker substitution v ↦ 2^K:
+each Laurent polynomial f on the oracle side is held as (P, lo, bound)
+with P·2^{K·lo} = f(2^K) and bound ≥ ‖f‖₁, products and sums act on these
+integers, and nothing is unpacked.  f ↦ f(2^K) is a ring homomorphism, so
+unequal values prove unequal polynomials; equal values prove L = R only
+when bound(L) + bound(R) < 2^{K−1}, since then every coefficient of L − R
+lies below 2^{K−1} in absolute value, where the substitution is
+injective.  A comparison that misses the bound is redone at the least
+width 64·2^m that fits it (packed expansions are cached per width), so no
+fixed width can alias.  Only the output coefficients of `udot_mult`, the
+code under test, are packed; it keeps its Laurent arithmetic.
+
+The homomorphism and kernel checks multiply only where Fr can see the
+result: every word of x·y and of z·u·z' has the weight n of the right
+factor, and Fr drops every word whose weight p does not divide, so a
+pair or triple with p ∤ n is counted and decided as 0 = 0 unmultiplied.
+
 Coefficient rings are selected by a tag: "generic" keeps Z[v^{±1}]
 structure constants, "op" evaluates them in O_p through v ↦ q, and "rho"
 through v ↦ q^p (v ↦ 1 for p = 2).  The quantum Frobenius map sends
@@ -72,7 +89,6 @@ __all__ = [
     "oracle_box_check",
     "k0_symbol_check",
     "oracle_monomials",
-    "oracle_word_expansion",
     "oracle_product_agrees",
     "commutation_formula_agrees",
 ]
@@ -410,7 +426,15 @@ def canonical_words(amax: int, bmax: int, nmin: int, nmax: int):
 
 def frobenius_hom_check(p: int, amax: int, nmax: int) -> dict:
     """Fr(x·y) = Fr(x)·Fr(y) over all canonical pairs in the box
-    a, b ≤ amax, |n| ≤ nmax; exact in O_p arithmetic."""
+    a, b ≤ amax, |n| ≤ nmax; exact in O_p arithmetic.
+
+    Weight-mismatched pairs multiply to zero on both sides (Fr respects
+    weights), so they are vacuously consistent and not enumerated.  A
+    weight-matched pair whose right word y has a weight n that p does not
+    divide is counted but not multiplied: every word of x·y has weight n,
+    as y has, and Fr drops every word whose weight p does not divide, so
+    both sides are 0 whatever `udot_mult` returns.
+    """
     ring = CoeffRing("op", p)
     words = canonical_words(amax, amax, -nmax, nmax)
     by_left: dict[int, list] = {}
@@ -422,14 +446,14 @@ def frobenius_hom_check(p: int, amax: int, nmax: int) -> dict:
         x = UdotElem(ring, {w1: ring.one()})
         fx = frobenius(x)
         for w2 in by_left.get(w1.n, []):
-            y = UdotElem(ring, {w2: ring.one()})
             pairs += 1
+            if w2.n % p:
+                continue
+            y = UdotElem(ring, {w2: ring.one()})
             lhs = frobenius(udot_mult(x, y))
             rhs = udot_mult(fx, frobenius(y))
             if lhs != rhs:
                 failures.append((str(w1), str(w2), str(lhs), str(rhs)))
-    # weight-mismatched pairs multiply to zero on both sides: Fr respects
-    # weights, so they are vacuously consistent and not enumerated
     return {
         "p": p,
         "amax": amax,
@@ -441,7 +465,14 @@ def frobenius_hom_check(p: int, amax: int, nmax: int) -> dict:
 
 
 def kernel_check(p: int, amax: int, nmax: int) -> dict:
-    """Fr(z·u·z') = 0 for u ∈ {E·1_m, F·1_m} and canonical z, z' in range."""
+    """Fr(z·u·z') = 0 for u ∈ {E·1_m, F·1_m} and canonical z, z' in range.
+
+    Only triples whose weights match are enumerated; the others multiply
+    to zero.  A triple whose z' has a weight n that p does not divide is
+    counted but not multiplied: every word of z·u·z' has weight n, and Fr
+    drops every word whose weight p does not divide, so the image is 0
+    whatever `udot_mult` returns.
+    """
     ring = CoeffRing("op", p)
     words = canonical_words(amax, amax, -nmax, nmax)
     by_n: dict[int, list] = {}
@@ -459,10 +490,13 @@ def kernel_check(p: int, amax: int, nmax: int) -> dict:
             else:
                 u = UdotElem(ring, {_canonical("EF", 0, 1, m): ring.one()})
                 top = m - 2
+            left = by_n.get(top, [])
+            triples += len(left)
+            if w2.n % p:
+                continue
             uz = udot_mult(u, z2)
-            for w1 in by_n.get(top, []):
+            for w1 in left:
                 z1 = UdotElem(ring, {w1: ring.one()})
-                triples += 1
                 img = frobenius(udot_mult(z1, uz))
                 if not img.is_zero():
                     failures.append((str(w1), kind, str(w2), str(img)))
@@ -533,91 +567,155 @@ def _move_v_past_powers(i: int, n: int):
     return c_prev - qint(n + 2 * (i - 1))
 
 
-@functools.cache
 def oracle_monomials(b: int, a: int, n: int):
     """Normal form of ϑ^b θ^a 1_n as {(i, j): LaurentPoly} over the
-    monomial basis θ^i ϑ^j 1_n, via the defining relations alone."""
-    if b == 0:
-        return {(a, 0): LaurentPoly.one()}
-    prev = oracle_monomials(b - 1, a, n)
-    out: dict[tuple, LaurentPoly] = {}
+    monomial basis θ^i ϑ^j 1_n, via the defining relations alone, one ϑ
+    at a time from the left."""
+    out: dict[tuple, LaurentPoly] = {(a, 0): LaurentPoly.one()}
 
     def add(key, poly):
-        if key in out:
-            out[key] = out[key] + poly
+        poly = out[key] + poly if key in out else poly
+        if poly.is_zero():
+            out.pop(key, None)
         else:
             out[key] = poly
-        if out[key].is_zero():
-            del out[key]
 
-    for (i, j), c in prev.items():
-        # multiply by ϑ on the left: ϑ θ^i ϑ^j 1_n; the idempotent to the
-        # right of θ^i is 1_{n − 2j}
-        m = n - 2 * j
-        add((i, j + 1), c)
-        coeff = _move_v_past_powers(i, m)
-        if not coeff.is_zero():
-            add((i - 1, j), c * coeff)
+    for _ in range(b):
+        prev, out = out, {}
+        for (i, j), c in prev.items():
+            # multiply by ϑ on the left: ϑ θ^i ϑ^j 1_n; the idempotent to
+            # the right of θ^i is 1_{n − 2j}
+            add((i, j + 1), c)
+            coeff = _move_v_past_powers(i, n - 2 * j)
+            if not coeff.is_zero():
+                add((i - 1, j), c * coeff)
     return out
 
 
-def oracle_word_expansion(w: CBWord):
-    """Numerator of a canonical word over the monomials θ^i ϑ^j 1_n; the
-    word is that numerator divided by [a]!·[b]!."""
-    if w.shape == "EF":
-        return {(w.a, w.b): LaurentPoly.one()}
-    return oracle_monomials(w.b, w.a, w.n)
+# Packed view: at width K a Laurent polynomial f is the triple
+# (P, lo, bound) with P·2^{K·lo} = f(2^K) and bound ≥ ‖f‖₁; see
+# `_packed_agree` for why comparisons on it are exact.
+_ZERO = (0, 0, 0)
+_ONE = (1, 0, 1)
+_START_WIDTH = 64
+
+
+def _pack(f: LaurentPoly, K: int) -> tuple:
+    c = f.coeffs
+    if not c:
+        return _ZERO
+    lo = min(c)
+    P = sum(x << (K * (e - lo)) for e, x in c.items())
+    return P, lo, sum(map(abs, c.values()))
+
+
+def _pmul(x, y):
+    return x[0] * y[0], x[1] + y[1], x[2] * y[2]
+
+
+def _padd(x, y, K):
+    if x[1] > y[1]:
+        x, y = y, x
+    return x[0] + (y[0] << (K * (y[1] - x[1]))), x[1], x[2] + y[2]
+
+
+def _packed_agree(sides) -> bool:
+    """Whether L = R for every pair (L, R) that `sides(K)` yields packed
+    at width K.
+
+    f ↦ f(2^K) is a ring homomorphism, so unequal packed values prove
+    L ≠ R.  Equal values prove L = R only when bound(L) + bound(R) <
+    2^{K−1}: every coefficient of L − R is then smaller than 2^{K−1} in
+    absolute value, and on such polynomials f ↦ f(2^K) is injective.
+    When an equal pair misses that bound, the whole comparison is redone
+    at the least width 2^m·K that fits every such pair's bound.
+    """
+    K = _START_WIDTH
+    while True:
+        need = 0
+        for (P, lo, b), (Q, mo, c) in sides(K):
+            if lo > mo:
+                P <<= K * (lo - mo)
+            else:
+                Q <<= K * (mo - lo)
+            if P != Q:
+                return False
+            need = max(need, b + c)
+        if need < 1 << (K - 1):
+            return True
+        while need >= 1 << (K - 1):
+            K *= 2
 
 
 @functools.cache
-def _cofactor(top: tuple, bottom: tuple) -> LaurentPoly:
-    """Π_{t ∈ top} [t]! divided exactly by Π_{s ∈ bottom} [s]!."""
+def _packed_monomials(b: int, a: int, n: int, K: int) -> dict:
+    """`oracle_monomials(b, a, n)` packed at width K."""
+    return {key: _pack(c, K) for key, c in oracle_monomials(b, a, n).items()}
+
+
+def _packed_expansion(w: CBWord, K: int) -> dict:
+    """Numerator of a word over the monomials θ^i ϑ^j 1_n, packed at width
+    K; the word is that numerator divided by [a]!·[b]!."""
+    if w.shape == "EF":
+        return {(w.a, w.b): _ONE}
+    return _packed_monomials(w.b, w.a, w.n, K)
+
+
+@functools.cache
+def _cofactor(top: tuple, bottom: tuple, K: int) -> tuple:
+    """Π_{t ∈ top} [t]! divided exactly by Π_{s ∈ bottom} [s]!, packed at
+    width K."""
     num, den = LaurentPoly.one(), LaurentPoly.one()
     for t in top:
         num = num * qfact(t)
     for s in bottom:
         den = den * qfact(s)
-    return num.divexact(den)
+    return _pack(num.divexact(den), K)
 
 
-def _fractions_agree(A, B, lhs_num, lhs_bottom, rhs_terms) -> bool:
-    """Whether lhs_num/Π_{s ∈ lhs_bottom}[s]! equals Σ coeff·num/([a]!·[b]!)
-    over rhs_terms = [(coeff, num, a, b)], monomial by monomial, with both
-    sides scaled to D = [A]!·[B]! (exact: see the module docstring).  The
-    caller picks A, B so that D is a multiple of the left denominator; a
-    right-hand word with a > A or b > B raises.
+def _fractions_agree(A, B, lhs, lhs_bottom, rhs_terms) -> bool:
+    """Whether lhs/Π_{s ∈ lhs_bottom}[s]! equals Σ coeff·w over
+    rhs_terms = [(coeff, w)], w a word read as its numerator over
+    [a]!·[b]!, monomial by monomial, with both sides scaled to
+    D = [A]!·[B]! (exact: see the module docstring).  lhs(K) is the left
+    numerator packed at width K.  The caller picks A, B so that D is a
+    multiple of the left denominator; a right-hand word with a > A or
+    b > B raises.
     """
-    rhs: dict[tuple, LaurentPoly] = {}
-    for coeff, num, a, b in rhs_terms:
-        if a > A or b > B:
-            raise ValueError(f"word ({a}, {b}) lies outside D = [{A}]!·[{B}]!")
-        scale = coeff * _cofactor((A, B), (a, b))
-        for key, c in num.items():
-            poly = scale * c
-            rhs[key] = rhs[key] + poly if key in rhs else poly
-    lhs_scale = _cofactor((A, B), tuple(sorted(lhs_bottom)))
-    zero = LaurentPoly.zero()
-    return all(
-        lhs_num.get(key, zero) * lhs_scale == rhs.get(key, zero)
-        for key in lhs_num.keys() | rhs.keys()
-    )
+    for _, w in rhs_terms:
+        if w.a > A or w.b > B:
+            raise ValueError(f"word ({w.a}, {w.b}) lies outside D = [{A}]!·[{B}]!")
+    bottom = tuple(sorted(lhs_bottom))
+
+    def sides(K):
+        rhs: dict[tuple, tuple] = {}
+        for coeff, w in rhs_terms:
+            scale = _pmul(_pack(coeff, K), _cofactor((A, B), (w.a, w.b), K))
+            for key, c in _packed_expansion(w, K).items():
+                t = _pmul(scale, c)
+                rhs[key] = _padd(rhs[key], t, K) if key in rhs else t
+        left = lhs(K)
+        scale = _cofactor((A, B), bottom, K)
+        for key in left.keys() | rhs.keys():
+            L = _pmul(left[key], scale) if key in left else _ZERO
+            yield L, rhs.get(key, _ZERO)
+
+    return _packed_agree(sides)
 
 
-def _monomial_product(num1, n1, num2, n2):
-    """Product of two monomial expansions, right factor based at weight n2."""
-    out: dict[tuple, LaurentPoly] = {}
-    for (i1, j1), c1 in num1.items():
-        for (i2, j2), c2 in num2.items():
-            c12 = c1 * c2
-            mid = oracle_monomials(j1, i2, n2 - 2 * j2)
-            for (k, l), c in mid.items():
+def _monomial_product(w1: CBWord, w2: CBWord, K: int) -> dict:
+    """Numerator of w1·w2 over the monomials θ^i ϑ^j 1_n, packed at
+    width K; the weights must match."""
+    out: dict[tuple, tuple] = {}
+    n2 = w2.n
+    for (i1, j1), c1 in _packed_expansion(w1, K).items():
+        for (i2, j2), c2 in _packed_expansion(w2, K).items():
+            c12 = _pmul(c1, c2)
+            for (k, l), c in _packed_monomials(j1, i2, n2 - 2 * j2, K).items():
                 key = (i1 + k, l + j2)
-                poly = c12 * c
-                if key in out:
-                    out[key] = out[key] + poly
-                else:
-                    out[key] = poly
-    return {k: c for k, c in out.items() if not c.is_zero()}
+                t = _pmul(c12, c)
+                out[key] = _padd(out[key], t, K) if key in out else t
+    return out
 
 
 def oracle_product_agrees(w1: CBWord, w2: CBWord) -> bool:
@@ -634,15 +732,12 @@ def oracle_product_agrees(w1: CBWord, w2: CBWord) -> bool:
     )
     if w1.n != w2.left_weight():
         return prod.is_zero()
-    lhs_num = _monomial_product(
-        oracle_word_expansion(w1), w1.n, oracle_word_expansion(w2), w2.n
-    )
-    rhs_terms = [
-        (coeff, oracle_word_expansion(w), w.a, w.b)
-        for w, coeff in prod.terms.items()
-    ]
     return _fractions_agree(
-        w1.a + w2.a, w1.b + w2.b, lhs_num, (w1.a, w1.b, w2.a, w2.b), rhs_terms
+        w1.a + w2.a,
+        w1.b + w2.b,
+        lambda K: _monomial_product(w1, w2, K),
+        (w1.a, w1.b, w2.a, w2.b),
+        [(coeff, w) for w, coeff in prod.terms.items()],
     )
 
 
@@ -654,5 +749,5 @@ def commutation_formula_agrees(A: int, B: int, n: int) -> bool:
     for j in range(min(A, B) + 1):
         c = qbinom_int(A - B + n, j)
         if not c.is_zero():
-            rhs_terms.append((c, oracle_monomials(B - j, A - j, n), A - j, B - j))
-    return _fractions_agree(A, B, {(A, B): LaurentPoly.one()}, (A, B), rhs_terms)
+            rhs_terms.append((c, CBWord("FE", A - j, B - j, n)))
+    return _fractions_agree(A, B, lambda K: {(A, B): _ONE}, (A, B), rhs_terms)

@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import frobenius_oracle
 from qfrob import qgroup
 from qfrob.cyclotomic import CycElem, LaurentPoly, qbinom, qint, rho, to_op
 from qfrob.qgroup import (
@@ -26,6 +28,50 @@ from qfrob.qgroup import (
 )
 
 G = CoeffRing("generic")
+
+
+def _wrong_binomial_rejections(monkeypatch) -> int:
+    """How many pairs of canonical_words(2, 2, −4, 4)² the product oracle
+    rejects once the generic [2, 1] gains a v^5 term; each rejection must
+    be a pair whose product that changes."""
+    words = canonical_words(2, 2, -4, 4)
+    mult = {
+        (w1, w2): udot_mult(
+            UdotElem(G, {w1: G.one()}), UdotElem(G, {w2: G.one()})
+        )
+        for w1 in words
+        for w2 in words
+    }
+    real = qgroup._ring_binom
+
+    def wrong(tag, p, m, k):
+        c = real(tag, p, m, k)
+        return c + LaurentPoly.v_power(5) if (tag, m, k) == ("generic", 2, 1) else c
+
+    # nothing downstream caches ring binomials, so replacing the
+    # function is all it takes
+    monkeypatch.setattr(qgroup, "_ring_binom", wrong)
+    assert not oracle_product_agrees(
+        _canonical("EF", 1, 0, 0), _canonical("EF", 1, 0, -2)
+    )
+    rejected = 0
+    for (w1, w2), right in mult.items():
+        agrees = oracle_product_agrees(w1, w2)
+        x, y = UdotElem(G, {w1: G.one()}), UdotElem(G, {w2: G.one()})
+        assert agrees == (udot_mult(x, y) == right), (w1, w2)
+        rejected += not agrees
+    return rejected
+
+
+def _wrong_op_binomial(monkeypatch):
+    """[2, 1] over O_2 gains +1."""
+    real = qgroup._ring_binom
+
+    def wrong(tag, p, m, k):
+        c = real(tag, p, m, k)
+        return c + 1 if (tag, p, m, k) == ("op", 2, 2, 1) else c
+
+    monkeypatch.setattr(qgroup, "_ring_binom", wrong)
 
 
 def word(ring, a, b, n, coeff=None):
@@ -135,35 +181,17 @@ class TestCommutationOracle:
                 assert oracle_product_agrees(w1, w2), (w1, w2)
 
     def test_product_oracle_rejects_a_wrong_binomial(self, monkeypatch):
-        # the generic [2, 1] gains a v^5 term; the oracle must reject
-        # exactly the pairs whose product that changes (206 of the 2025)
-        words = canonical_words(2, 2, -4, 4)
-        mult = {
-            (w1, w2): udot_mult(
-                UdotElem(G, {w1: G.one()}), UdotElem(G, {w2: G.one()})
-            )
-            for w1 in words
-            for w2 in words
-        }
-        real = qgroup._ring_binom
+        assert _wrong_binomial_rejections(monkeypatch) == 206
 
-        def wrong(tag, p, m, k):
-            c = real(tag, p, m, k)
-            return c + LaurentPoly.v_power(5) if (tag, m, k) == ("generic", 2, 1) else c
-
-        # nothing downstream caches ring binomials, so replacing the
-        # function is all it takes
-        monkeypatch.setattr(qgroup, "_ring_binom", wrong)
-        assert not oracle_product_agrees(
-            _canonical("EF", 1, 0, 0), _canonical("EF", 1, 0, -2)
-        )
-        rejected = 0
-        for (w1, w2), right in mult.items():
-            agrees = oracle_product_agrees(w1, w2)
-            x, y = UdotElem(G, {w1: G.one()}), UdotElem(G, {w2: G.one()})
-            assert agrees == (udot_mult(x, y) == right), (w1, w2)
-            rejected += not agrees
-        assert rejected == 206
+    def test_hom_and_kernel_checks_reject_a_wrong_binomial(self, monkeypatch):
+        # [2, 1] in O_2 is q + q^{−1} = 0; made 1, E·E·1_n no longer dies
+        # and Fr is no longer multiplicative
+        _wrong_op_binomial(monkeypatch)
+        hom = frobenius_hom_check(2, 2, 4)
+        ker = kernel_check(2, 2, 4)
+        assert (hom["pairs"], hom["ok"]) == (585, False)
+        assert (ker["triples"], ker["ok"]) == (1062, False)
+        assert hom["failures"] and ker["failures"]
 
     def test_product_word_outside_the_denominator_raises(self, monkeypatch):
         # E·1_0 · E·1_{−2} has D = [2]!·[0]!; the denominator of a word
@@ -190,6 +218,100 @@ class TestCommutationOracle:
                 for n in range(-4, 5):
                     uses_it = A - B + n == 1 and min(A, B) >= 1
                     assert commutation_formula_agrees(A, B, n) != uses_it, (A, B, n)
+
+
+_COEF = st.one_of(
+    st.integers(-300, 300), st.sampled_from([127, 128, 129, 255, 256, -128, -256])
+)
+_PACK_POLY = st.dictionaries(st.integers(-3, 3), _COEF, max_size=4).map(LaurentPoly)
+
+
+def _widths_seen(monkeypatch) -> list:
+    """Record every width at which `_packed_agree` builds its pairs."""
+    seen = []
+    real = qgroup._packed_agree
+
+    def spy(sides):
+        def recorded(K):
+            seen.append(K)
+            return sides(K)
+
+        return real(recorded)
+
+    monkeypatch.setattr(qgroup, "_packed_agree", spy)
+    return seen
+
+
+class TestPackedComparison:
+    def test_aliased_values_widen(self, monkeypatch):
+        # at K = 8 the constant 256 and v both pack to 2^8; the bound
+        # 256 + 1 ≥ 2^7 refuses to call them equal, and at K = 16 they differ
+        monkeypatch.setattr(qgroup, "_START_WIDTH", 8)
+        c, v = LaurentPoly.from_int(256), LaurentPoly.v_power(1)
+        P, lo, _ = qgroup._pack(c, 8)
+        Q, mo, _ = qgroup._pack(v, 8)
+        assert P << (8 * lo) == Q << (8 * mo) == 256
+        widths = []
+
+        def sides(K):
+            widths.append(K)
+            yield qgroup._pack(c, K), qgroup._pack(v, K)
+
+        assert not qgroup._packed_agree(sides)
+        assert widths == [8, 16]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _PACK_POLY,
+        _PACK_POLY,
+        _PACK_POLY,
+        _PACK_POLY,
+        st.sampled_from(["swap", "alias", "free"]),
+        st.integers(-3, 3),
+        st.integers(-2, 2),
+    )
+    def test_packed_decisions_match_laurent(self, f, g, h, k, mode, e, c):
+        # f·g + h against a right side that is equal, equal at v = 2^8
+        # only, or arbitrary; the packed path starts at K = 8, below the
+        # coefficients, and must decide as LaurentPoly does
+        if mode == "swap":
+            right = (g, f, h)
+        elif mode == "alias":
+            right = (f, g, h + LaurentPoly({e: 256 * c, e + 1: -c}))
+        else:
+            right = (f, g, k)
+
+        def packed(x, y, z, K):
+            xy = qgroup._pmul(qgroup._pack(x, K), qgroup._pack(y, K))
+            return qgroup._padd(xy, qgroup._pack(z, K), K)
+
+        def sides(K):
+            yield packed(f, g, h, K), packed(*right, K)
+
+        # each pack is f(2^K) with an upper bound on ‖f‖₁
+        for K in (8, 64):
+            for terms in ((f, g, h), right):
+                P, lo, bound = packed(*terms, K)
+                exact = terms[0] * terms[1] + terms[2]
+                base = min(lo, exact.min_exp())
+                value = sum(x << (K * (e - base)) for e, x in exact.coeffs.items())
+                assert P << (K * (lo - base)) == value
+                assert bound >= sum(abs(x) for x in exact.coeffs.values())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qgroup, "_START_WIDTH", 8)
+            decided = qgroup._packed_agree(sides)
+        x, y, z = right
+        assert decided == (f * g + h == x * y + z)
+
+    def test_narrow_start_widens_the_oracle_box(self, monkeypatch):
+        monkeypatch.setattr(qgroup, "_START_WIDTH", 8)
+        widths = _widths_seen(monkeypatch)
+        assert qgroup.oracle_box_check.__wrapped__(2, 4) == (585, True)
+        assert max(widths) > 8
+
+    def test_narrow_start_rejects_a_wrong_binomial(self, monkeypatch):
+        monkeypatch.setattr(qgroup, "_START_WIDTH", 8)
+        assert _wrong_binomial_rejections(monkeypatch) == 206
 
 
 class TestAssociativity:
@@ -278,6 +400,40 @@ class TestFrobenius:
         z2 = word(R, 0, 0, 0)
         img = frobenius(udot_mult(z1, udot_mult(u, z2)))
         assert img.is_zero()
+
+
+class TestWeightRule:
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("wrong", [False, True])
+    def test_checks_match_exhaustive_loops(self, monkeypatch, p, wrong):
+        if wrong:
+            _wrong_op_binomial(monkeypatch)
+        hom, ker = frobenius_hom_check(p, 3, 6), kernel_check(p, 3, 6)
+        assert hom == frobenius_oracle.frobenius_hom_check(p, 3, 6)
+        assert ker == frobenius_oracle.kernel_check(p, 3, 6)
+        # the wrong binomial lives in O_2 only
+        assert hom["ok"] == ker["ok"] == (not wrong or p != 2)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_skipped_products_stay_at_the_weight(self, p):
+        # every product that the checks skip (x·y and z·u·z' with the
+        # weight n2 of y and z' not divisible by p) has all its words at n2
+        R = CoeffRing("op", p)
+        words = canonical_words(3, 3, -6, 6)
+        skipped = [w for w in words if w.n % p]
+        products = 0
+        for w2 in skipped:
+            y = UdotElem(R, {w2: R.one()})
+            m = w2.left_weight()
+            rights = [y, udot_mult(word(R, 1, 0, m), y), udot_mult(word(R, 0, 1, m), y)]
+            for right, top in zip(rights, (m, m + 2, m - 2)):
+                for w1 in words:
+                    if w1.n != top:
+                        continue
+                    prod = udot_mult(UdotElem(R, {w1: R.one()}), right)
+                    assert all(w.n == w2.n for w in prod.terms), (w1, w2)
+                    products += 1
+        assert products > 0
 
 
 class TestSection:
