@@ -64,9 +64,12 @@ class Report:
 # --------------------------------------------------------------------------
 
 
-def _sym_formality(p: int, n: int, cap: int) -> tuple[str, dict]:
-    c = symfunc.sym_pcomplex(n, p, cap)
-    sl = c.slash_cohomology()
+def _fmt_dims(d):
+    return {str(k): v for k, v in sorted(d.items())}
+
+
+def check_verify_slash(p: int, n: int, cap: int) -> tuple[str, dict]:
+    sl = symfunc.sym_pcomplex(n, p, cap).slash_cohomology()
     hi = sl.valid_window[1]
     gens = [2 * j * p * p for j in range(1, n // p + 1)]
     expect: dict[int, int] = {0: 1}
@@ -91,14 +94,6 @@ def _sym_formality(p: int, n: int, cap: int) -> tuple[str, dict]:
             "valid_up_to": hi,
         },
     )
-
-
-def _fmt_dims(d):
-    return {str(k): v for k, v in sorted(d.items())}
-
-
-def check_verify_slash(p: int, n: int, cap: int) -> tuple[str, dict]:
-    return _sym_formality(p, n, cap)
 
 
 def check_verify_twist(p: int, n: int, cap: int) -> tuple[str, dict]:
@@ -223,12 +218,10 @@ def check_verify_grass(p: int, maxab: int) -> tuple[str, dict]:
     values: dict = {"max": maxab}
     for a in range(maxab + 1):
         for b in range(maxab + 1):
-            gm = pdgmod.grass_module(a, b, p)
-            if not pdgmod.grass_rank_ok(gm):
+            if not pdgmod.grass_rank_ok(a, b, p):
                 values["rank_failure"] = (a, b)
                 return "fail", values
-            dual = pdgmod.grass_module(b, a, p)  # dual twist −b·e_1(x)
-            if not pdgmod.grass_rank_ok(dual):
+            if not pdgmod.grass_rank_ok(b, a, p):  # dual twist −b·e_1(x)
                 values["dual_rank_failure"] = (a, b)
                 return "fail", values
             if a and b and not qgroup.k0_symbol_check(a, b, p):
@@ -242,13 +235,7 @@ def check_verify_frobenius(
 ) -> tuple[str, dict]:
     hom = qgroup.frobenius_hom_check(p, amax, nmax)
     ker = qgroup.kernel_check(p, amax, nmax)
-    ring = qgroup.CoeffRing("rho", p)
-    section_ok = True
-    for w in qgroup.canonical_words(3, 3, -6, 6):
-        e = qgroup.UdotElem(ring, {w: ring.one()})
-        if qgroup.frobenius(qgroup.frobenius_section(e)) != e:
-            section_ok = False
-            break
+    section_ok = qgroup.frobenius_section_check(p)
     oracle_pairs, oracle_ok = qgroup.oracle_box_check(oracle_amax, oracle_nmax)
     values = {
         "hom_pairs": hom["pairs"],
@@ -370,7 +357,7 @@ _DEFAULTS = {"kmax": 3, "max": 4, "oracle_amax": 4, "oracle_nmax": 8}
 # anything; below it the check's domain is empty.
 _LEAST = {
     "verify-slash": {"n": 0},
-    "verify-twist": {"n": 0},
+    "verify-twist": {"n": 1},
     "verify-lima": {"a": 0, "b": 0},
     "verify-vi": {"kmax": 1},
     "verify-binom": {"max": 0},
@@ -416,13 +403,16 @@ def _make_spec(name, params) -> CheckSpec:
 
     The one path from flags to a check, for the command line and for config
     lines alike.  Raises UsageError on parameters no check can decide on:
-    an unknown check, a missing or non-prime p (the F_p elimination inverts
-    by Fermat), a range parameter below its `_LEAST` value, and a cap that
-    leaves nothing to decide: below 2(p−1) for verify-slash/verify-twist,
-    whose valid window then holds no degree, and below max(4n, n(n−1)) for
-    verify-nilhecke, whose relation window then misses part of a Sym_n-basis
-    of Pol_n; verify-nilhecke with p!, the module rank of its staircase
-    complex, over `pdgmod.EndAlgebra.SIZE_GUARD`; verify-thick with a·p
+    an unknown check, a flag the check does not read, a missing or
+    non-prime p (the F_p elimination inverts by Fermat), a range parameter
+    below its `_LEAST` value, and a cap that leaves nothing to decide:
+    below 2(p−1) for verify-slash/verify-twist, whose valid window then
+    holds no degree, and below max(4n, n(n−1)) for verify-nilhecke, whose
+    relation window then misses part of a Sym_n-basis of Pol_n;
+    verify-nilhecke with p!, the module rank of its staircase
+    complex, over `pdgmod.EndAlgebra.SIZE_GUARD`; verify-grass with
+    C(2·max, max), the largest rank of its block modules S_{a,b}, over that
+    guard; verify-thick with a·p
     over the size guard `pdgmod.THICK_MAX_AP`, where the check does not run;
     and verify-frobenius with amax = nmax = 0, where the kernel check has
     no triple (z·u·z' needs a word z of weight ±2, outside the box).
@@ -435,8 +425,11 @@ def _make_spec(name, params) -> CheckSpec:
     p = params["p"]
     if not _is_prime(p):
         raise UsageError(f"--p {p} is not a prime")
-    params = _fill_defaults(name, params)
     argnames = CHECKS[name][1]
+    unread = [k for k in params if k not in argnames]
+    if unread:
+        raise UsageError(f"{name} does not read --{unread[0]}")
+    params = _fill_defaults(name, params)
     missing = [k for k in argnames if k not in params]
     if missing:
         raise UsageError(f"{name}: missing parameters {missing}")
@@ -464,6 +457,13 @@ def _make_spec(name, params) -> CheckSpec:
             f"--p {p}: the staircase module rank p! = {factorial(p)} is over "
             f"the size guard {pdgmod.EndAlgebra.SIZE_GUARD}"
         )
+    if name == "verify-grass":
+        rank = comb(2 * params["max"], params["max"])
+        if rank > pdgmod.EndAlgebra.SIZE_GUARD:
+            raise UsageError(
+                f"--max {params['max']}: the module rank {rank} of S_(max,max) is "
+                f"over the size guard {pdgmod.EndAlgebra.SIZE_GUARD}"
+            )
     if name == "verify-thick" and params["a"] * p > pdgmod.THICK_MAX_AP:
         raise UsageError(
             f"--a {params['a']} --p {p}: a*p is over the size guard "

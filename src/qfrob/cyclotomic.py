@@ -175,9 +175,6 @@ class LaurentPoly:
     def min_exp(self) -> int:
         return min(self.coeffs) if self.coeffs else 0
 
-    def max_exp(self) -> int:
-        return max(self.coeffs) if self.coeffs else 0
-
     def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division; raises ExactDivisionError on nonzero remainder."""
         if other.is_zero():

@@ -5,7 +5,7 @@ One elimination lives here: a sparse row kernel on vectors stored as
 their leading key, and what is left becomes a new pivot row.  On it are
 built
 
-* `sparse_rref`, `sparse_rank`, `sparse_nullspace` and
+* `sparse_rank`, `sparse_nullspace` (through the reduced echelon form) and
   `sparse_extend_basis`, which run every p-complex computation in
   `pcomplex` (the matrices of ∂^j there are well under 1 % nonzero), and
 * `SparseSpan`, the only solve: coordinates of a vector over a fixed list
@@ -14,7 +14,7 @@ built
   coboundary membership tests of the lima, theta0 and thick checks.
 
 The row operations take the first usable pivot scanning keys in increasing
-order, so echelon forms, kernels and chosen basis extensions are fully
+order, so kernels and chosen basis extensions are fully
 deterministic, which the golden tests rely on.  p must be prime: inverses
 are taken by Fermat.
 """
@@ -24,7 +24,6 @@ from __future__ import annotations
 import heapq
 
 __all__ = [
-    "sparse_rref",
     "sparse_rank",
     "sparse_nullspace",
     "sparse_extend_basis",
@@ -102,19 +101,6 @@ def _echelon(rows, p: int) -> dict:
     for r in rows:
         _insert(pivots, r, p)
     return pivots
-
-
-def sparse_rref(rows, p: int):
-    """Reduced row echelon form of sparse rows mod p.
-
-    Returns (R, pivots): the nonzero rows of the reduced form, ordered by
-    their pivot column, each a {column: value} dict, and the sorted pivot
-    columns.
-    """
-    pivots = _echelon(rows, p)
-    _back_substitute(pivots, p)
-    leads = sorted(pivots)
-    return [dict(sorted(pivots[c].items())) for c in leads], leads
 
 
 def sparse_rank(rows, p: int) -> int:

@@ -29,8 +29,6 @@ __all__ = [
     "complement",
     "lr_expand",
     "lr_restrict",
-    "pieri_e",
-    "pieri_h",
     "schur_monomials",
     "monomial_to_schur_coords",
     "sort_key",
@@ -166,28 +164,6 @@ def complement(mu: Partition, rows: int, cols: int) -> Partition:
     return transpose(tuple(x for x in comp_t if x > 0))
 
 
-def _horizontal_strips(lam: Partition, size: int):
-    """Partitions mu ⊇ lam with |mu/lam| = size and mu/lam a horizontal
-    strip, i.e. lam and mu interlace: lam_r ≤ mu_r and mu_{r+1} ≤ lam_r."""
-    rows = len(lam) + 1
-    results = []
-
-    def rec(r, remaining, prefix):
-        if r == rows:
-            if remaining == 0:
-                results.append(tuple(x for x in prefix if x > 0))
-            return
-        lo = lam[r] if r < len(lam) else 0
-        hi = lo + remaining if r == 0 else min(lo + remaining, lam[r - 1])
-        for new in range(hi, lo - 1, -1):
-            prefix.append(new)
-            rec(r + 1, remaining - (new - lo), prefix)
-            prefix.pop()
-
-    rec(0, size, [])
-    return results
-
-
 def _lr_shapes(mu: Partition, nu: Partition):
     """The shapes lam that can carry c^lam_{mu,nu} ≠ 0: lam ⊇ mu ∪ nu,
     |lam| = |mu| + |nu|, lam_i ≤ mu_i + nu_1 and at most len(mu) + len(nu)
@@ -286,25 +262,6 @@ def lr_restrict(lam: Partition, mu: Partition) -> dict:
         return {}
     ncells = sum(lam) - sum(mu)
     return _lr_tableaux(lam, mu, [ncells] * ncells)
-
-
-def pieri_e(lam: Partition, r: int, max_rows=None):
-    """Partitions obtained by adding a vertical strip of size r (s_lam · e_r)."""
-    lam_t = transpose(lam)
-    out = []
-    for mu_t in _horizontal_strips(lam_t, r):
-        mu = transpose(mu_t)
-        if max_rows is None or len(mu) <= max_rows:
-            out.append(mu)
-    return out
-
-
-def pieri_h(lam: Partition, r: int, max_rows=None):
-    """Partitions obtained by adding a horizontal strip of size r (s_lam · h_r)."""
-    out = _horizontal_strips(lam, r)
-    if max_rows is not None:
-        out = [mu for mu in out if len(mu) <= max_rows]
-    return out
 
 
 @functools.cache

@@ -37,13 +37,7 @@ __all__ = [
     "GradedDims",
     "StringBasis",
     "StringStats",
-    "KunnethPreconditionError",
-    "validate",
-    "slash_cohomology",
-    "string_decompose",
     "tensor",
-    "kunneth_check",
-    "hilbert",
     "tensor_stats",
     "slash_dims_from_stats",
     "tensor_strings",
@@ -51,10 +45,6 @@ __all__ = [
 ]
 
 INF = math.inf
-
-
-class KunnethPreconditionError(ValueError):
-    """Raised when the acting factor has slash cohomology outside H_{/0}."""
 
 
 @dataclass(frozen=True)
@@ -306,29 +296,6 @@ class _Powers:
         return self._kernels[key]
 
 
-# ---------- module-level operation surface ----------
-
-
-def validate(c: PComplex) -> bool:
-    return c.validation_error() is None
-
-
-def slash_cohomology(c: PComplex) -> "SlashCohomology":
-    return c.slash_cohomology()
-
-
-def string_decompose(c: PComplex):
-    return c.string_decompose()
-
-
-def hilbert(obj) -> GradedDims:
-    if isinstance(obj, PComplex):
-        return obj.hilbert()
-    if isinstance(obj, SlashCohomology):
-        return obj.hilbert()
-    raise TypeError("expected a PComplex or SlashCohomology")
-
-
 @dataclass
 class SlashCohomology:
     """Slash cohomology with chosen homogeneous representatives.
@@ -403,41 +370,6 @@ def tensor(a: PComplex, b: PComplex) -> PComplex:
     else:
         cap = min(a.cap + b.min_degree(), b.cap + a.min_degree())
     return PComplex(p, labels, degrees, diff, cap=cap)
-
-
-def kunneth_check(a: PComplex, m: PComplex) -> bool:
-    """Whether H_/ of a⊗m has the graded dims of H_/(a) ⊛ H_/(m).
-
-    Requires H_/(a) concentrated in H_{/0} on a's valid window; a violation
-    raises KunnethPreconditionError rather than returning False.
-    """
-    sa = a.slash_cohomology()
-    for k in range(1, a.p - 1):
-        if sa.dims.get(k):
-            raise KunnethPreconditionError(
-                f"acting factor has H_/{k} != 0 at degrees {sorted(sa.dims[k])}"
-            )
-    sm = m.slash_cohomology()
-    t = tensor(a, m)
-    st = t.slash_cohomology()
-    a_dims = sa.total_dims()
-    hi = min(
-        st.valid_window[1],
-        sa.valid_window[1] + m.min_degree(),
-        sm.valid_window[1] + a.min_degree(),
-    )
-    for k in range(a.p - 1):
-        conv: dict[int, int] = {}
-        for d1, n1 in a_dims.items():
-            for d2, n2 in sm.dims.get(k, {}).items():
-                conv[d1 + d2] = conv.get(d1 + d2, 0) + n1 * n2
-        degrees = set(conv) | set(st.dims.get(k, {}))
-        for d in degrees:
-            if d > hi:
-                continue
-            if conv.get(d, 0) != st.dims.get(k, {}).get(d, 0):
-                return False
-    return True
 
 
 # ---------- string statistics ----------

@@ -21,7 +21,9 @@ The module has three layers.
     The free basis {Π_i π_{λ_i}(block i) · v : λ_i ∈ P(b_i, b_1+..+b_{i−1})}
     is ∂-stable with *scalar* structure constants: each basis vector maps to
     single-box neighbours with coefficient (content − prefix size), and
-    boxes leaving the index rectangle carry coefficient exactly 0.
+    boxes leaving the index rectangle carry coefficient exactly 0.  The
+    blocks (a, b) give the Grassmannian module S_{a,b}, of graded rank
+    [a+b, b] over Sym_{a+b} (`grass_rank_ok`).
 
 3.  Endomorphism algebras END_{Sym_N}(module), whose elements are
     block-local operators (`BlockOp`): rules on block coordinates that are
@@ -57,7 +59,7 @@ from .pcomplex import (
     tensor_strings,
     jj_complex,
 )
-from .symfunc import SchurPoly, _content_complex, split_blocks, sym_pcomplex
+from .symfunc import SchurPoly, split_blocks, sym_pcomplex
 
 __all__ = [
     "PolElem",
@@ -68,8 +70,6 @@ __all__ = [
     "nilhecke_relations_check",
     "nh_acyclicity_check",
     "staircase_complex",
-    "GrassModule",
-    "grass_module",
     "grass_rank_ok",
     "EndAlgebra",
     "BlockOp",
@@ -346,7 +346,7 @@ def staircase_complex(p: int) -> PComplex:
     return _end_algebra_cached((1,) * p, p).scalar_complex()
 
 
-def nh_acyclicity_check(p: int, cap=None):
+def nh_acyclicity_check(p: int):
     """Whether the windowed END realization of (NH_p, ∂) has H_/ = 0.
 
     NH_p = END_{Sym_p}(Pol_p·v) with the twisted module generator; in the
@@ -354,9 +354,8 @@ def nh_acyclicity_check(p: int, cap=None):
     p-complex is Sym_p^{trunc} ⊗ (V ⊗ V^*) and its slash dims follow from
     string statistics.  Returns (ok, dims, valid_cap).
     """
-    if cap is None:
-        v = staircase_complex(p)
-        cap = 2 * (v.max_degree() - v.min_degree()) + 4 * p * p + 2 * p
+    v = staircase_complex(p)
+    cap = 2 * (v.max_degree() - v.min_degree()) + 4 * p * p + 2 * p
     dims, valid_cap = _end_algebra_cached((1,) * p, p).slash_hilbert(cap)
     return all(not per for per in dims.values()), dims, valid_cap
 
@@ -366,40 +365,15 @@ def _box_labels(rows: int, cols: int):
     return pt.partitions_in_box(rows, cols)
 
 
-class GrassModule:
-    """S_{a,b} = Sym_a ⊗ Sym_b · v over Sym_{a+b}, ∂(v) = −a e_1(x') v.
+def grass_rank_ok(a: int, b: int, p: int) -> bool:
+    """The graded rank of S_{a,b} = Sym_a ⊗ Sym_b · v over Sym_{a+b},
+    ∂(v) = −a e_1(x') v, equals the Gaussian binomial [a+b, b].
 
-    The ∂-stable basis {π_λ(x')·v : λ ∈ P(b, a)} carries the content
-    differential with twist −a: λ ↦ λ+box with coefficient (content − a);
-    the box escaping through column a+1 has content exactly a, hence
-    coefficient 0.  The generator degree is −ab.
+    S_{a,b} is the block module with blocks (a, b): its free basis
+    ((), λ), λ ∈ P(b, a), carries the content differential with twist −a
+    on the second block, and the generator degree is −ab.
     """
-
-    def __init__(self, a, b, p):
-        self.a = a
-        self.b = b
-        self.p = p
-        self.basis = list(_box_labels(b, a))
-        self.degrees = [2 * sum(lam) - a * b for lam in self.basis]
-        self.diff = _content_complex(p, self.basis, -a, INF, max_rows=b).diff
-
-    def complex(self) -> PComplex:
-        return PComplex(self.p, self.basis, self.degrees, self.diff, cap=INF)
-
-    def graded_rank(self) -> LaurentPoly:
-        out: dict[int, int] = {}
-        for d in self.degrees:
-            out[d] = out.get(d, 0) + 1
-        return LaurentPoly(out)
-
-
-def grass_module(a: int, b: int, p: int) -> GrassModule:
-    return GrassModule(a, b, p)
-
-
-def grass_rank_ok(gm: GrassModule) -> bool:
-    """Graded rank over Sym_{a+b} equals the Gaussian binomial [a+b, b]."""
-    return gm.graded_rank() == qbinom(gm.a + gm.b, gm.b)
+    return _end_algebra_cached((a, b), p).graded_rank() == qbinom(a + b, b)
 
 
 class BlockOp:
@@ -688,6 +662,13 @@ class EndAlgebra:
         """The finite complex V on the free basis with the scalar module
         differential."""
         return PComplex(self.p, list(self.basis), list(self.degrees), self.D, cap=INF)
+
+    def graded_rank(self) -> LaurentPoly:
+        """The graded rank over Sym_N: Σ v^{deg b} over the free basis."""
+        out: dict[int, int] = {}
+        for d in self.degrees:
+            out[d] = out.get(d, 0) + 1
+        return LaurentPoly(out)
 
     def end_stats_factors(self):
         v = self.scalar_complex()
@@ -988,7 +969,21 @@ def nh_graded_dims(a: int, p: int, lo: int, hi: int) -> dict:
     return {d: c for d, c in out.items() if c}
 
 
-def thick_nilhecke_check(a: int, p: int, hilbert_extra: int = None) -> dict:
+def _end_slash_totals(alg: EndAlgebra):
+    """(cap, totals, valid_cap): the graded dims of H_/(END) summed over k,
+    at cap = (degree span of the free basis) + 2(p−1) + 4p² + 2."""
+    p = alg.p
+    span = max(alg.degrees) - min(alg.degrees)
+    cap = span + 2 * (p - 1) + 4 * p * p + 2
+    dims, valid_cap = alg.slash_hilbert(cap)
+    total: dict[int, int] = {}
+    for per in dims.values():
+        for d, c in per.items():
+            total[d] = total.get(d, 0) + c
+    return cap, total, valid_cap
+
+
+def thick_nilhecke_check(a: int, p: int) -> dict:
     """All four thick nilHecke verifications in END(S_{(p^a)}).
 
     (1) each crossing squares to zero exactly;
@@ -1033,14 +1028,7 @@ def thick_nilhecke_check(a: int, p: int, hilbert_extra: int = None) -> dict:
                 continue
             slides.append(alg.is_slash_coboundary(xop))
     report["dot_slide_mod_coboundary"] = all(slides)
-    span = max(alg.degrees) - min(alg.degrees)
-    extra = hilbert_extra if hilbert_extra is not None else 4 * p * p + 2
-    cap = span + 2 * (p - 1) + extra
-    dims, valid_cap = alg.slash_hilbert(cap)
-    total = {}
-    for k in dims:
-        for d, c in dims[k].items():
-            total[d] = total.get(d, 0) + c
+    cap, total, valid_cap = _end_slash_totals(alg)
     lo = min(alg.degrees) - max(alg.degrees)
     expect = nh_graded_dims(a, p, lo, valid_cap)
     report["hilbert_cap"] = cap
@@ -1058,20 +1046,12 @@ def thick_nilhecke_check(a: int, p: int, hilbert_extra: int = None) -> dict:
     return report
 
 
-def end_formality_check(p: int, extra: int = None) -> dict:
+def end_formality_check(p: int) -> dict:
     """H_/(END(S_{p,p})) against the 2×2 matrix algebra over the polynomial
     ring on generators of degrees 2p² and 4p², with the two shifts ±2p²
     coming from the minimal nontrivial expanded-box class."""
     alg = _end_algebra_cached((p, p), p)
-    span = max(alg.degrees) - min(alg.degrees)
-    if extra is None:
-        extra = 4 * p * p + 2
-    cap = span + 2 * (p - 1) + extra
-    dims, valid_cap = alg.slash_hilbert(cap)
-    total: dict[int, int] = {}
-    for k in dims:
-        for d, c in dims[k].items():
-            total[d] = total.get(d, 0) + c
+    cap, total, valid_cap = _end_slash_totals(alg)
     # target: shifts {−2p²: 1, 0: 2, 2p²: 1} over k[g_1, g_2] with
     # deg g_1 = 2p², deg g_2 = 4p²; that ring has floor(t/2)+1 monomials
     # in degree 2p²·t.

@@ -13,12 +13,15 @@ merging E^{(a)}E^{(b)} = [a+b, a]·E^{(a+b)} and the commutation
 
     E^{(A)} F^{(B)} 1_n = Σ_j [A−B+n, j] · F^{(B−j)} E^{(A−j)} 1_n
 
-(and its mirror), where [m, j] is the Gaussian binomial extended to
-integer m.  The commutation formula is not an axiom: this module also
-contains a brute-force rational-field oracle that expands products of
-divided powers over Z[v^{±1}] in the monomial basis θ^i ϑ^j 1_n using only
-the defining relations, and the formula is validated against it before
-anything else trusts it (see the test suite and the oracle check below).
+and its mirror F^{(B)}E^{(A)}1_n = Σ_j [B−A−n, j]·E^{(A−j)}F^{(B−j)}1_n,
+where [m, j] is the Gaussian binomial extended to integer m.  The two
+differ only in the top of the binomial, and one rule (`_commute`) serves
+both.  The commutation formula is not an axiom: this module also contains
+a brute-force rational-field oracle that expands products of divided
+powers over Z[v^{±1}] in the monomial basis θ^i ϑ^j 1_n using only the
+defining relations.  `oracle_box_check`, part of verify-frobenius, compares
+every product of a box of canonical words with it, and the test suite also
+compares the formula itself (`commutation_formula_agrees`).
 The oracle writes both sides as numerators over θ^i ϑ^j 1_n divided by
 products of quantum factorials and compares them over one common
 denominator D = [A]!·[B]!, A and B the total numbers of θ and ϑ: every
@@ -48,7 +51,7 @@ structure constants, "op" evaluates them in O_p through v ↦ q, and "rho"
 through v ↦ q^p (v ↦ 1 for p = 2).  The quantum Frobenius map sends
 E^{(a)}F^{(b)}1_n over O_p to E^{(a/p)}F^{(b/p)}1_{n/p} over the rho ring
 when p divides a, b and n, and to zero otherwise; its section multiplies
-all parameters by p.
+all parameters by p, and `frobenius_section_check` checks that Fr undoes it.
 """
 
 from __future__ import annotations
@@ -72,17 +75,13 @@ from .symfunc import vab_pcomplex
 
 __all__ = [
     "CoeffRing",
-    "HalfElem",
-    "half_elem",
-    "half_mult",
-    "half_comult",
-    "half_frobenius",
     "CBWord",
     "UdotElem",
     "udot",
     "udot_mult",
     "frobenius",
     "frobenius_section",
+    "frobenius_section_check",
     "canonical_words",
     "frobenius_hom_check",
     "kernel_check",
@@ -124,76 +123,6 @@ class CoeffRing:
 @functools.cache
 def _ring_binom(tag, p, m, k):
     return CoeffRing(tag, p).of(qbinom_int(m, k))
-
-
-# --------------------------------------------------------------------------
-# the half quantum group
-# --------------------------------------------------------------------------
-
-
-class HalfElem:
-    """Finite combination of divided powers θ^{(a)} with tagged coefficients."""
-
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring: CoeffRing, terms=None):
-        self.ring = ring
-        self.terms = {a: c for a, c in (terms or {}).items() if c}
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, HalfElem):
-            return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
-
-    def __add__(self, other):
-        if self.ring != other.ring:
-            raise ValueError("ring tag mismatch")
-        out = dict(self.terms)
-        for a, c in other.terms.items():
-            out[a] = out[a] + c if a in out else c
-        return HalfElem(self.ring, out)
-
-
-def half_elem(ring: CoeffRing, a: int, coeff=None) -> HalfElem:
-    return HalfElem(ring, {a: coeff if coeff is not None else ring.one()})
-
-
-def half_mult(x: HalfElem, y: HalfElem) -> HalfElem:
-    """Bilinear extension of θ^{(a)}θ^{(b)} = [a+b, a]·θ^{(a+b)}."""
-    if x.ring != y.ring:
-        raise ValueError("ring tag mismatch")
-    out: dict[int, object] = {}
-    for a, c1 in x.terms.items():
-        for b, c2 in y.terms.items():
-            c = c1 * c2 * x.ring.binom(a + b, a)
-            out[a + b] = out[a + b] + c if a + b in out else c
-    return HalfElem(x.ring, out)
-
-
-def half_comult(x: HalfElem) -> dict:
-    """{(k, a−k): coeff · v^{k(k−a)}} from the comultiplication of θ^{(a)}."""
-    out: dict[tuple, object] = {}
-    for a, c in x.terms.items():
-        for k in range(a + 1):
-            coeff = c * x.ring.of(LaurentPoly.v_power(k * (k - a)))
-            key = (k, a - k)
-            out[key] = out[key] + coeff if key in out else coeff
-    return {k: c for k, c in out.items() if c}
-
-
-def half_frobenius(x: HalfElem) -> HalfElem:
-    """E^{(a)} ↦ 𝖤^{(a/p)} when p | a, else 0; O_p coefficients carry over."""
-    if x.ring.tag != "op":
-        raise ValueError("half_frobenius expects an O_p element")
-    p = x.ring.p
-    out = {}
-    for a, c in x.terms.items():
-        if a % p == 0:
-            out[a // p] = c
-    return HalfElem(CoeffRing("rho", p), out)
 
 
 # --------------------------------------------------------------------------
@@ -289,21 +218,13 @@ def udot(ring: CoeffRing, shape: str, a: int, b: int, n: int, coeff=None) -> Udo
     return UdotElem(ring, {w: coeff if coeff is not None else ring.one()})
 
 
-def _commute_to_FE(ring, A, B, n):
-    """E^{(A)}F^{(B)}1_n as Σ_j [A−B+n, j]·F^{(B−j)}E^{(A−j)}1_n."""
+def _commute(ring, A, B, top):
+    """(A−j, B−j, [top, j]) for j ≤ min(A, B) with a nonzero binomial:
+    the terms of E^{(A)}F^{(B)}1_n as F-first words when top = A−B+n, and
+    of F^{(B)}E^{(A)}1_n as E-first words when top = B−A−n."""
     out = []
     for j in range(min(A, B) + 1):
-        c = ring.binom(A - B + n, j)
-        if c:
-            out.append((A - j, B - j, c))
-    return out
-
-
-def _commute_to_EF(ring, A, B, n):
-    """F^{(B)}E^{(A)}1_n as Σ_j [B−A−n, j]·E^{(A−j)}F^{(B−j)}1_n."""
-    out = []
-    for j in range(min(A, B) + 1):
-        c = ring.binom(B - A - n, j)
+        c = ring.binom(top, j)
         if c:
             out.append((A - j, B - j, c))
     return out
@@ -319,16 +240,13 @@ def _push_canonical(ring, shape, a, b, n, coeff, acc):
         w = _canonical(shape, a, b, n)
         acc[w] = acc[w] + coeff if w in acc else coeff
         return
-    if shape == "EF":  # n > b−a: commute to FE words, all canonical
-        for a2, b2, c in _commute_to_FE(ring, a, b, n):
-            w2 = _canonical("FE", a2, b2, n)
-            cc = coeff * c
-            acc[w2] = acc[w2] + cc if w2 in acc else cc
-    else:  # FE with n < b−a: commute to EF words
-        for a2, b2, c in _commute_to_EF(ring, a, b, n):
-            w2 = _canonical("EF", a2, b2, n)
-            cc = coeff * c
-            acc[w2] = acc[w2] + cc if w2 in acc else cc
+    # EF with n > b−a commutes to FE words, FE with n < b−a to EF words;
+    # every word it yields is canonical
+    other, top = ("FE", a - b + n) if shape == "EF" else ("EF", b - a - n)
+    for a2, b2, c in _commute(ring, a, b, top):
+        w2 = _canonical(other, a2, b2, n)
+        cc = coeff * c
+        acc[w2] = acc[w2] + cc if w2 in acc else cc
 
 
 def _word_mult(ring, w1: CBWord, w2: CBWord, acc, scale):
@@ -339,7 +257,7 @@ def _word_mult(ring, w1: CBWord, w2: CBWord, acc, scale):
     a2, b2, n2 = w2.a, w2.b, w2.n
     if w1.shape == "EF" and w2.shape == "EF":
         # middle F^{(b1)} E^{(a2)} at weight n2 − 2 b2
-        for ai, bi, c in _commute_to_EF(ring, a2, b1, n2 - 2 * b2):
+        for ai, bi, c in _commute(ring, a2, b1, b1 - a2 - n2 + 2 * b2):
             coeff = (
                 scale
                 * c
@@ -350,18 +268,18 @@ def _word_mult(ring, w1: CBWord, w2: CBWord, acc, scale):
     elif w1.shape == "EF" and w2.shape == "FE":
         B = b1 + b2
         merge_f = ring.binom(B, b1)
-        for ai, bi, c in _commute_to_EF(ring, a2, B, n2):
+        for ai, bi, c in _commute(ring, a2, B, B - a2 - n2):
             coeff = scale * merge_f * c * ring.binom(a1 + ai, a1)
             _push_canonical(ring, "EF", a1 + ai, bi, n2, coeff, acc)
     elif w1.shape == "FE" and w2.shape == "EF":
         A = a1 + a2
         merge_e = ring.binom(A, a1)
-        for ai, bi, c in _commute_to_FE(ring, A, b2, n2):
+        for ai, bi, c in _commute(ring, A, b2, A - b2 + n2):
             coeff = scale * merge_e * c * ring.binom(b1 + bi, b1)
             _push_canonical(ring, "FE", ai, b1 + bi, n2, coeff, acc)
     else:
         # middle E^{(a1)} F^{(b2)} at weight n2 + 2 a2
-        for ai, bi, c in _commute_to_FE(ring, a1, b2, n2 + 2 * a2):
+        for ai, bi, c in _commute(ring, a1, b2, a1 - b2 + n2 + 2 * a2):
             coeff = (
                 scale
                 * c
@@ -413,6 +331,17 @@ def frobenius_section(x: UdotElem) -> UdotElem:
         w2 = _canonical(w.shape, w.a * p, w.b * p, w.n * p)
         out[w2] = out[w2] + c if w2 in out else c
     return UdotElem(ring, out)
+
+
+def frobenius_section_check(p: int) -> bool:
+    """Whether Fr ∘ section is the identity on every rho-form canonical
+    word with a, b ≤ 3 and |n| ≤ 6."""
+    ring = CoeffRing("rho", p)
+    for w in canonical_words(3, 3, -6, 6):
+        e = UdotElem(ring, {w: ring.one()})
+        if frobenius(frobenius_section(e)) != e:
+            return False
+    return True
 
 
 def canonical_words(amax: int, bmax: int, nmin: int, nmax: int):

@@ -32,20 +32,14 @@ __all__ = [
     "schur",
     "elementary",
     "complete",
-    "mult",
-    "diff",
-    "twisted_diff",
-    "omega",
     "split_vars",
     "split_blocks",
-    "theta0",
     "theta0_gen",
     "lima_partitions",
     "sym_pcomplex",
     "twist_pcomplex",
     "vab_pcomplex",
     "vi_pcomplex",
-    "as_pcomplex",
 ]
 
 lima_partitions = pt.lima_partitions
@@ -216,22 +210,6 @@ def complete(r, p, n=None) -> SchurPoly:
     return SchurPoly(p, {(r,): 1}, n)
 
 
-def mult(f: SchurPoly, g: SchurPoly) -> SchurPoly:
-    return f * g
-
-
-def diff(f: SchurPoly) -> SchurPoly:
-    return f.diff()
-
-
-def twisted_diff(f: SchurPoly, a: int) -> SchurPoly:
-    return f.twisted_diff(a)
-
-
-def omega(f: SchurPoly) -> SchurPoly:
-    return f.omega()
-
-
 # ---------- variable splitting ----------
 
 
@@ -252,29 +230,6 @@ def _subpartitions(lam, max_rows=None):
 
     rec(0, [])
     return sorted(set(out), key=pt.sort_key)
-
-
-def split_vars(f: SchurPoly, a: int, b: int) -> dict:
-    """Image of f ∈ Sym_{a+b} under Sym_{a+b} → Sym_a ⊗ Sym_b.
-
-    Returns {(mu, nu): coeff mod p} using the Schur coproduct
-    π_λ ↦ Σ c^λ_{μν} π_μ ⊗ π_ν with row truncation on both sides.
-    """
-    if f.n is not None and f.n != a + b:
-        raise ValueError("f must live in Sym_{a+b}")
-    out: dict[tuple, int] = {}
-    for lam, c in f.terms.items():
-        for mu in _subpartitions(lam, max_rows=a):
-            for nu, k in pt.lr_restrict(lam, mu).items():
-                if len(nu) > b:
-                    continue
-                key = (mu, nu)
-                val = (out.get(key, 0) + c * k) % f.p
-                if val:
-                    out[key] = val
-                elif key in out:
-                    del out[key]
-    return out
 
 
 @functools.cache
@@ -306,6 +261,26 @@ def split_blocks(lam, sizes, p) -> dict:
     return out
 
 
+def split_vars(f: SchurPoly, a: int, b: int) -> dict:
+    """Image of f ∈ Sym_{a+b} under Sym_{a+b} → Sym_a ⊗ Sym_b.
+
+    Returns {(mu, nu): coeff mod p}: the two-block `split_blocks` of each
+    π_λ in f, the Schur coproduct π_λ ↦ Σ c^λ_{μν} π_μ ⊗ π_ν with row
+    truncation on both sides.
+    """
+    if f.n is not None and f.n != a + b:
+        raise ValueError("f must live in Sym_{a+b}")
+    out: dict[tuple, int] = {}
+    for lam, c in f.terms.items():
+        for key, k in split_blocks(lam, (a, b), f.p).items():
+            val = (out.get(key, 0) + c * k) % f.p
+            if val:
+                out[key] = val
+            elif key in out:
+                del out[key]
+    return out
+
+
 # ---------- the degree-dilating map on generators ----------
 
 
@@ -313,22 +288,6 @@ def split_blocks(lam, sizes, p) -> dict:
 def theta0_gen(i: int, p: int, n=None) -> SchurPoly:
     """The image e_{ip}^p of the i-th dilated generator; degree 2ip²."""
     return elementary(i * p, p, n) ** p
-
-
-def theta0(monomials: dict, p: int, n=None) -> SchurPoly:
-    """Evaluate a polynomial in generators e'_i at e'_i = e_{ip}^p.
-
-    `monomials` maps exponent tuples (c_1, c_2, ...) to integer
-    coefficients; the monomial means Π_i (e'_i)^{c_i}.
-    """
-    out = SchurPoly.zero(p, n)
-    for exps, coeff in monomials.items():
-        term = SchurPoly.one(p, n) * coeff
-        for i, c in enumerate(exps, start=1):
-            if c:
-                term = term * (theta0_gen(i, p, n) ** c)
-        out = out + term
-    return out
 
 
 # ---------- p-complex builders ----------
@@ -398,16 +357,3 @@ def vi_pcomplex(i: int, k: int, p: int) -> PComplex:
         raise ValueError("kp - i must be nonnegative")
     labels = pt.partitions_in_box(i, cols)
     return _content_complex(p, labels, i, INF, max_rows=i)
-
-
-def as_pcomplex(source: str, p: int, **params) -> PComplex:
-    """Dispatcher: source ∈ {"sym", "twist", "vab", "vi"}."""
-    if source == "sym":
-        return sym_pcomplex(params["n"], p, params["cap"])
-    if source == "twist":
-        return twist_pcomplex(params["n"], params["a"], p, params["cap"])
-    if source == "vab":
-        return vab_pcomplex(params["a"], params["b"], p)
-    if source == "vi":
-        return vi_pcomplex(params["i"], params["k"], p)
-    raise ValueError(f"unknown source {source!r}")

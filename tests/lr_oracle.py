@@ -8,9 +8,29 @@ is a ballot sequence.  The tests require the two engines to agree.
 
 import functools
 
-from qfrob.partitions import _horizontal_strips
-
 Partition = tuple
+
+
+def _horizontal_strips(lam: Partition, size: int):
+    """Partitions mu ⊇ lam with |mu/lam| = size and mu/lam a horizontal
+    strip, i.e. lam and mu interlace: lam_r ≤ mu_r and mu_{r+1} ≤ lam_r."""
+    rows = len(lam) + 1
+    results = []
+
+    def rec(r, remaining, prefix):
+        if r == rows:
+            if remaining == 0:
+                results.append(tuple(x for x in prefix if x > 0))
+            return
+        lo = lam[r] if r < len(lam) else 0
+        hi = lo + remaining if r == 0 else min(lo + remaining, lam[r - 1])
+        for new in range(hi, lo - 1, -1):
+            prefix.append(new)
+            rec(r + 1, remaining - (new - lo), prefix)
+            prefix.pop()
+
+    rec(0, size, [])
+    return results
 
 
 def _ballot_ok(fillings) -> bool:

@@ -9,26 +9,27 @@ from math import comb
 
 import pytest
 
-from qfrob.cli import check_verify_lima, check_verify_slash
+from qfrob.cli import (
+    check_verify_lima,
+    check_verify_slash,
+    check_verify_twist,
+    check_verify_vi,
+)
 from qfrob.cyclotomic import binom_reduction_check
-from qfrob.pcomplex import slash_cohomology, string_decompose
 from qfrob.pdgmod import (
     end_formality_check,
     nh_acyclicity_check,
     thick_nilhecke_check,
 )
 from qfrob.qgroup import (
-    CoeffRing,
-    UdotElem,
     canonical_words,
-    frobenius,
     frobenius_hom_check,
-    frobenius_section,
+    frobenius_section_check,
     k0_symbol_check,
     kernel_check,
     oracle_product_agrees,
 )
-from qfrob.symfunc import lima_partitions, twist_pcomplex, vi_pcomplex
+from qfrob.symfunc import lima_partitions
 
 
 def announce(num, name, ok, t0, detail=""):
@@ -57,11 +58,10 @@ def test_criterion_02_twist_acyclicity():
     for p in (2, 3):
         cap = 8 * p * p
         for n in range(1, 7):
-            r = n % p
-            for a in range(1, r + 1):
-                sl = slash_cohomology(twist_pcomplex(n, a, p, cap))
-                if not sl.is_zero():
-                    ok = False
+            status, values = check_verify_twist(p, n, cap)
+            twists = values.get("acyclic_for_a", [])
+            if status != "pass" or twists != list(range(1, n % p + 1)):
+                ok = False
     announce(2, "acyclicity of twisted modules S_n(a), 1 <= a <= n mod p", ok, t0)
 
 
@@ -85,11 +85,10 @@ def test_criterion_04_vi_contractible():
     t0 = time.time()
     ok = True
     for p in (2, 3, 5):
-        for i in range(1, p):
-            for k in range(1, 4):
-                strs = string_decompose(vi_pcomplex(i, k, p))
-                if any(s.length != p for s in strs):
-                    ok = False
+        status, values = check_verify_vi(p, 3)
+        ranges = (values["i_range"], values["k_range"])
+        if status != "pass" or ranges != (list(range(1, p)), [1, 2, 3]):
+            ok = False
     announce(4, "contractibility of V_i (p in {2,3,5}, i < p, k <= 3)", ok, t0)
 
 
@@ -176,11 +175,8 @@ def test_criterion_11_section_property():
     t0 = time.time()
     ok = True
     for p in (2, 3):
-        ring = CoeffRing("rho", p)
-        for w in canonical_words(3, 3, -6, 6):
-            e = UdotElem(ring, {w: ring.one()})
-            if frobenius(frobenius_section(e)) != e:
-                ok = False
+        if not frobenius_section_check(p):
+            ok = False
     announce(11, "Fr composed with its section is the identity", ok, t0)
 
 

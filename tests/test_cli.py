@@ -11,9 +11,10 @@ from qfrob.cli import CheckSpec, default_specs, main, run_check
 
 
 # parameters no check can decide on: a non-prime p (the F_p eliminations
-# invert by Fermat), a negative n, a cap below 2(p−1), which leaves an
-# empty valid window, a thick check with a·p over its size guard, and a
-# nilHecke check whose staircase module rank p! is over the END size guard
+# invert by Fermat), a negative n, a twist check with n = 0, a cap below
+# 2(p−1), which leaves an empty valid window, a thick check with a·p over
+# its size guard, a nilHecke or Grassmannian check whose module rank is over
+# the END size guard, and a flag the check does not read
 BAD_ARGS = [
     "verify-slash --p 4 --n 2",
     "verify-vi --p 0",
@@ -42,6 +43,10 @@ BAD_ARGS = [
     "verify-nilhecke --p 7",
     "verify-nilhecke --p 7 --n 2 --cap 8",
     "verify-nilhecke --p 5 --n 6 --cap 24",
+    "verify-twist --p 2 --n 0",
+    "verify-binom --p 2 --max 1 --n 7",
+    "verify-thick --p 2 --a 2 --cap 10",
+    "verify-grass --p 2 --max 6",
 ]
 
 

@@ -34,10 +34,6 @@ def sparse_cols(m):
 @example((7, np.zeros((0, 0), dtype=np.int64), 0))
 def test_sparse_kernel_matches_dense(case):
     p, m, split = case
-    r, pivots = dense_oracle.rref(m, p)
-    got_rows, got_pivots = linalg.sparse_rref(sparse_rows(m), p)
-    assert got_pivots == pivots
-    assert got_rows == sparse_rows(r[: len(pivots)])
     assert linalg.sparse_rank(sparse_rows(m), p) == dense_oracle.rank(m, p)
     kernel = linalg.sparse_nullspace(sparse_rows(m), range(m.shape[1]), p)
     assert kernel == sparse_cols(dense_oracle.nullspace(m, p))

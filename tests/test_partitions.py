@@ -122,15 +122,6 @@ class TestLittlewoodRichardson:
     def test_restrict_example(self):
         assert pt.lr_restrict((2, 1), (1,)) == {(1, 1): 1, (2,): 1}
 
-    def test_pieri(self):
-        assert sorted(pt.pieri_e((1,), 1)) == [(1, 1), (2,)]
-        assert sorted(pt.pieri_h((2,), 2)) == [(2, 2), (3, 1), (4,)]
-        # Pieri by a single box agrees with the general rule
-        for lam in [(3, 1), (2, 2, 1)]:
-            assert sorted(pt.pieri_e(lam, 1)) == sorted(
-                pt.lr_expand(lam, (1,))
-            )
-
 
 class TestKostka:
     def test_roundtrip(self):

@@ -7,18 +7,12 @@ from hypothesis import given, settings, strategies as st
 import dense_oracle
 from qfrob.pcomplex import (
     INF,
-    KunnethPreconditionError,
     PComplex,
-    hilbert,
     jj_complex,
-    kunneth_check,
-    slash_cohomology,
     slash_dims_from_stats,
-    string_decompose,
     tensor,
     tensor_stats,
     tensor_strings,
-    validate,
 )
 from qfrob.symfunc import sym_pcomplex, twist_pcomplex, vab_pcomplex
 
@@ -26,7 +20,7 @@ from qfrob.symfunc import sym_pcomplex, twist_pcomplex, vab_pcomplex
 def assert_matches_dense_oracle(c):
     """Slash dims, representatives and strings equal the dense oracle's,
     byte for byte (reprs compare key order too)."""
-    sl = slash_cohomology(c)
+    sl = c.slash_cohomology()
     dims, reps = dense_oracle.slash_cohomology(c)
     assert sl.dims == dims
     assert repr(sl.reps) == repr(reps)
@@ -34,7 +28,7 @@ def assert_matches_dense_oracle(c):
     def flat(strings):
         return repr([(s.head_degree, s.length, s.slots) for s in strings])
 
-    assert flat(string_decompose(c)) == flat(dense_oracle.string_decompose(c))
+    assert flat(c.string_decompose()) == flat(dense_oracle.string_decompose(c))
 
 
 def assert_reps_form_basis(c):
@@ -42,7 +36,7 @@ def assert_reps_form_basis(c):
     ∂^{k+1} that raise the dense rank of Im ∂^{p−k−1} + Ker ∂^k by
     dims[k][d]."""
     p = c.p
-    sl = slash_cohomology(c)
+    sl = c.slash_cohomology()
     for k in range(p - 1):
         assert {d: len(vecs) for d, vecs in sl.reps[k].items()} == sl.dims[k]
         for d, vecs in sl.reps[k].items():
@@ -112,22 +106,22 @@ def scramble(c: PComplex, seed=0):
 class TestValidate:
     def test_zero_differential(self):
         c = PComplex(3, ["a", "b"], [0, 4], {}, cap=INF)
-        assert validate(c)
+        assert c.validation_error() is None
 
     def test_full_string(self):
         for p in (2, 3, 5):
             c = string_complex(p, [(0, p)])
-            assert validate(c)
+            assert c.validation_error() is None
 
     def test_too_long_string(self):
         p = 3
         c = string_complex(p, [(0, p + 1)])
-        assert not validate(c)
+        assert c.validation_error() is not None
         assert "∂^3" in c.validation_error()
 
     def test_inhomogeneous_reported(self):
         c = PComplex(2, ["a", "b"], [0, 4], {0: {1: 1}}, cap=INF)
-        assert not validate(c)
+        assert c.validation_error() is not None
         assert "homogeneous" in c.validation_error()
 
     def test_first_violator_by_index(self):
@@ -138,7 +132,7 @@ class TestValidate:
 
     @pytest.mark.parametrize(
         "compute",
-        [slash_cohomology, string_decompose, PComplex.string_stats],
+        [PComplex.slash_cohomology, PComplex.string_decompose, PComplex.string_stats],
         ids=["slash_cohomology", "string_decompose", "string_stats"],
     )
     @pytest.mark.parametrize(
@@ -158,32 +152,32 @@ class TestValidate:
 class TestSlashCohomology:
     def test_trivial_differential(self):
         c = PComplex(5, list("abc"), [0, 2, 2], {}, cap=INF)
-        sl = slash_cohomology(c)
+        sl = c.slash_cohomology()
         assert sl.dims[0] == {0: 1, 2: 2}
         for k in range(1, 4):
             assert not sl.dims.get(k)
 
     def test_full_string_contractible(self):
         for p in (2, 3, 5):
-            sl = slash_cohomology(string_complex(p, [(0, p)]))
+            sl = string_complex(p, [(0, p)]).slash_cohomology()
             assert sl.is_zero()
 
     def test_length_two_string_p3(self):
-        sl = slash_cohomology(string_complex(3, [(0, 2)]))
+        sl = string_complex(3, [(0, 2)]).slash_cohomology()
         assert sl.dims[0] == {2: 1}  # tail class
         assert sl.dims[1] == {0: 1}  # head class
 
     def test_empty_window_is_not_zero(self):
         # cap 2 at p = 3 leaves the valid window (0, −2): nothing is decided
         c = PComplex(3, ["a", "b"], [0, 2], {0: {1: 1}}, cap=2)
-        sl = slash_cohomology(c)
+        sl = c.slash_cohomology()
         assert sl.valid_window == (0, -2)
         with pytest.raises(ValueError, match="empty valid window"):
             sl.is_zero()
 
     def test_representatives_are_cocycles(self):
         c = scramble(string_complex(3, [(0, 2), (2, 1), (0, 3)]), seed=5)
-        sl = slash_cohomology(c)
+        sl = c.slash_cohomology()
         for k, per_degree in sl.reps.items():
             for d, vecs in per_degree.items():
                 for v in vecs:
@@ -196,22 +190,22 @@ class TestSlashCohomology:
 class TestStrings:
     def test_zero_differential(self):
         c = PComplex(3, list("ab"), [0, 2], {}, cap=INF)
-        assert sorted(s.length for s in string_decompose(c)) == [1, 1]
+        assert sorted(s.length for s in c.string_decompose()) == [1, 1]
 
     def test_single_jordan_block(self):
         c = PComplex(2, ["x", "y"], [0, 2], {0: {1: 1}}, cap=INF)
-        strs = string_decompose(c)
+        strs = c.string_decompose()
         assert len(strs) == 1 and strs[0].length == 2
 
     def test_sym1_p3(self):
         c = sym_pcomplex(1, 3, 30)
-        strs = string_decompose(c)
+        strs = c.string_decompose()
         heads = sorted((s.head_degree, s.length) for s in strs)
         assert heads == [(0, 1)] + [(2 + 6 * j, 3) for j in range(5)]
 
     def test_decomposition_spans(self):
         c = scramble(string_complex(3, [(0, 3), (0, 1), (2, 2), (4, 3)]), seed=9)
-        strs = string_decompose(c)
+        strs = c.string_decompose()
         assert sorted(s.length for s in strs) == [1, 2, 3, 3]
         # slots must form a basis degreewise
         for d in c.support_degrees():
@@ -229,8 +223,8 @@ class TestStrings:
 
     def test_bookkeeping_identity(self):
         c = scramble(string_complex(3, [(0, 3), (0, 2), (2, 1), (2, 3)]), seed=3)
-        sl = slash_cohomology(c)
-        strs = string_decompose(c)
+        sl = c.slash_cohomology()
+        strs = c.string_decompose()
         for d in c.support_degrees():
             through = sum(
                 1
@@ -247,19 +241,19 @@ class TestTensor:
         one = PComplex(3, ["1"], [0], {}, cap=INF)
         b = string_complex(3, [(0, 2), (2, 3)])
         t = tensor(one, b)
-        assert hilbert(t).dims == hilbert(b).dims
-        assert sorted(s.length for s in string_decompose(t)) == [2, 3]
+        assert t.hilbert().dims == b.hilbert().dims
+        assert sorted(s.length for s in t.string_decompose()) == [2, 3]
 
     def test_string_times_unit(self):
         a = string_complex(5, [(0, 5)])
         one = PComplex(5, ["1"], [0], {}, cap=INF)
         t = tensor(a, one)
-        assert [s.length for s in string_decompose(t)] == [5]
+        assert [s.length for s in t.string_decompose()] == [5]
 
     def test_jp_tensor_jp(self):
         for p in (2, 3):
             t = jj_complex(p, p, p)
-            assert sorted(s.length for s in string_decompose(t)) == [p] * p
+            assert sorted(s.length for s in t.string_decompose()) == [p] * p
 
     def test_tensor_with_contractible_is_contractible(self):
         rng = random.Random(11)
@@ -271,14 +265,14 @@ class TestTensor:
             m = scramble(string_complex(p, heads), seed=trial)
             contractible = string_complex(p, [(0, p), (2, p)])
             t = tensor(m, contractible)
-            assert slash_cohomology(t).is_zero()
+            assert t.slash_cohomology().is_zero()
 
     def test_stats_match_explicit(self):
         a = sym_pcomplex(2, 3, 16)
         b = string_complex(3, [(0, 2), (2, 1)])
         t = tensor(a, b)
         direct = {}
-        for s in string_decompose(t):
+        for s in t.string_decompose():
             key = (s.head_degree, s.length)
             direct[key] = direct.get(key, 0) + 1
         via = tensor_stats(a.string_stats(), b.string_stats(), 3)
@@ -292,8 +286,8 @@ class TestTensor:
         t = tensor(a, b)
         pos = {lab: i for i, lab in enumerate(t.labels)}
         mapped = tensor_strings(
-            string_decompose(a),
-            string_decompose(b),
+            a.string_decompose(),
+            b.string_decompose(),
             3,
             lambda i, j: pos[(a.labels[i], b.labels[j])],
         )
@@ -308,7 +302,7 @@ class TestTensor:
         a = sym_pcomplex(1, 3, 30)
         m = string_complex(3, [(0, 2)])
         t = tensor(a, m)
-        sl = slash_cohomology(t)
+        sl = t.slash_cohomology()
         dims = slash_dims_from_stats(
             tensor_stats(a.string_stats(), m.string_stats(), 3), 3
         )
@@ -318,43 +312,25 @@ class TestTensor:
             assert got == expect
 
 
-class TestKunneth:
-    def test_trivial_acting_factor(self):
-        a = PComplex(3, ["1"], [0], {}, cap=INF)
-        m = scramble(string_complex(3, [(0, 2), (0, 3), (4, 1)]), seed=2)
-        assert kunneth_check(a, m)
-
-    def test_sym1_against_string(self):
-        a = sym_pcomplex(1, 3, 30)
-        m = string_complex(3, [(0, 2)])
-        assert kunneth_check(a, m)
-
-    def test_precondition_violation(self):
-        bad = string_complex(3, [(0, 2)])  # has H_{/1} != 0
-        m = string_complex(3, [(0, 1)])
-        with pytest.raises(KunnethPreconditionError):
-            kunneth_check(bad, m)
-
-
 class TestHilbert:
     def test_empty(self):
         c = PComplex(3, [], [], {}, cap=20)
-        assert hilbert(c).dims == {}
+        assert c.hilbert().dims == {}
 
     def test_sym2_window8(self):
-        h = hilbert(sym_pcomplex(2, 3, 8))
+        h = sym_pcomplex(2, 3, 8).hilbert()
         assert [h[d] for d in (0, 2, 4, 6, 8)] == [1, 1, 2, 2, 3]
 
     def test_symp_slash_hilbert(self):
         for p in (2, 3):
-            sl = slash_cohomology(sym_pcomplex(p, p, 6 * p * p))
+            sl = sym_pcomplex(p, p, 6 * p * p).slash_cohomology()
             h = sl.hilbert()
             for d in range(0, h.window[1] + 1, 2):
                 expect = 1 if d % (2 * p * p) == 0 else 0
                 assert h[d] == expect
 
     def test_window_enforced(self):
-        h = hilbert(sym_pcomplex(2, 3, 8))
+        h = sym_pcomplex(2, 3, 8).hilbert()
         with pytest.raises(KeyError):
             h[10]
 
@@ -365,9 +341,9 @@ class TestTruncationBoundary:
         # is cut by the cap, and its phantom classes sit above the valid
         # window, so the reported slash cohomology is still just the unit
         c = sym_pcomplex(1, 3, 28)
-        strs = string_decompose(c)
+        strs = c.string_decompose()
         assert (26, 2) in {(s.head_degree, s.length) for s in strs}
-        sl = slash_cohomology(c)
+        sl = c.slash_cohomology()
         assert sl.valid_window[1] == 24
         assert sl.dims[0] == {0: 1}
         assert not sl.dims[1]
@@ -375,7 +351,7 @@ class TestTruncationBoundary:
     def test_golden_representatives(self):
         # fixed pivot order makes representatives reproducible
         c = vab_pcomplex(1, 2, 2)
-        sl = slash_cohomology(c)
+        sl = c.slash_cohomology()
         reps = {
             (k, d): [sorted(v.items()) for v in vecs]
             for k, per in sl.reps.items()
@@ -409,7 +385,7 @@ scrambled_string_complexes = given(
 def test_slash_agrees_with_strings_random(p, head_data, seed):
     heads = [(2 * h, min(l, p)) for h, l in head_data]
     c = scramble(string_complex(p, heads), seed=seed)
-    sl = slash_cohomology(c)
+    sl = c.slash_cohomology()
     # predicted dims from the hidden string data
     expect = {k: {} for k in range(p - 1)}
     for h, l in heads:

@@ -3,7 +3,6 @@ import pytest
 from qfrob import partitions as pt
 from qfrob import pdgmod
 from qfrob.cyclotomic import qbinom
-from qfrob.pcomplex import slash_cohomology, string_decompose
 from qfrob.pdgmod import (
     PAIRING_SIGN,
     BlockOp,
@@ -15,7 +14,6 @@ from qfrob.pdgmod import (
     demazure_word,
     end_algebra,
     end_formality_check,
-    grass_module,
     grass_rank_ok,
     monomial,
     nh_acyclicity_check,
@@ -141,12 +139,12 @@ class TestNhAcyclicity:
 
     def test_staircase_is_contractible(self):
         for p in (2, 3, 5):
-            strs = string_decompose(staircase_complex(p))
+            strs = staircase_complex(p).string_decompose()
             assert all(s.length == p for s in strs)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_sym_subcomplex_not_acyclic(self, p):
-        sl = slash_cohomology(sym_pcomplex(p, p, 4 * p * p))
+        sl = sym_pcomplex(p, p, 4 * p * p).slash_cohomology()
         assert not sl.is_zero()
 
     def test_plain_commutator_is_not_acyclic(self):
@@ -163,7 +161,7 @@ class TestNhAcyclicity:
         from qfrob.pcomplex import PComplex
 
         c = PComplex(p, labels, degrees, diff, cap=2)
-        sl = slash_cohomology(c)
+        sl = c.slash_cohomology()
         assert sl.dims[0].get(0, 0) >= 1  # the class of the identity
 
 
@@ -189,16 +187,16 @@ def _box_rule_diff(labels, twists, p):
     return diff
 
 
-# name: (builder of the complex, twist of each block).  GrassModule.diff and
-# EndAlgebra.D are read through the complexes built on them; block k of a
-# block module is twisted by minus the number of variables before it.
+# name: (builder of the complex, twist of each block).  EndAlgebra.D is read
+# through the complexes built on it; block k of a block module is twisted by
+# minus the number of variables before it.
 BOX_RULE_CASES = {
     "sym": (lambda: sym_pcomplex(4, 3, 30), (0,)),
     "twist": (lambda: twist_pcomplex(4, 2, 3, 30), (2,)),
     "vab": (lambda: vab_pcomplex(1, 2, 3), (0,)),
     "vi": (lambda: vi_pcomplex(2, 2, 3), (2,)),
-    "grass_23_3": (lambda: grass_module(2, 3, 3).complex(), (-2,)),
-    "grass_31_2": (lambda: grass_module(3, 1, 2).complex(), (-3,)),
+    "grass_23_3": (lambda: end_algebra(2, 3, 3).scalar_complex(), (0, -2)),
+    "grass_31_2": (lambda: end_algebra(3, 1, 2).scalar_complex(), (0, -3)),
     "end_212_3": (lambda: EndAlgebra((2, 1, 2), 3).scalar_complex(), (0, -2, -3)),
     "end_22_2": (lambda: EndAlgebra((2, 2), 2).scalar_complex(), (0, -2)),
     "staircase_3": (lambda: staircase_complex(3), (0, -1, -2)),
@@ -216,47 +214,48 @@ def test_box_rule(case):
 
 
 class TestGrassModule:
+    """S_{a,b} is the block module with blocks (a, b)."""
+
     def test_basis_and_rank_11(self):
-        gm = grass_module(1, 1, 2)
-        assert gm.basis == [(), (1,)]
-        assert gm.degrees == [-1, 1]
-        assert gm.graded_rank() == qbinom(2, 1)
+        alg = end_algebra(1, 1, 2)
+        assert alg.basis == [((), ()), ((), (1,))]
+        assert alg.degrees == [-1, 1]
+        assert alg.graded_rank() == qbinom(2, 1)
 
     def test_diff_matrix_11_p2(self):
-        gm = grass_module(1, 1, 2)
+        alg = end_algebra(1, 1, 2)
         # ∂(v) = −e_1(x')·v = −π_(1)(x')·v ≡ π_(1)(x')·v mod 2
-        assert gm.diff == {0: {1: 1}}
+        assert alg.D == {0: {1: 1}}
 
     def test_generator_killed_for_p_blocks(self):
         for p in (2, 3):
-            gm = grass_module(p, p, p)
-            assert gm.basis[0] == ()
+            alg = end_algebra(p, p, p)
+            assert alg.basis[0] == ((), ())
             # the empty partition maps only through contents ≢ 0; the twist
             # −p vanishes, so ∂(v) = Σ C(box)π_box with C(box) = content
-            img = gm.diff.get(0, {})
+            img = alg.D.get(0, {})
             # box at (0,0) has content 0: ∂(v) = 0
             assert img == {}
 
     @pytest.mark.parametrize("a,b,p", [(1, 1, 2), (2, 2, 3), (3, 1, 2), (1, 3, 3), (2, 1, 5)])
     def test_rank_identity(self, a, b, p):
-        assert grass_rank_ok(grass_module(a, b, p))
+        assert grass_rank_ok(a, b, p)
 
     @pytest.mark.parametrize("a,b,p", [(1, 2, 3), (2, 2, 2)])
     def test_diff_nilpotent_and_raising(self, a, b, p):
-        gm = grass_module(a, b, p)
-        c = gm.complex()
+        alg = end_algebra(a, b, p)
+        c = alg.scalar_complex()
         assert c.validation_error() is None
-        for j, row in gm.diff.items():
+        for j, row in alg.D.items():
             for i in row:
-                assert sum(gm.basis[i]) == sum(gm.basis[j]) + 1
+                assert sum(map(sum, alg.basis[i])) == sum(map(sum, alg.basis[j])) + 1
 
     def test_dual_module_consistency(self):
         # dual twist is −b·e_1(x) on the P(a,b)-indexed basis: same scalar
         # construction with the roles swapped; rank is the bar image
         for a, b, p in [(1, 2, 3), (2, 1, 2)]:
-            dual = grass_module(b, a, p)
-            assert grass_rank_ok(dual)
-            assert dual.graded_rank() == qbinom(a + b, a).bar()
+            assert grass_rank_ok(b, a, p)
+            assert end_algebra(b, a, p).graded_rank() == qbinom(a + b, a).bar()
 
 
 class TestBlockSwap:

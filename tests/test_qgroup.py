@@ -15,10 +15,6 @@ from qfrob.qgroup import (
     frobenius,
     frobenius_hom_check,
     frobenius_section,
-    half_comult,
-    half_elem,
-    half_frobenius,
-    half_mult,
     k0_symbol_check,
     kernel_check,
     oracle_product_agrees,
@@ -77,49 +73,6 @@ def _wrong_op_binomial(monkeypatch):
 def word(ring, a, b, n, coeff=None):
     shape = "EF" if n <= b - a else "FE"
     return udot(ring, shape, a, b, n, coeff)
-
-
-class TestHalf:
-    def test_unit(self):
-        x = half_elem(G, 3)
-        assert half_mult(half_elem(G, 0), x) == x
-
-    def test_theta_squared(self):
-        lhs = half_mult(half_elem(G, 1), half_elem(G, 1))
-        assert lhs.terms == {2: qbinom(2, 1)}
-
-    def test_p_divided_powers_in_op(self):
-        # E^{(p)}·E^{(p)} = q^{p²}·C(2,1)·E^{(2p)} for p = 3
-        R = CoeffRing("op", 3)
-        prod = half_mult(half_elem(R, 3), half_elem(R, 3))
-        assert prod.terms == {6: CycElem.q_power(3, 3, 2)}
-
-    def test_comult_unit_and_theta(self):
-        assert half_comult(half_elem(G, 0)) == {(0, 0): LaurentPoly.one()}
-        c = half_comult(half_elem(G, 1))
-        assert c == {(1, 0): LaurentPoly.one(), (0, 1): LaurentPoly.one()}
-
-    def test_comult_coassociative(self):
-        for a in range(7):
-            c = half_comult(half_elem(G, a))
-            left, right = {}, {}
-            for (i, j), cf in c.items():
-                for (k, l), cf2 in half_comult(half_elem(G, i, cf)).items():
-                    key = (k, l, j)
-                    left[key] = left.get(key, LaurentPoly.zero()) + cf2
-                for (k, l), cf2 in half_comult(half_elem(G, j, cf)).items():
-                    key = (i, k, l)
-                    right[key] = right.get(key, LaurentPoly.zero()) + cf2
-            assert {k: v for k, v in left.items() if not v.is_zero()} == {
-                k: v for k, v in right.items() if not v.is_zero()
-            }
-
-    def test_half_frobenius(self):
-        for p in (2, 3):
-            R = CoeffRing("op", p)
-            assert half_frobenius(half_elem(R, p)).terms == {1: CycElem.one(p)}
-            assert half_frobenius(half_elem(R, 1)).is_zero()
-            assert half_frobenius(half_elem(R, 0)).terms == {0: CycElem.one(p)}
 
 
 class TestUdotMult:
@@ -455,22 +408,6 @@ class TestSection:
     def test_zero(self):
         Rr = CoeffRing("rho", 2)
         assert frobenius_section(UdotElem.zero(Rr)).is_zero()
-
-
-class TestHalfCoherence:
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_one_sided_words_match_half(self, p):
-        R = CoeffRing("op", p)
-        for a in range(4 * p + 1):
-            for n in (-2 * p, 0, p, 2 * p):
-                x = word(R, a, 0, n * p)
-                fx = frobenius(x)
-                hf = half_frobenius(half_elem(R, a))
-                if a % p == 0:
-                    ((w, _),) = fx.terms.items()
-                    assert w.a == a // p and hf.terms.get(a // p) is not None
-                else:
-                    assert fx.is_zero() and hf.is_zero()
 
 
 class TestK0Symbol:
