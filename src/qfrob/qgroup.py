@@ -42,9 +42,17 @@ fixed width can alias.  Only the output coefficients of `udot_mult`, the
 code under test, are packed; it keeps its Laurent arithmetic.
 
 The homomorphism and kernel checks multiply only where Fr can see the
-result: every word of x·y and of z·u·z' has the weight n of the right
-factor, and Fr drops every word whose weight p does not divide, so a
+result, and Fr keeps a word only when p divides its a, b and n.  Every
+word of x·y and of z·u·z' has the weight n of the right factor, so a
 pair or triple with p ∤ n is counted and decided as 0 = 0 unmultiplied.
+Both commutation sums lower a and b together and a divided-power merge
+adds them, so every word of x·y has a − b = (a1 − b1) + (a2 − b2) (and
+z·u·z' that sum ± 1 for u = E, F): a pair or triple with p ∤ (a − b) is
+decided the same way.  The products that remain are read only through
+Fr, so they are formed by `_frobenius_of_product`, which runs the same
+`_word_mult` with the modulus p: it pushes a canonical word only when p
+divides its a and b, and commutes the others only at j ≡ a (mod p).
+`udot_mult` always forms the full product.
 
 Coefficient rings are selected by a tag: "generic" keeps Z[v^{±1}]
 structure constants, "op" evaluates them in O_p through v ↦ q, and "rho"
@@ -218,85 +226,118 @@ def udot(ring: CoeffRing, shape: str, a: int, b: int, n: int, coeff=None) -> Udo
     return UdotElem(ring, {w: coeff if coeff is not None else ring.one()})
 
 
-def _commute(ring, A, B, top):
-    """(A−j, B−j, [top, j]) for j ≤ min(A, B) with a nonzero binomial:
-    the terms of E^{(A)}F^{(B)}1_n as F-first words when top = A−B+n, and
-    of F^{(B)}E^{(A)}1_n as E-first words when top = B−A−n."""
+def _lands_canonical(shape, a, b, n) -> bool:
+    """Whether the word is canonical as it stands, the tie n = b − a
+    included (it is stored in EF shape)."""
+    return n <= b - a if shape == "EF" else n >= b - a
+
+
+def _commute(ring, A, B, top, start=0, step=1):
+    """(A−j, B−j, [top, j]) for j = start, start + step, … ≤ min(A, B)
+    with a nonzero binomial: the terms of E^{(A)}F^{(B)}1_n as F-first
+    words when top = A−B+n, and of F^{(B)}E^{(A)}1_n as E-first words
+    when top = B−A−n."""
     out = []
-    for j in range(min(A, B) + 1):
+    for j in range(start, min(A, B) + 1, step):
         c = ring.binom(top, j)
         if c:
             out.append((A - j, B - j, c))
     return out
 
 
-def _push_canonical(ring, shape, a, b, n, coeff, acc):
+def _push_canonical(ring, shape, a, b, n, coeff, acc, mod=None):
     """Normalize one (possibly non-canonical) word into the accumulator;
-    a zero coefficient is dropped before it is multiplied or commuted."""
+    a zero coefficient is dropped before it is multiplied or commuted.
+
+    With a modulus p the caller has made sure that p divides a − b, and
+    a as well when the word is canonical; a non-canonical word then
+    commutes only at j ≡ a (mod p), to the words whose a and b p divides.
+    """
     if not coeff:
         return
-    w = CBWord(shape, a, b, n)
-    if w.is_canonical() or n == b - a:
+    if _lands_canonical(shape, a, b, n):
         w = _canonical(shape, a, b, n)
         acc[w] = acc[w] + coeff if w in acc else coeff
         return
     # EF with n > b−a commutes to FE words, FE with n < b−a to EF words;
     # every word it yields is canonical
     other, top = ("FE", a - b + n) if shape == "EF" else ("EF", b - a - n)
-    for a2, b2, c in _commute(ring, a, b, top):
+    start, step = (a % mod, mod) if mod else (0, 1)
+    for a2, b2, c in _commute(ring, a, b, top, start, step):
         w2 = _canonical(other, a2, b2, n)
         cc = coeff * c
         acc[w2] = acc[w2] + cc if w2 in acc else cc
 
 
-def _word_mult(ring, w1: CBWord, w2: CBWord, acc, scale):
-    """Accumulate w1·w2 into acc (canonical words → coefficients)."""
+def _word_mult(ring, w1: CBWord, w2: CBWord, acc, scale, mod=None):
+    """Accumulate w1·w2 into acc (canonical words → coefficients).
+
+    Each case commutes a middle pair at some j and pushes the w1-shaped
+    word (a1 + a2 − j, b1 + b2 − j) at weight n2.  With a modulus p only
+    the canonical words whose a and b p divides are accumulated, the
+    only words Fr keeps: nothing unless p divides a1 − b1 + a2 − b2, and
+    when the pushed words are canonical already, only j ≡ a1 + a2
+    (mod p), before any coefficient is multiplied.
+    """
     if w1.n != w2.left_weight():
         return
     a1, b1, n1 = w1.a, w1.b, w1.n
     a2, b2, n2 = w2.a, w2.b, w2.n
+    start, step = 0, 1
+    if mod:
+        if (a1 - b1 + a2 - b2) % mod:
+            return
+        if _lands_canonical(w1.shape, a1 + a2, b1 + b2, n2):
+            start, step = (a1 + a2) % mod, mod
     if w1.shape == "EF" and w2.shape == "EF":
         # middle F^{(b1)} E^{(a2)} at weight n2 − 2 b2
-        for ai, bi, c in _commute(ring, a2, b1, b1 - a2 - n2 + 2 * b2):
+        top = b1 - a2 - n2 + 2 * b2
+        for ai, bi, c in _commute(ring, a2, b1, top, start, step):
             coeff = (
                 scale
                 * c
                 * ring.binom(a1 + ai, a1)
                 * ring.binom(bi + b2, b2)
             )
-            _push_canonical(ring, "EF", a1 + ai, bi + b2, n2, coeff, acc)
+            _push_canonical(ring, "EF", a1 + ai, bi + b2, n2, coeff, acc, mod)
     elif w1.shape == "EF" and w2.shape == "FE":
         B = b1 + b2
         merge_f = ring.binom(B, b1)
-        for ai, bi, c in _commute(ring, a2, B, B - a2 - n2):
+        for ai, bi, c in _commute(ring, a2, B, B - a2 - n2, start, step):
             coeff = scale * merge_f * c * ring.binom(a1 + ai, a1)
-            _push_canonical(ring, "EF", a1 + ai, bi, n2, coeff, acc)
+            _push_canonical(ring, "EF", a1 + ai, bi, n2, coeff, acc, mod)
     elif w1.shape == "FE" and w2.shape == "EF":
         A = a1 + a2
         merge_e = ring.binom(A, a1)
-        for ai, bi, c in _commute(ring, A, b2, A - b2 + n2):
+        for ai, bi, c in _commute(ring, A, b2, A - b2 + n2, start, step):
             coeff = scale * merge_e * c * ring.binom(b1 + bi, b1)
-            _push_canonical(ring, "FE", ai, b1 + bi, n2, coeff, acc)
+            _push_canonical(ring, "FE", ai, b1 + bi, n2, coeff, acc, mod)
     else:
         # middle E^{(a1)} F^{(b2)} at weight n2 + 2 a2
-        for ai, bi, c in _commute(ring, a1, b2, a1 - b2 + n2 + 2 * a2):
+        top = a1 - b2 + n2 + 2 * a2
+        for ai, bi, c in _commute(ring, a1, b2, top, start, step):
             coeff = (
                 scale
                 * c
                 * ring.binom(b1 + bi, b1)
                 * ring.binom(ai + a2, a2)
             )
-            _push_canonical(ring, "FE", ai + a2, b1 + bi, n2, coeff, acc)
+            _push_canonical(ring, "FE", ai + a2, b1 + bi, n2, coeff, acc, mod)
 
 
-def udot_mult(x: UdotElem, y: UdotElem) -> UdotElem:
+def _product(x: UdotElem, y: UdotElem, mod) -> UdotElem:
+    """x·y, or with a modulus p only its words whose a and b p divides."""
     if x.ring != y.ring:
         raise ValueError("ring tag mismatch")
     acc: dict[CBWord, object] = {}
     for w1, c1 in x.terms.items():
         for w2, c2 in y.terms.items():
-            _word_mult(x.ring, w1, w2, acc, c1 * c2)
+            _word_mult(x.ring, w1, w2, acc, c1 * c2, mod)
     return UdotElem(x.ring, acc)
+
+
+def udot_mult(x: UdotElem, y: UdotElem) -> UdotElem:
+    return _product(x, y, None)
 
 
 # --------------------------------------------------------------------------
@@ -318,6 +359,13 @@ def frobenius(x: UdotElem) -> UdotElem:
         w2 = _canonical(w.shape, w.a // p, w.b // p, w.n // p)
         out[w2] = out[w2] + c if w2 in out else c
     return UdotElem(ring, out)
+
+
+def _frobenius_of_product(x: UdotElem, y: UdotElem) -> UdotElem:
+    """Fr(x·y) for O_p elements, built from only the words of x·y whose a
+    and b p divides: equal to frobenius(udot_mult(x, y)), since Fr drops
+    every other word."""
+    return frobenius(_product(x, y, x.ring.p))
 
 
 def frobenius_section(x: UdotElem) -> UdotElem:
@@ -359,10 +407,12 @@ def frobenius_hom_check(p: int, amax: int, nmax: int) -> dict:
 
     Weight-mismatched pairs multiply to zero on both sides (Fr respects
     weights), so they are vacuously consistent and not enumerated.  A
-    weight-matched pair whose right word y has a weight n that p does not
-    divide is counted but not multiplied: every word of x·y has weight n,
-    as y has, and Fr drops every word whose weight p does not divide, so
-    both sides are 0 whatever `udot_mult` returns.
+    weight-matched pair is counted but not multiplied when p does not
+    divide the weight n of y or a1 − b1 + a2 − b2: every word of x·y has
+    that weight and that a − b, and Fr drops the word unless p divides
+    both, so both sides are 0 whatever `udot_mult` returns.  The other
+    pairs form Fr(x·y) by `_frobenius_of_product`, from the words of x·y
+    that Fr keeps.
     """
     ring = CoeffRing("op", p)
     words = canonical_words(amax, amax, -nmax, nmax)
@@ -376,10 +426,10 @@ def frobenius_hom_check(p: int, amax: int, nmax: int) -> dict:
         fx = frobenius(x)
         for w2 in by_left.get(w1.n, []):
             pairs += 1
-            if w2.n % p:
+            if w2.n % p or (w1.a - w1.b + w2.a - w2.b) % p:
                 continue
             y = UdotElem(ring, {w2: ring.one()})
-            lhs = frobenius(udot_mult(x, y))
+            lhs = _frobenius_of_product(x, y)
             rhs = udot_mult(fx, frobenius(y))
             if lhs != rhs:
                 failures.append((str(w1), str(w2), str(lhs), str(rhs)))
@@ -397,10 +447,12 @@ def kernel_check(p: int, amax: int, nmax: int) -> dict:
     """Fr(z·u·z') = 0 for u ∈ {E·1_m, F·1_m} and canonical z, z' in range.
 
     Only triples whose weights match are enumerated; the others multiply
-    to zero.  A triple whose z' has a weight n that p does not divide is
-    counted but not multiplied: every word of z·u·z' has weight n, and Fr
-    drops every word whose weight p does not divide, so the image is 0
-    whatever `udot_mult` returns.
+    to zero.  A triple is counted but not multiplied when p does not
+    divide the weight n of z' or a − b = (a1 − b1) ± 1 + (a2 − b2), ± for
+    u = E, F: every word of z·u·z' has that weight and that a − b, and Fr
+    drops the word unless p divides both, so the image is 0 whatever
+    `udot_mult` returns.  u·z' is formed in full when some z passes, and
+    Fr(z·u·z') by `_frobenius_of_product`.
     """
     ring = CoeffRing("op", p)
     words = canonical_words(amax, amax, -nmax, nmax)
@@ -423,10 +475,15 @@ def kernel_check(p: int, amax: int, nmax: int) -> dict:
             triples += len(left)
             if w2.n % p:
                 continue
+            # every word of u·z' has a − b = d
+            d = w2.a - w2.b + (1 if kind == "E" else -1)
+            visible = [w1 for w1 in left if (w1.a - w1.b + d) % p == 0]
+            if not visible:
+                continue
             uz = udot_mult(u, z2)
-            for w1 in left:
+            for w1 in visible:
                 z1 = UdotElem(ring, {w1: ring.one()})
-                img = frobenius(udot_mult(z1, uz))
+                img = _frobenius_of_product(z1, uz)
                 if not img.is_zero():
                     failures.append((str(w1), kind, str(w2), str(img)))
     return {

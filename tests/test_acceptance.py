@@ -10,6 +10,7 @@ from math import comb
 import pytest
 
 from qfrob.cli import (
+    check_verify_frobenius,
     check_verify_lima,
     check_verify_slash,
     check_verify_twist,
@@ -22,12 +23,13 @@ from qfrob.pdgmod import (
     thick_nilhecke_check,
 )
 from qfrob.qgroup import (
+    CoeffRing,
+    UdotElem,
     canonical_words,
-    frobenius_hom_check,
     frobenius_section_check,
     k0_symbol_check,
-    kernel_check,
-    oracle_product_agrees,
+    oracle_box_check,
+    udot_mult,
 )
 from qfrob.symfunc import lima_partitions
 
@@ -145,10 +147,10 @@ def test_criterion_09_frobenius_hom_and_kernel():
     ok = True
     details = []
     for p in (2, 3):
-        hom = frobenius_hom_check(p, 2 * p, 4 * p)
-        ker = kernel_check(p, 2 * p, 4 * p)
-        details.append(f"p={p}: {hom['pairs']} pairs, {ker['triples']} triples")
-        if not (hom["ok"] and ker["ok"]):
+        status, values = check_verify_frobenius(p, 2 * p, 4 * p, 4, 8)
+        pairs, triples = values["hom_pairs"], values["kernel_triples"]
+        details.append(f"p={p}: {pairs} pairs, {triples} triples")
+        if status != "pass" or not (values["hom_ok"] and values["kernel_ok"]):
             ok = False
     announce(9, "Fr is a homomorphism killing the small-part ideal", ok, t0,
              "; ".join(details))
@@ -157,16 +159,22 @@ def test_criterion_09_frobenius_hom_and_kernel():
 def test_criterion_10_commutation_oracle():
     t0 = time.time()
     words = canonical_words(4, 4, -8, 8)
+    G = CoeffRing("generic")
     pairs = 0
     nontrivial = 0
     ok = True
-    for w1 in words:
-        for w2 in words:
+    elems = [UdotElem(G, {w: G.one()}) for w in words]
+    for w1, x in zip(words, elems):
+        for w2, y in zip(words, elems):
             pairs += 1
             if w1.n == w2.left_weight():
                 nontrivial += 1
-            if not oracle_product_agrees(w1, w2):
+            elif not udot_mult(x, y).is_zero():
                 ok = False
+    # every weight-matched pair, decided once per process
+    oracle_pairs, oracle_ok = oracle_box_check(4, 8)
+    if not oracle_ok or oracle_pairs != nontrivial:
+        ok = False
     announce(10, "product agrees with the rational-field oracle", ok, t0,
              f"{pairs} pairs ({nontrivial} with matching weights)")
 

@@ -356,7 +356,7 @@ class TestFrobenius:
 
 
 class TestWeightRule:
-    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("wrong", [False, True])
     def test_checks_match_exhaustive_loops(self, monkeypatch, p, wrong):
         if wrong:
@@ -387,6 +387,70 @@ class TestWeightRule:
                     assert all(w.n == w2.n for w in prod.terms), (w1, w2)
                     products += 1
         assert products > 0
+
+    @pytest.mark.parametrize("tag,p", [("generic", None), ("op", 2), ("op", 3), ("op", 5)])
+    def test_products_add_a_minus_b(self, tag, p):
+        # the a − b rule the checks trust: every word of w1·w2 has
+        # a − b = (a1 − b1) + (a2 − b2), and every word of w1·(u·w2) that
+        # sum plus 1 for u = E, minus 1 for u = F
+        R = CoeffRing(tag, p)
+        words = canonical_words(3, 3, -6, 6)
+        by_n = {}
+        for w in words:
+            by_n.setdefault(w.n, []).append(w)
+        seen = 0
+        for w2 in words:
+            y = UdotElem(R, {w2: R.one()})
+            m, d2 = w2.left_weight(), w2.a - w2.b
+            rights = [
+                (y, m, d2),
+                (udot_mult(word(R, 1, 0, m), y), m + 2, d2 + 1),
+                (udot_mult(word(R, 0, 1, m), y), m - 2, d2 - 1),
+            ]
+            for right, top, d in rights:
+                for w1 in by_n.get(top, []):
+                    prod = udot_mult(UdotElem(R, {w1: R.one()}), right)
+                    d12 = w1.a - w1.b + d
+                    assert all(w.a - w.b == d12 for w in prod.terms), (w1, w2, d)
+                    seen += len(prod.terms)
+        assert seen > 0
+
+
+@st.composite
+def _op_factors(draw):
+    """(x, y): multi-term O_p elements, p ∈ {2, 3, 5}, whose words meet at
+    one weight m, x's words at n = m and y's with left weight m, their
+    a − b mixed."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    m = draw(st.one_of(st.integers(-3, 3).map(lambda k: k * p), st.integers(-8, 8)))
+    coeff = st.builds(
+        lambda e, c: CycElem.q_power(p, e, c), st.integers(0, 2 * p - 1), st.integers(-3, 3)
+    )
+    ab = st.tuples(st.integers(0, 2 * p), st.integers(0, 2 * p))
+    R = CoeffRing("op", p)
+
+    def elem(pairs, at):
+        terms = {}
+        for (a, b), c in pairs:
+            w = _canonical("EF", a, b, at(a, b))
+            terms[w] = terms[w] + c if w in terms else c
+        return UdotElem(R, terms)
+
+    terms = st.lists(st.tuples(ab, coeff), min_size=1, max_size=4)
+    x = elem(draw(terms), lambda a, b: m)
+    y = elem(draw(terms), lambda a, b: m - 2 * (a - b))
+    return x, y
+
+
+class TestFrobeniusOfProduct:
+    @settings(max_examples=200, deadline=None)
+    @given(_op_factors(), st.booleans())
+    def test_matches_the_full_product(self, factors, wrong):
+        x, y = factors
+        with pytest.MonkeyPatch.context() as mp:
+            if wrong:
+                _wrong_op_binomial(mp)
+            assert qgroup._frobenius_of_product(x, y) == frobenius(udot_mult(x, y))
 
 
 class TestSection:
