@@ -154,7 +154,7 @@ def check_verify_vi(p: int, kmax: int) -> tuple[str, dict]:
     for i in range(1, p):
         for k in range(1, kmax + 1):
             c = symfunc.vi_pcomplex(i, k, p)
-            lengths = sorted({s.length for s in c.string_decompose()})
+            lengths = sorted({length for _, length in c.string_stats().counts})
             if lengths not in ([], [p]):
                 bad.append((i, k, lengths))
     values = {"i_range": list(range(1, p)), "k_range": list(range(1, kmax + 1))}

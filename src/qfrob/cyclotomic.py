@@ -71,10 +71,6 @@ class LaurentPoly:
         return cls({0: 1})
 
     @classmethod
-    def v_power(cls, e: int, c: int = 1) -> "LaurentPoly":
-        return cls({e: c})
-
-    @classmethod
     def from_int(cls, c: int) -> "LaurentPoly":
         return cls({0: c})
 

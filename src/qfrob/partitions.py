@@ -1,6 +1,6 @@
 """Partition combinatorics: boxes and the box-adding rule, transposes,
-rectangle enumeration, Littlewood-Richardson expansion, and
-Schur-to-monomial conversion.
+rectangle enumeration, Littlewood-Richardson expansion, and the
+straightening rule behind thick crossings.
 
 Partitions are tuples of weakly decreasing positive integers; () is the
 empty partition.  `add_box` is the one box-adding rule: every differential
@@ -9,7 +9,9 @@ coefficients come from one search, the ballot-pruned filling of LR skew
 tableaux: `lr_restrict` counts the tableaux of shape lam/mu by content, and
 `lr_expand` reads c^lam_{mu,nu} off the tableaux of shape lam/mu with
 content nu for every candidate shape lam.  Both are exact over Z and cached,
-so characteristic-p callers reduce mod p after lookup.
+so characteristic-p callers reduce mod p after lookup.  `swap_pushforward`
+straightens the block-swap Demazure composite on a product of two Schur
+polynomials into one signed Schur polynomial.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ __all__ = [
     "complement",
     "lr_expand",
     "lr_restrict",
-    "schur_monomials",
-    "monomial_to_schur_coords",
+    "swap_pushforward",
     "sort_key",
 ]
 
@@ -264,86 +265,25 @@ def lr_restrict(lam: Partition, mu: Partition) -> dict:
     return _lr_tableaux(lam, mu, [ncells] * ncells)
 
 
-@functools.cache
-def schur_monomials(lam: Partition, nvars: int) -> dict:
-    """Monomial expansion of the Schur polynomial in nvars variables.
+def swap_pushforward(alpha: Partition, a: int, beta: Partition, b: int):
+    """The block-swap Demazure composite ∂_w on π_α(x)·π_β(x′), x the first
+    a and x′ the last b of a + b variables: ε·π_λ(x, x′) as (ε, λ), or None
+    when it is 0.
 
-    Returns {exponent tuple: multiplicity} summed over semistandard
-    tableaux of shape lam with entries ≤ nvars.
+    On Sym_a ⊗ Sym_b, ∂_w symmetrizes f / Π_{i≤a<j} (x_i − x_j) over the
+    cosets of S_a × S_b, and π_α(x)·π_β(x′) over that product is
+    a_E / a_δ with E = (α + δ_a, β + δ_b).  So ∂_w gives a_E / a_δ over
+    all of S_{a+b}: 0 when E repeats an entry, and otherwise ε·π_λ with ε
+    the sign that sorts E decreasingly and λ = sort(E) − δ_{a+b}
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.3).
     """
-    if len(lam) > nvars:
-        return {}
-    if not lam:
-        return {(0,) * nvars: 1}
-    out: dict[tuple, int] = {}
-    rows = len(lam)
-
-    def rec(r, c, fill, prev_row):
-        if r == rows:
-            weight = [0] * nvars
-            for row in fill:
-                for e in row:
-                    weight[e - 1] += 1
-            key = tuple(weight)
-            out[key] = out.get(key, 0) + 1
-            return
-        if c == lam[r]:
-            rec(r + 1, 0, fill, fill[r])
-            return
-        lo = 1
-        if c > 0:
-            lo = fill[r][c - 1]
-        if r > 0 and c < len(prev_row):
-            lo = max(lo, prev_row[c] + 1)
-        for e in range(lo, nvars + 1):
-            fill[r].append(e)
-            rec(r, c + 1, fill, prev_row)
-            fill[r].pop()
-
-    rec(0, 0, [[] for _ in range(rows)], [])
-    return out
-
-
-@functools.cache
-def _kostka_system(n: int, nvars: int):
-    """Partitions of n with ≤ nvars rows in lex-descending order, plus the
-    unitriangular Kostka matrix rows for back substitution."""
-    parts = sorted(partitions_of(n, max_rows=nvars), reverse=True)
-    index = {lam: i for i, lam in enumerate(parts)}
-    rows = []
-    for lam in parts:
-        expansion = schur_monomials(lam, nvars)
-        row = {}
-        for exps, c in expansion.items():
-            key = tuple(sorted((e for e in exps if e), reverse=True))
-            row[key] = c  # same monomial-orbit weight appears once per orbit rep
-        rows.append(row)
-    return parts, index, rows
-
-
-def monomial_to_schur_coords(mcoords: dict, nvars: int, modulus=None) -> dict:
-    """Convert {partition: coeff} monomial-symmetric coordinates of a
-    symmetric polynomial in nvars variables to Schur coordinates.
-
-    Uses that the Kostka matrix is unitriangular for the lex order
-    refining dominance, so a back substitution suffices; exact over Z, or
-    mod `modulus` when given.
-    """
-    red = (lambda x: x % modulus) if modulus else (lambda x: x)
-    out: dict[Partition, int] = {}
-    by_degree: dict[int, dict] = {}
-    for lam, c in mcoords.items():
-        by_degree.setdefault(sum(lam), {})[lam] = red(c)
-    for n, coords in by_degree.items():
-        parts, index, rows = _kostka_system(n, nvars)
-        residual = dict(coords)
-        for i, lam in enumerate(parts):
-            c = red(residual.get(lam, 0))
-            if c == 0:
-                continue
-            out[lam] = red(out.get(lam, 0) + c)
-            for mu, k in rows[i].items():
-                residual[mu] = red(residual.get(mu, 0) - c * k)
-        if any(red(v) for v in residual.values()):
-            raise ValueError("input was not symmetric in the monomial basis")
-    return {lam: c for lam, c in out.items() if c}
+    if len(alpha) > a or len(beta) > b:
+        return None
+    ex = [x + a - 1 - i for i, x in enumerate(alpha + (0,) * (a - len(alpha)))]
+    ex += [x + b - 1 - j for j, x in enumerate(beta + (0,) * (b - len(beta)))]
+    if len(set(ex)) < len(ex):
+        return None
+    inversions = sum(x < y for i, x in enumerate(ex) for y in ex[i + 1 :])
+    top = len(ex) - 1
+    lam = tuple(x - (top - i) for i, x in enumerate(sorted(ex, reverse=True)))
+    return (-1) ** inversions, tuple(x for x in lam if x)

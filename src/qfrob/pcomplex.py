@@ -169,7 +169,9 @@ class PComplex:
         With r_j(d) = rank(∂^j: U_d → U_{d+2j}) and r_0(d) = dim U_d, the
         number of strings with head exactly at d and length exactly ℓ is
         (r_{ℓ−1}(d) − r_ℓ(d−2)) − (r_ℓ(d) − r_{ℓ+1}(d−2)); this avoids
-        building explicit vectors.
+        building explicit vectors.  Once `validate` has passed, r_p and
+        r_{p+1} are 0 in every degree: ∂^p vanishes up to cap − 2p and lands
+        past the cap above it.  So only ∂^1 … ∂^{p−1} are ranked.
         """
         powers = _Powers(self)
         powers.validate()
@@ -177,7 +179,7 @@ class PComplex:
         ranks: dict[int, list] = {}
         for d in self.support_degrees():
             ranks[d] = [len(self.indices_at(d))] + [
-                linalg.sparse_rank(powers.images(d, j), p) for j in range(1, p + 2)
+                linalg.sparse_rank(powers.images(d, j), p) for j in range(1, p)
             ]
             powers.release(d)
 
@@ -215,12 +217,6 @@ class PComplex:
             [-d for d in self.degrees],
             dual_diff,
             cap=INF,
-        )
-
-    def hilbert(self) -> GradedDims:
-        return GradedDims(
-            dims={d: len(ix) for d, ix in self._by_degree.items()},
-            window=(self.min_degree(), self.cap),
         )
 
 

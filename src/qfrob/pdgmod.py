@@ -35,11 +35,14 @@ The module has three layers.
     both are done through exact string decompositions of the tensor
     factors.
 
-Thick crossings are composites of Demazure operators along a fixed reduced
-word of the minimal-length block-interchange permutation; dots multiply a
-p-block by e_p^p.  Sending nilHecke dots/crossings (with degrees dilated by
-p²) to these operators defines the thickening of NH_a into END of the p-block
-module, whose relation and slash-cohomology checks live here as well.
+Thick crossings are the Demazure composites ∂_w of the minimal-length
+block-interchange permutation w.  On a product of Schur polynomials of the
+two blocks, ∂_w straightens to one signed Schur polynomial in both blocks
+(`partitions.swap_pushforward`), which the coproduct splits back into the
+blocks; no monomial is formed.  Dots multiply a p-block by e_p^p.  Sending
+nilHecke dots/crossings (with degrees dilated by p²) to these operators
+defines the thickening of NH_a into END of the p-block module, whose
+relation and slash-cohomology checks live here as well.
 """
 
 from __future__ import annotations
@@ -80,15 +83,8 @@ __all__ = [
     "thick_nilhecke_check",
     "end_formality_check",
     "nh_graded_dims",
-    "block_swap_word",
-    "demazure_word",
-    "PAIRING_SIGN",
     "THICK_MAX_AP",
 ]
-
-# Global sign of the Demazure pairing, fixed once by the brute-force
-# (a,b) = (1,1) derivation: ∂_w(π_λ(x)·π_{λ̂}(x')) = PAIRING_SIGN·(−1)^{|λ̂|}.
-PAIRING_SIGN = 1
 
 # The largest a·p at which thick_nilhecke_check works on END(S_{(p^a)}).
 THICK_MAX_AP = 6
@@ -213,32 +209,6 @@ def demazure(i: int, f: PolElem) -> PolElem:
             key = tuple(e)
             out[key] = out.get(key, 0) + sign * c
     return PolElem(f.n, f.p, out)
-
-
-def block_swap_word(a: int, b: int, variant: str = "first"):
-    """A reduced word for the permutation moving the first a letters past
-    the next b (one-line [b+1..b+a, 1..b]), found by bubble sort.
-
-    variant "first"/"last" picks the first or last descent each step, giving
-    two different reduced words for the self-test.
-    """
-    w = list(range(b + 1, b + a + 1)) + list(range(1, b + 1))
-    word = []
-    while True:
-        descents = [i for i in range(len(w) - 1) if w[i] > w[i + 1]]
-        if not descents:
-            break
-        i = descents[0] if variant == "first" else descents[-1]
-        w[i], w[i + 1] = w[i + 1], w[i]
-        word.append(i + 1)
-    return word
-
-
-def demazure_word(word, f: PolElem) -> PolElem:
-    """∂_w along a reduced word, innermost letter first."""
-    for i in word:
-        f = demazure(i, f)
-    return f
 
 
 # --------------------------------------------------------------------------
@@ -830,54 +800,14 @@ class _Coordinates:
 def _pair_crossing(alpha, beta, b, p):
     """Action of the block-swap Demazure composite on
     π_α(x-block) · π_β(x'-block), both blocks of size b, in pair-Schur
-    coordinates: {(α', β'): coeff}."""
-    f = _two_block_schur(alpha, b, beta, b, p)
-    g = demazure_word(block_swap_word(b, b), f)
-    return _pair_schur_coords(g, b)
-
-
-def _two_block_schur(alpha, a, beta, b, p) -> PolElem:
-    """π_α(x)·π_β(x′) in a + b variables: x the first a, x′ the last b."""
-    terms: dict[tuple, int] = {}
-    for e1, c1 in pt.schur_monomials(alpha, a).items():
-        for e2, c2 in pt.schur_monomials(beta, b).items():
-            key = e1 + e2
-            terms[key] = terms.get(key, 0) + c1 * c2
-    return PolElem(a + b, p, terms)
-
-
-def _pair_schur_coords(g: PolElem, b: int):
-    """Block-Schur coordinates of a polynomial symmetric in two size-b
-    blocks; verifies block symmetry along the way."""
-    p = g.p
-    reps: dict[tuple, int] = {}
-    for exps, c in g.terms.items():
-        k1 = tuple(sorted(exps[:b], reverse=True))
-        k2 = tuple(sorted(exps[b:], reverse=True))
-        rep = k1 + k2
-        if exps == rep:
-            reps[(k1, k2)] = c
-    for exps, c in g.terms.items():
-        k1 = tuple(sorted(exps[:b], reverse=True))
-        k2 = tuple(sorted(exps[b:], reverse=True))
-        if reps.get((k1, k2), 0) != c:
-            raise AssertionError("image is not block-symmetric")
-    # convert each axis from monomial-symmetric to Schur coordinates
-    first: dict[tuple, dict] = {}
-    for (k1, k2), c in reps.items():
-        first.setdefault(k2, {})[tuple(x for x in k1 if x)] = c
-    mid: dict[tuple, int] = {}
-    for k2, coords in first.items():
-        for lam, c in pt.monomial_to_schur_coords(coords, b, modulus=p).items():
-            mid[(lam, k2)] = c
-    second: dict[tuple, dict] = {}
-    for (lam, k2), c in mid.items():
-        second.setdefault(lam, {})[tuple(x for x in k2 if x)] = c
-    out: dict[tuple, int] = {}
-    for lam, coords in second.items():
-        for mu, c in pt.monomial_to_schur_coords(coords, b, modulus=p).items():
-            out[(lam, mu)] = c
-    return out
+    coordinates: {(α', β'): coeff}.  The composite straightens to ε·π_λ
+    over both blocks (`partitions.swap_pushforward`), which the coproduct
+    splits back into the blocks."""
+    hit = pt.swap_pushforward(alpha, b, beta, b)
+    if hit is None:
+        return {}
+    sign, lam = hit
+    return {key: sign * c % p for key, c in split_blocks(lam, (b, b), p).items()}
 
 
 # --------------------------------------------------------------------------
@@ -928,14 +858,10 @@ def pairing_value(a: int, b: int, p: int, lam, mu):
     when |λ| + |μ| = ab, else raises."""
     if sum(lam) + sum(mu) != a * b:
         raise ValueError("pairing needs complementary total size ab")
-    m = a + b
-    f = _two_block_schur(tuple(lam), a, tuple(mu), b, p)
-    g = demazure_word(block_swap_word(a, b), f)
-    if g.is_zero():
+    hit = pt.swap_pushforward(tuple(lam), a, tuple(mu), b)
+    if hit is None or hit[1]:
         return 0
-    if set(g.terms) != {(0,) * m}:
-        raise AssertionError("pairing did not produce a scalar")
-    return g.terms[(0,) * m]
+    return hit[0] % p
 
 
 def nh_graded_dims(a: int, p: int, lo: int, hi: int) -> dict:

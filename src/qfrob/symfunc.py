@@ -323,17 +323,14 @@ def _content_complex(p, labels, twist, cap, max_rows):
 
 
 def sym_pcomplex(n: int, p: int, cap: int) -> PComplex:
-    """Sym_n truncated above degree cap, with the content differential."""
-    labels = [
-        lam
-        for m in range(0, cap // 2 + 1)
-        for lam in pt.partitions_of(m, max_rows=n)
-    ]
-    return _content_complex(p, labels, 0, cap, max_rows=n)
+    """Sym_n truncated above degree cap, with the content differential: the
+    twist S_n(0)."""
+    return twist_pcomplex(n, 0, p, cap)
 
 
 def twist_pcomplex(n: int, a: int, p: int, cap: int) -> PComplex:
-    """The rank-one twist S_n(a): contents shifted by a."""
+    """The rank-one twist S_n(a), truncated above degree cap: contents
+    shifted by a."""
     labels = [
         lam
         for m in range(0, cap // 2 + 1)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_oracle
+from qfrob import pcomplex
 from qfrob.pcomplex import (
     INF,
     PComplex,
@@ -221,6 +222,21 @@ class TestStrings:
             m = np.stack(cols, axis=1)
             assert dense_oracle.rank(m, 3) == len(local)
 
+    def test_stats_rank_only_powers_below_p(self, monkeypatch):
+        # once validate has passed, ∂^p and ∂^{p+1} are zero in every degree,
+        # so string_stats builds no image ∂^j(e_i) with j ≥ p
+        asked = []
+        real = pcomplex._Powers.images
+
+        def spy(self, d, j):
+            asked.append((self.c.p, j))
+            return real(self, d, j)
+
+        monkeypatch.setattr(pcomplex._Powers, "images", spy)
+        for c in (sym_pcomplex(2, 3, 16), twist_pcomplex(3, 1, 2, 12), vab_pcomplex(1, 2, 2)):
+            c.string_stats()
+        assert asked and all(j < p for p, j in asked)
+
     def test_bookkeeping_identity(self):
         c = scramble(string_complex(3, [(0, 3), (0, 2), (2, 1), (2, 3)]), seed=3)
         sl = c.slash_cohomology()
@@ -241,7 +257,9 @@ class TestTensor:
         one = PComplex(3, ["1"], [0], {}, cap=INF)
         b = string_complex(3, [(0, 2), (2, 3)])
         t = tensor(one, b)
-        assert t.hilbert().dims == b.hilbert().dims
+        assert {d: len(t.indices_at(d)) for d in t.support_degrees()} == {
+            d: len(b.indices_at(d)) for d in b.support_degrees()
+        }
         assert sorted(s.length for s in t.string_decompose()) == [2, 3]
 
     def test_string_times_unit(self):
@@ -315,11 +333,12 @@ class TestTensor:
 class TestHilbert:
     def test_empty(self):
         c = PComplex(3, [], [], {}, cap=20)
-        assert c.hilbert().dims == {}
+        assert c.support_degrees() == []
+        assert c.slash_cohomology().hilbert().dims == {}
 
     def test_sym2_window8(self):
-        h = sym_pcomplex(2, 3, 8).hilbert()
-        assert [h[d] for d in (0, 2, 4, 6, 8)] == [1, 1, 2, 2, 3]
+        c = sym_pcomplex(2, 3, 8)
+        assert [len(c.indices_at(d)) for d in (0, 2, 4, 6, 8)] == [1, 1, 2, 2, 3]
 
     def test_symp_slash_hilbert(self):
         for p in (2, 3):
@@ -330,9 +349,12 @@ class TestHilbert:
                 assert h[d] == expect
 
     def test_window_enforced(self):
-        h = sym_pcomplex(2, 3, 8).hilbert()
-        with pytest.raises(KeyError):
-            h[10]
+        # the valid window of cap 8 at p = 3 ends at 8 − 2(p − 1) = 4
+        h = sym_pcomplex(2, 3, 8).slash_cohomology().hilbert()
+        assert h.window == (0, 4)
+        for d in (6, 10):
+            with pytest.raises(KeyError):
+                h[d]
 
 
 class TestTruncationBoundary:

@@ -1,17 +1,16 @@
 import pytest
 
+import demazure_oracle
+from demazure_oracle import block_swap_word, demazure_word
 from qfrob import partitions as pt
 from qfrob import pdgmod
 from qfrob.cyclotomic import qbinom
 from qfrob.pdgmod import (
-    PAIRING_SIGN,
     BlockOp,
     EndAlgebra,
     PolElem,
     PolWindow,
-    block_swap_word,
     demazure,
-    demazure_word,
     end_algebra,
     end_formality_check,
     grass_rank_ok,
@@ -271,7 +270,6 @@ class TestBlockSwap:
 
     def test_pairing_sign_derivation(self):
         # (a, b) = (1, 1): ∂_1(x_1) = 1, ∂_1(x_2) = −1: the global sign is +1
-        assert PAIRING_SIGN == 1
         assert pairing_value(1, 1, 3, (1,), ()) == 1
         assert pairing_value(1, 1, 3, (), (1,)) % 3 == 3 - 1
 
@@ -284,10 +282,47 @@ class TestBlockSwap:
                     continue
                 val = pairing_value(a, b, p, lam, mu) % p
                 hat = pt.complement(lam, a, b)
-                expect = (
-                    PAIRING_SIGN * (-1) ** sum(mu)
-                ) % p if mu == hat else 0
+                expect = (-1) ** sum(mu) % p if mu == hat else 0
                 assert val == expect, (lam, mu)
+
+
+class TestCrossingRule:
+    """The straightening rule against the monomial round trip."""
+
+    def test_pair_crossing_matches_oracle(self):
+        seen = nonzero = 0
+        for b in (1, 2, 3):
+            parts = [lam for m in range(7) for lam in pt.partitions_of(m, max_rows=b)]
+            for p in (2, 3, 5):
+                for alpha in parts:
+                    for beta in parts:
+                        got = pdgmod._pair_crossing(alpha, beta, b, p)
+                        assert got == demazure_oracle.pair_crossing(alpha, beta, b, p), (
+                            alpha, beta, b, p,
+                        )
+                        seen += 1
+                        nonzero += bool(got)
+        assert (seen, nonzero) == (2502, 582)
+
+    def test_pairing_matches_oracle(self):
+        seen = 0
+        for a in (1, 2, 3):
+            for b in (1, 2, 3):
+                for p in (2, 3, 5):
+                    for lam in pt.partitions_in_box(a, b):
+                        for mu in pt.partitions_in_box(b, a):
+                            if sum(lam) + sum(mu) != a * b:
+                                continue
+                            assert pairing_value(a, b, p, lam, mu) == (
+                                demazure_oracle.pairing_value(a, b, p, lam, mu)
+                            ), (a, b, p, lam, mu)
+                            seen += 1
+        assert seen == 312
+
+    def test_too_many_rows_is_zero(self):
+        assert pt.swap_pushforward((1, 1, 1), 2, (), 2) is None
+        assert pt.swap_pushforward((), 2, (2, 1, 1), 2) is None
+        assert pdgmod._pair_crossing((1, 1, 1), (), 2, 3) == {}
 
 
 class TestEndAlgebra:

@@ -42,7 +42,7 @@ def _wrong_binomial_rejections(monkeypatch) -> int:
 
     def wrong(tag, p, m, k):
         c = real(tag, p, m, k)
-        return c + LaurentPoly.v_power(5) if (tag, m, k) == ("generic", 2, 1) else c
+        return c + LaurentPoly({5: 1}) if (tag, m, k) == ("generic", 2, 1) else c
 
     # nothing downstream caches ring binomials, so replacing the
     # function is all it takes
@@ -163,7 +163,7 @@ class TestCommutationOracle:
 
         def wrong(m, k):
             c = real(m, k)
-            return c + LaurentPoly.v_power(5) if (m, k) == (1, 1) else c
+            return c + LaurentPoly({5: 1}) if (m, k) == (1, 1) else c
 
         monkeypatch.setattr(qgroup, "qbinom_int", wrong)
         for A in range(4):
@@ -200,7 +200,7 @@ class TestPackedComparison:
         # at K = 8 the constant 256 and v both pack to 2^8; the bound
         # 256 + 1 ≥ 2^7 refuses to call them equal, and at K = 16 they differ
         monkeypatch.setattr(qgroup, "_START_WIDTH", 8)
-        c, v = LaurentPoly.from_int(256), LaurentPoly.v_power(1)
+        c, v = LaurentPoly.from_int(256), LaurentPoly({1: 1})
         P, lo, _ = qgroup._pack(c, 8)
         Q, mo, _ = qgroup._pack(v, 8)
         assert P << (8 * lo) == Q << (8 * mo) == 256

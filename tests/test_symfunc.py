@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import demazure_oracle
 import dense_oracle
 from qfrob import partitions as pt
 from qfrob.symfunc import (
@@ -26,7 +27,7 @@ def to_monomials(f: SchurPoly, nvars):
     for lam, c in f.terms.items():
         if len(lam) > nvars:
             continue
-        for e, k in pt.schur_monomials(lam, nvars).items():
+        for e, k in demazure_oracle.schur_monomials(lam, nvars).items():
             out[e] = (out.get(e, 0) + c * k) % f.p
     return {k: v for k, v in out.items() if v}
 
