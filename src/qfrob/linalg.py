@@ -10,8 +10,9 @@ built
   `pcomplex` (the matrices of ∂^j there are well under 1 % nonzero), and
 * `SparseSpan`, the only solve: coordinates of a vector over a fixed list
   of vectors, or None when it is not in their span.  It serves the
-  free-module expansions and string-slot coordinates of `pdgmod` and the
-  coboundary membership tests of the lima, theta0 and thick checks.
+  two-block merges of the free-module expansion and the string-slot
+  coordinates of `pdgmod`, and the coboundary membership tests of the
+  lima, theta0 and thick checks.
 
 The row operations take the first usable pivot scanning keys in increasing
 order, so kernels and chosen basis extensions are fully

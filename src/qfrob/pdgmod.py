@@ -23,17 +23,20 @@ The module has three layers.
     single-box neighbours with coefficient (content − prefix size), and
     boxes leaving the index rectangle carry coefficient exactly 0.  The
     blocks (a, b) give the Grassmannian module S_{a,b}, of graded rank
-    [a+b, b] over Sym_{a+b} (`grass_rank_ok`).
+    [a+b, b] over Sym_{a+b} (`grass_rank_ok`).  The free basis is a tower
+    of these: the labels P(b_i, A) of block i, A = b_1+..+b_{i−1}, are the
+    Grassmannian basis of Sym_A ⊗ Sym_{b_i} over Sym_{A+b_i}.
 
 3.  Endomorphism algebras END_{Sym_N}(module), whose elements are
     block-local operators (`BlockOp`): rules on block coordinates that are
     composed and compared on the free basis, with differential the
-    commutator with the module differential.  Expanded over the free basis,
-    END is the tensor product of truncated Sym_N with the finite complex
-    V ⊗ V^* (V the free basis with the scalar module differential), which
-    keeps slash cohomology and coboundary-membership computations small:
-    both are done through exact string decompositions of the tensor
-    factors.
+    commutator with the module differential.  Module elements are expanded
+    over the free basis by following its tower, merging one block into the
+    blocks before it at a time (`EndAlgebra.expand`).  Expanded so, END is
+    the tensor product of truncated Sym_N with the finite complex V ⊗ V^*
+    (V the free basis with the scalar module differential), which keeps
+    slash cohomology and coboundary-membership computations small: both
+    are done through exact string decompositions of the tensor factors.
 
 Thick crossings are the Demazure composites ∂_w of the minimal-length
 block-interchange permutation w.  On a product of Schur polynomials of the
@@ -465,7 +468,12 @@ class EndAlgebra:
                 raise AssertionError("escaping box with nonzero coefficient")
             if img:
                 self.D[j] = {self.pos[t]: c for t, c in img.items()}
-        self._expansion = _Coordinates(p, self._expansion_basis, "free module expansion")
+        self._merges = [
+            _Coordinates(
+                p, functools.partial(_merge_basis, a, b, p), f"merge basis {a, b}"
+            )
+            for a, b in zip(prefixes[1:], self.blocks[1:])
+        ]
         self._scalar_strings = None
         self._u_coords = _Coordinates(
             p, lambda d: _slot_basis(self._u_strings(), d), "V⊗V^* string slots"
@@ -474,81 +482,34 @@ class EndAlgebra:
 
     # ---- expansion of module elements over the free basis ----
 
-    def _poly_degree_tuples(self, pd):
-        """All block-partition tuples of total size pd/2."""
-        out = []
-        sizes = pd // 2
-
-        def rec(bi, left, prefix):
-            if bi == len(self.blocks):
-                if left == 0:
-                    out.append(tuple(prefix))
-                return
-            for m in range(left + 1):
-                for lam in pt.partitions_of(m, max_rows=self.blocks[bi]):
-                    prefix.append(lam)
-                    rec(bi + 1, left - m, prefix)
-                    prefix.pop()
-
-        rec(0, sizes, [])
-        return sorted(out)
-
-    def _expansion_basis(self, pd):
-        """The products π_ν · basis_j of polynomial degree pd, labelled
-        (j, ν), which must form a basis of the block coordinates of that
-        degree."""
-        cols = []
-        col_vecs = []
-        for j, t in enumerate(self.basis):
-            rest = pd - 2 * sum(sum(l) for l in t)
-            if rest < 0 or rest % 2:
-                continue
-            for nu in pt.partitions_of(rest // 2, max_rows=self.nvars):
-                cols.append((j, nu))
-                col_vecs.append(self._basis_times_sym(j, nu))
-        return cols, col_vecs, len(self._poly_degree_tuples(pd))
-
-    def _basis_times_sym(self, j, nu):
-        """Block coordinates of π_ν(all variables) · basis_j."""
-        p = self.p
-        t = self.basis[j]
-        out: dict[tuple, int] = {}
-        for parts, c in split_blocks(nu, self.blocks, p).items():
-            combos = [((), 1)]
-            for bi in range(len(self.blocks)):
-                prod = pt.lr_expand(parts[bi], t[bi])
-                nxt = []
-                for tup, cc in combos:
-                    for kappa, k in prod.items():
-                        if len(kappa) > self.blocks[bi] or not k % p:
-                            continue
-                        nxt.append((tup + (kappa,), (cc * k) % p))
-                combos = nxt
-            for tup, cc in combos:
-                val = (out.get(tup, 0) + c * cc) % p
-                if val:
-                    out[tup] = val
-                elif tup in out:
-                    del out[tup]
-        return out
-
     def expand(self, elem: dict) -> dict:
         """Free-basis coordinates of a module element in block coordinates.
 
         elem: {tuple of per-block partitions: coeff}; returns
-        {basis index: SchurPoly over Sym_N}.
+        {basis index: SchurPoly over Sym_N}.  The free basis is a tower:
+        with A = b_1+..+b_{k−1}, the labels P(b_k, A) of block k are the
+        Grassmannian basis of Sym_A ⊗ Sym_{b_k} over Sym_{A+b_k}.  So the
+        blocks are merged into the first one at a time, each merge solved
+        in the two-block module (A, b_k) of `_merge_basis`, and what is
+        left after the last merge is the coefficient over Sym_N.
         """
-        by_pd: dict[int, dict] = {}
-        for t, c in elem.items():
-            pd = 2 * sum(sum(l) for l in t)
-            by_pd.setdefault(pd, {})[t] = c % self.p
+        p = self.p
+        # (merged partition, blocks not yet merged, labels so far): coeff
+        state = {(t[0], t[1:], ()): c % p for t, c in elem.items() if c % p}
+        for coords in self._merges:
+            groups: dict[tuple, dict] = {}
+            for (nu, rest, labels), c in state.items():
+                key = (rest[1:], labels, sum(nu) + sum(rest[0]))
+                groups.setdefault(key, {})[(nu, rest[0])] = c
+            state = {
+                (mu, rest, labels + (t,)): c
+                for (rest, labels, d), vec in groups.items()
+                for (t, mu), c in coords(d, vec).items()
+            }
         out: dict[int, dict] = {}
-        for pd, part in by_pd.items():
-            for (j, nu), c in self._expansion(pd, part).items():
-                out.setdefault(j, {})[nu] = c
-        return {
-            j: SchurPoly(self.p, coeffs, self.nvars) for j, coeffs in out.items()
-        }
+        for (nu, _, labels), c in state.items():
+            out.setdefault(self.pos[((),) + labels], {})[nu] = c
+        return {j: SchurPoly(p, coeffs, self.nvars) for j, coeffs in out.items()}
 
     # ---- dots, crossings and the differential, as local operators ----
 
@@ -760,6 +721,28 @@ def _slot_basis(strings, d):
                 labels.append((si, t))
                 vectors.append(vec)
     return labels, vectors, len(set().union(*vectors))
+
+
+def _merge_basis(a, b, p, d):
+    """The Grassmannian basis of Sym_a ⊗ Sym_b over Sym_{a+b} in total
+    size d, for `_Coordinates`: columns π_μ(all a+b variables)·π_t(second
+    block), t ∈ P(b, a), labelled (t, μ), on pair-Schur keys (α, β)."""
+    labels = []
+    vectors = []
+    for t in _box_labels(b, a):
+        for mu in pt.partitions_of(d - sum(t), max_rows=a + b):
+            vec: dict[tuple, int] = {}
+            for (al, be), c in split_blocks(mu, (a, b), p).items():
+                for kappa, k in pt.lr_expand(be, t).items():
+                    if len(kappa) <= b:
+                        vec[(al, kappa)] = (vec.get((al, kappa), 0) + c * k) % p
+            labels.append((t, mu))
+            vectors.append({key: c for key, c in vec.items() if c})
+    dim = sum(
+        len(pt.partitions_of(m, max_rows=a)) * len(pt.partitions_of(d - m, max_rows=b))
+        for m in range(d + 1)
+    )
+    return labels, vectors, dim
 
 
 class _Coordinates:

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 import demazure_oracle
+import expansion_oracle
 from demazure_oracle import block_swap_word, demazure_word
 from qfrob import partitions as pt
 from qfrob import pdgmod
@@ -382,10 +385,81 @@ class TestEndAlgebra:
     def test_expand_roundtrip(self):
         alg = end_algebra(2, 2, 2)
         # an element equal to e_1(all)·basis_0 expands with coefficient e_1
-        coords = alg._basis_times_sym(0, (1,))
+        coords = expansion_oracle.basis_times_sym(alg, 0, (1,))
         out = alg.expand(coords)
         assert list(out) == [0]
         assert out[0] == SchurPoly(2, {(1,): 1}, 4)
+
+
+def _slide_defects(alg, a):
+    """Both dot-slide defects at each crossing of the thick check."""
+    ident = alg.op_identity()
+    out = []
+    for k in range(1, a):
+        c, d1, d2 = alg.op_crossing(k), alg.op_dot(k), alg.op_dot(k + 1)
+        out.append(d1.compose(c) - c.compose(d2) - ident)
+        out.append(c.compose(d1) - d2.compose(c) - ident)
+    return out
+
+
+def _random_element(alg, rng):
+    """A few block-coordinate terms, at most 3 boxes per block."""
+    return {
+        tuple(
+            rng.choice(pt.partitions_of(rng.randint(0, 3), max_rows=b))
+            for b in alg.blocks
+        ): rng.randrange(1, alg.p)
+        for _ in range(rng.randint(1, 6))
+    }
+
+
+class TestExpansionTower:
+    """`EndAlgebra.expand` merges one block at a time; the all-columns
+    solve of `expansion_oracle` must give the same coordinates."""
+
+    def test_slide_defects_match_oracle(self):
+        seen = 0
+        for a, p in ((2, 2), (3, 2), (2, 3)):
+            alg = pdgmod._end_algebra_cached((p,) * a, p)
+            for x in _slide_defects(alg, a):
+                for img in x.images():
+                    assert alg.expand(img) == expansion_oracle.expand(alg, img)
+                    seen += 1
+        assert seen == 412
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize(
+        "blocks",
+        [(1, 1), (1, 2), (2, 1), (1, 1, 1), (1, 2, 1), (2, 1, 2), (1, 1, 1, 1),
+         (2, 3), (3, 1, 1)],
+    )
+    def test_random_elements_match_oracle(self, blocks, p):
+        alg = pdgmod._end_algebra_cached(blocks, p)
+        rng = random.Random(str((blocks, p)))
+        for _ in range(15):
+            elem = _random_element(alg, rng)
+            assert alg.expand(elem) == expansion_oracle.expand(alg, elem), elem
+
+    def test_builds_few_columns(self, monkeypatch):
+        # every slide defect at blocks (2, 2, 2), p = 2, expands within
+        # 1,000 columns; one solve over all columns of a degree needs 3,905
+        built = []
+        real = pdgmod._Coordinates.__init__
+
+        def spy(self, p, basis_at, what):
+            def counted(d):
+                labels, vectors, dim = basis_at(d)
+                built.append(len(labels))
+                return labels, vectors, dim
+
+            real(self, p, counted, what)
+
+        monkeypatch.setattr(pdgmod._Coordinates, "__init__", spy)
+        alg = EndAlgebra((2, 2, 2), 2)
+        for x in _slide_defects(alg, 3):
+            for img in x.images():
+                alg.expand(img)
+        assert built and sum(built) <= 1000
 
 
 class TestThetaPlus:
