@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass, field
 from importlib import resources
 from math import comb, factorial, isqrt
+from pathlib import Path
 
 from . import pdgmod, qgroup, symfunc
 from .cyclotomic import binom_reduction_check, qbinom, to_op, varrho
@@ -481,12 +482,15 @@ def _parse_check_args(name, tokens):
 def default_specs(config_path=None):
     """Parse the pinned parameter file into CheckSpecs.
 
-    Raises UsageError naming the line of the first invalid check.
+    Raises UsageError on an unreadable file, a file with no check or a bad line.
     """
     if config_path is None:
         config_path = os.environ.get("QFROB_CONFIG")
     if config_path:
-        text = open(config_path).read()
+        try:
+            text = Path(config_path).read_text()
+        except OSError as exc:
+            raise UsageError(f"config {config_path}: {exc.strerror}") from None
     else:
         text = resources.files("qfrob").joinpath("defaults.cfg").read_text()
     specs = []
@@ -499,6 +503,8 @@ def default_specs(config_path=None):
             specs.append(_parse_check_args(tokens[0], tokens[1:]))
         except UsageError as exc:
             raise UsageError(f"config line {lineno}: {exc}") from None
+    if not specs:
+        raise UsageError(f"config {config_path or 'defaults.cfg'} holds no check")
     return specs
 
 

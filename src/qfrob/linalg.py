@@ -10,9 +10,8 @@ built
   `pcomplex` (the matrices of ∂^j there are well under 1 % nonzero), and
 * `SparseSpan`, the only solve: coordinates of a vector over a fixed list
   of vectors, or None when it is not in their span.  It serves the
-  two-block merges of the free-module expansion and the string-slot
-  coordinates of `pdgmod`, and the coboundary membership tests of the
-  lima, theta0 and thick checks.
+  string-slot coordinates of `pdgmod` and the coboundary membership tests
+  of the lima, theta0 and thick checks.
 
 The row operations take the first usable pivot scanning keys in increasing
 order, so kernels and chosen basis extensions are fully
@@ -184,7 +183,7 @@ class SparseSpan:
     keys, and what is left on the tags is minus its coordinates.  Keys are
     numbered by `_peel_order` first; any numbering gives the same span and
     coordinates, and this one eliminates inputs that are triangular up to a
-    permutation (the free-module expansions of `pdgmod`) without fill.
+    permutation without fill.
     """
 
     def __init__(self, vectors, p: int):

@@ -31,12 +31,12 @@ The module has three layers.
     block-local operators (`BlockOp`): rules on block coordinates that are
     composed and compared on the free basis, with differential the
     commutator with the module differential.  Module elements are expanded
-    over the free basis by following its tower, merging one block into the
-    blocks before it at a time (`EndAlgebra.expand`).  Expanded so, END is
-    the tensor product of truncated Sym_N with the finite complex V ⊗ V^*
-    (V the free basis with the scalar module differential), which keeps
-    slash cohomology and coboundary-membership computations small: both
-    are done through exact string decompositions of the tensor factors.
+    over the free basis block by block, by Grassmannian duality
+    (`EndAlgebra.expand`).  Expanded so, END is the tensor product of
+    truncated Sym_N with the finite complex V ⊗ V^* (V the free basis with
+    the scalar module differential), which keeps slash cohomology and
+    coboundary-membership computations small: both are done through exact
+    string decompositions of the tensor factors.
 
 Thick crossings are the Demazure composites ∂_w of the minimal-length
 block-interchange permutation w.  On a product of Schur polynomials of the
@@ -333,11 +333,6 @@ def nh_acyclicity_check(p: int):
     return all(not per for per in dims.values()), dims, valid_cap
 
 
-@functools.cache
-def _box_labels(rows: int, cols: int):
-    return pt.partitions_in_box(rows, cols)
-
-
 def grass_rank_ok(a: int, b: int, p: int) -> bool:
     """The graded rank of S_{a,b} = Sym_a ⊗ Sym_b · v over Sym_{a+b},
     ∂(v) = −a e_1(x') v, equals the Gaussian binomial [a+b, b].
@@ -443,7 +438,7 @@ class EndAlgebra:
         self.nvars = sum(blocks)
         prefixes = [sum(blocks[:i]) for i in range(len(blocks))]
         per_block = [
-            _box_labels(b, pre) for b, pre in zip(self.blocks, prefixes)
+            pt.partitions_in_box(b, pre) for b, pre in zip(self.blocks, prefixes)
         ]
         size = math.prod(len(x) for x in per_block)
         if size > self.SIZE_GUARD:
@@ -468,12 +463,6 @@ class EndAlgebra:
                 raise AssertionError("escaping box with nonzero coefficient")
             if img:
                 self.D[j] = {self.pos[t]: c for t, c in img.items()}
-        self._merges = [
-            _Coordinates(
-                p, functools.partial(_merge_basis, a, b, p), f"merge basis {a, b}"
-            )
-            for a, b in zip(prefixes[1:], self.blocks[1:])
-        ]
         self._scalar_strings = None
         self._u_coords = _Coordinates(
             p, lambda d: _slot_basis(self._u_strings(), d), "V⊗V^* string slots"
@@ -486,26 +475,19 @@ class EndAlgebra:
         """Free-basis coordinates of a module element in block coordinates.
 
         elem: {tuple of per-block partitions: coeff}; returns
-        {basis index: SchurPoly over Sym_N}.  The free basis is a tower:
-        with A = b_1+..+b_{k−1}, the labels P(b_k, A) of block k are the
-        Grassmannian basis of Sym_A ⊗ Sym_{b_k} over Sym_{A+b_k}.  So the
-        blocks are merged into the first one at a time, each merge solved
-        in the two-block module (A, b_k) of `_merge_basis`, and what is
-        left after the last merge is the coefficient over Sym_N.
+        {basis index: SchurPoly over Sym_N}.  Blocks 2, 3, ... are merged
+        in turn into the blocks before them (`_merge_term`).
         """
         p = self.p
         # (merged partition, blocks not yet merged, labels so far): coeff
         state = {(t[0], t[1:], ()): c % p for t, c in elem.items() if c % p}
-        for coords in self._merges:
-            groups: dict[tuple, dict] = {}
-            for (nu, rest, labels), c in state.items():
-                key = (rest[1:], labels, sum(nu) + sum(rest[0]))
-                groups.setdefault(key, {})[(nu, rest[0])] = c
-            state = {
-                (mu, rest, labels + (t,)): c
-                for (rest, labels, d), vec in groups.items()
-                for (t, mu), c in coords(d, vec).items()
-            }
+        for a, b in zip(itertools.accumulate(self.blocks), self.blocks[1:]):
+            nxt: dict[tuple, int] = {}
+            for (nu, rest, labels), c0 in state.items():
+                for (t, mu), c in _merge_term(nu, rest[0], a, b, p).items():
+                    key = (mu, rest[1:], labels + (t,))
+                    nxt[key] = (nxt.get(key, 0) + c0 * c) % p
+            state = {key: c for key, c in nxt.items() if c}
         out: dict[int, dict] = {}
         for (nu, _, labels), c in state.items():
             out.setdefault(self.pos[((),) + labels], {})[nu] = c
@@ -723,26 +705,39 @@ def _slot_basis(strings, d):
     return labels, vectors, len(set().union(*vectors))
 
 
-def _merge_basis(a, b, p, d):
-    """The Grassmannian basis of Sym_a ⊗ Sym_b over Sym_{a+b} in total
-    size d, for `_Coordinates`: columns π_μ(all a+b variables)·π_t(second
-    block), t ∈ P(b, a), labelled (t, μ), on pair-Schur keys (α, β)."""
-    labels = []
-    vectors = []
-    for t in _box_labels(b, a):
-        for mu in pt.partitions_of(d - sum(t), max_rows=a + b):
-            vec: dict[tuple, int] = {}
-            for (al, be), c in split_blocks(mu, (a, b), p).items():
-                for kappa, k in pt.lr_expand(be, t).items():
-                    if len(kappa) <= b:
-                        vec[(al, kappa)] = (vec.get((al, kappa), 0) + c * k) % p
-            labels.append((t, mu))
-            vectors.append({key: c for key, c in vec.items() if c})
-    dim = sum(
-        len(pt.partitions_of(m, max_rows=a)) * len(pt.partitions_of(d - m, max_rows=b))
-        for m in range(d + 1)
-    )
-    return labels, vectors, dim
+@functools.cache
+def _duals(a, b, p):
+    """{t: (t̂, ε_t)} for t ∈ P(b, a): the pairing ∂_w(π_s(x)·π_t(x′)) of
+    Sym_a ⊗ Sym_b over Sym_{a+b}, s ∈ P(a, b), is ε_t ≠ 0 at the complement
+    s = t̂ and 0 at every other s; raises unless the table says so."""
+    out = {}
+    for t in pt.partitions_in_box(b, a):
+        t_hat = pt.complement(t, b, a)
+        dual = [s for s in pt.partitions_in_box(a, b) if sum(s) + sum(t) == a * b]
+        row = {s: pairing_value(a, b, p, s, t) for s in dual}
+        if {s for s, eps in row.items() if eps} != {t_hat}:
+            raise AssertionError(f"pairing {a, b} against {t} is {row}: no dual basis")
+        out[t] = (t_hat, row[t_hat])
+    return out
+
+
+@functools.cache
+def _merge_term(nu, beta, a, b, p):
+    """f = π_ν(x)·π_β(x′) (x the first a, x′ the last b variables) over the
+    Grassmannian basis π_t(x′), t ∈ P(b, a), of Sym_a ⊗ Sym_b over
+    Sym_{a+b}, as {(t, μ): c} for Σ c·π_μ(x, x′)·π_t(x′).  By `_duals` the
+    coefficient of π_t(x′) is ε_t^{−1}·∂_w(f·π_{t̂}(x)), 0 for |t| > |f|:
+    one Littlewood-Richardson product and one straightening per term."""
+    out: dict[tuple, int] = {}
+    for t, (t_hat, eps) in _duals(a, b, p).items():
+        if sum(t) > sum(nu) + sum(beta):
+            continue
+        for kappa, k in pt.lr_expand(nu, t_hat).items():
+            hit = pt.swap_pushforward(kappa, a, beta, b)  # None past a rows
+            if hit:
+                key = (t, hit[1])
+                out[key] = (out.get(key, 0) + pow(eps, -1, p) * k * hit[0]) % p
+    return {key: c for key, c in out.items() if c}
 
 
 class _Coordinates:

@@ -1,6 +1,8 @@
+import gc
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -226,6 +228,38 @@ class TestConfig:
             main(["report-all", "--config", str(cfg)])
         assert exc.value.code == 2
         assert "config line 2" in capsys.readouterr().err
+
+    def test_empty_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "own.cfg"
+        cfg.write_text("# only a comment\n\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["report-all", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "holds no check" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spelling", ["flag", "env"])
+    def test_unreadable_config_is_usage_error(
+        self, spelling, tmp_path, capsys, monkeypatch
+    ):
+        missing = str(tmp_path / "missing.cfg")
+        argv = ["report-all"]
+        if spelling == "flag":
+            argv += ["--config", missing]
+        else:
+            monkeypatch.setenv("QFROB_CONFIG", missing)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert missing in capsys.readouterr().err
+
+    def test_config_file_is_closed(self, tmp_path):
+        cfg = tmp_path / "own.cfg"
+        cfg.write_text("verify-binom --p 2 --max 1\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            default_specs(str(cfg))
+            gc.collect()
+        assert not [w for w in caught if w.category is ResourceWarning]
 
     def test_failing_config_exit_one(self, tmp_path, capsys, monkeypatch):
         def crash(p, maxab):
