@@ -8,10 +8,11 @@ in qfrob adds a box with coefficient content + twist.  Littlewood-Richardson
 coefficients come from one search, the ballot-pruned filling of LR skew
 tableaux: `lr_restrict` counts the tableaux of shape lam/mu by content, and
 `lr_expand` reads c^lam_{mu,nu} off the tableaux of shape lam/mu with
-content nu for every candidate shape lam.  Both are exact over Z and cached,
-so characteristic-p callers reduce mod p after lookup.  `swap_pushforward`
-straightens the block-swap Demazure composite on a product of two Schur
-polynomials into one signed Schur polynomial.
+content nu for every candidate shape lam, or only those with at most a
+given number of rows, the product in that many variables.  Both are exact
+over Z and cached, so characteristic-p callers reduce mod p after lookup.
+`swap_pushforward` straightens the block-swap Demazure composite on a
+product of two Schur polynomials into one signed Schur polynomial.
 """
 
 from __future__ import annotations
@@ -165,11 +166,15 @@ def complement(mu: Partition, rows: int, cols: int) -> Partition:
     return transpose(tuple(x for x in comp_t if x > 0))
 
 
-def _lr_shapes(mu: Partition, nu: Partition):
+def _lr_shapes(mu: Partition, nu: Partition, max_rows=None):
     """The shapes lam that can carry c^lam_{mu,nu} ≠ 0: lam ⊇ mu ∪ nu,
     |lam| = |mu| + |nu|, lam_i ≤ mu_i + nu_1 and at most len(mu) + len(nu)
-    rows."""
+    rows, or max_rows when that is fewer."""
     rows = len(mu) + len(nu)
+    if max_rows is not None:
+        if max(len(mu), len(nu)) > max_rows:
+            return []  # lam ⊇ mu ∪ nu has more rows than that
+        rows = min(rows, max_rows)
     mu_r = list(mu) + [0] * len(nu)
     nu_r = list(nu) + [0] * len(mu)
     lo = [max(m, n) for m, n in zip(mu_r, nu_r)]
@@ -236,17 +241,19 @@ def _lr_tableaux(lam: Partition, mu: Partition, most) -> dict:
 
 
 @functools.cache
-def lr_expand(mu: Partition, nu: Partition) -> dict:
-    """Littlewood-Richardson expansion of the product s_mu · s_nu over Z.
+def lr_expand(mu: Partition, nu: Partition, max_rows=None) -> dict:
+    """Littlewood-Richardson expansion of the product s_mu · s_nu over Z,
+    keeping only the shapes with at most max_rows rows when it is given
+    (the product in Sym_{max_rows}).
 
     Reads c^lam_{mu,nu} for every candidate shape lam from the LR skew
     tableaux of shape lam/mu with content nu (the smaller of the two
-    partitions).
+    partitions); the row bound applies before any tableau is counted.
     """
     if sum(mu) < sum(nu):
         mu, nu = nu, mu
     out: dict[Partition, int] = {}
-    for lam in _lr_shapes(mu, nu):
+    for lam in _lr_shapes(mu, nu, max_rows):
         c = _lr_tableaux(lam, mu, nu).get(nu)
         if c:
             out[lam] = c

@@ -13,7 +13,9 @@ A p-complex here is a graded F_p-vector space U with a homogeneous operator
     ranks of ∂^j give without explicit vectors, and representatives read
     off the explicit strings only when they are asked for;
   * tensor products with the Leibniz differential (no signs: all degrees
-    are even);
+    are even), and the tensor J_{l1} ⊗ ... ⊗ J_{lk} of abstract strings
+    (`j_tensor`), the summand that a tensor of complexes restricts to on a
+    tuple of their strings;
   * string *statistics* and their tensor calculus, which let tensor
     products of large complexes be decomposed exactly without forming the
     product space.
@@ -26,6 +28,7 @@ package never cut from below, so no lower margin is needed.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -40,8 +43,7 @@ __all__ = [
     "tensor",
     "tensor_stats",
     "slash_dims_from_stats",
-    "tensor_strings",
-    "jj_complex",
+    "j_tensor",
 ]
 
 INF = math.inf
@@ -388,27 +390,25 @@ def _string_tensor_table(l1: int, l2: int, p: int):
     """Exact decomposition of J_{l1} ⊗ J_{l2} over F_p[∂]/∂^p: a tuple of
     ((head degree offset, length), multiplicity), heads relative to the sum
     of the two head degrees."""
-    table: dict[tuple, int] = {}
-    for head, length, _ in _jj_strings(l1, l2, p):
-        table[(head, length)] = table.get((head, length), 0) + 1
-    return tuple(sorted(table.items()))
+    return tuple(sorted(j_tensor((l1, l2), p).string_stats().counts.items()))
 
 
-def jj_complex(l1: int, l2: int, p: int) -> PComplex:
-    """The tensor of two abstract strings, heads in degree 0."""
-    labels = [(s, t) for s in range(l1) for t in range(l2)]
-    degrees = [2 * (s + t) for s, t in labels]
-    pos = {st: k for k, st in enumerate(labels)}
+def j_tensor(lengths, p: int) -> PComplex:
+    """The tensor J_{l_1} ⊗ ... ⊗ J_{l_k} of abstract strings, heads in
+    degree 0: basis the slot tuples (s_1, ..., s_k), s_i < l_i, and ∂ the
+    sum over i of raising s_i by one, each with coefficient 1."""
+    labels = list(itertools.product(*(range(l) for l in lengths)))
+    pos = {s: k for k, s in enumerate(labels)}
     diff = {}
-    for k, (s, t) in enumerate(labels):
-        row = {}
-        if s + 1 < l1:
-            row[pos[(s + 1, t)]] = 1
-        if t + 1 < l2:
-            row[pos[(s, t + 1)]] = 1
+    for k, s in enumerate(labels):
+        row = {
+            pos[s[:i] + (t + 1,) + s[i + 1 :]]: 1
+            for i, t in enumerate(s)
+            if t + 1 < lengths[i]
+        }
         if row:
             diff[k] = row
-    return PComplex(p, labels, degrees, diff, cap=INF)
+    return PComplex(p, labels, [2 * sum(s) for s in labels], diff, cap=INF)
 
 
 def tensor_stats(s1: StringStats, s2: StringStats, p: int) -> StringStats:
@@ -446,47 +446,3 @@ def slash_dims_from_stats(stats: StringStats, p: int):
         for k, d, _ in _string_classes(h, l, p, hi):
             out[k][d] = out[k].get(d, 0) + m
     return out
-
-
-def tensor_strings(strings1, strings2, p, index_of):
-    """Explicit strings of a tensor complex from explicit factor strings.
-
-    index_of(i1, i2) must give the basis index of basis1_i1 ⊗ basis2_i2 in
-    the product complex.  Works pair by pair through the memoized abstract
-    decomposition of J_{l1} ⊗ J_{l2}, so no large elimination is needed.
-    """
-    out = []
-    for s1 in strings1:
-        for s2 in strings2:
-            abstract = _jj_strings(s1.length, s2.length, p)
-            for head_off, length, slots in abstract:
-                mapped = []
-                for slot in slots:
-                    vec: dict[int, int] = {}
-                    for (a, b), c in slot.items():
-                        for i1, c1 in s1.slots[a].items():
-                            for i2, c2 in s2.slots[b].items():
-                                k = index_of(i1, i2)
-                                val = (vec.get(k, 0) + c * c1 * c2) % p
-                                if val:
-                                    vec[k] = val
-                                elif k in vec:
-                                    del vec[k]
-                    mapped.append(vec)
-                out.append(
-                    StringBasis(s1.head_degree + s2.head_degree + head_off, length, mapped)
-                )
-    return out
-
-
-@functools.cache
-def _jj_strings(l1: int, l2: int, p: int):
-    """Abstract strings of J_{l1}⊗J_{l2} with slot vectors over (s, t)."""
-    c = jj_complex(l1, l2, p)
-    out = []
-    for s in c.string_decompose():
-        slots = [
-            {c.labels[i]: v for i, v in slot.items()} for slot in s.slots
-        ]
-        out.append((s.head_degree, s.length, slots))
-    return tuple(out)

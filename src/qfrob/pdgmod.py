@@ -32,11 +32,13 @@ The module has three layers.
     composed and compared on the free basis, with differential the
     commutator with the module differential.  Module elements are expanded
     over the free basis block by block, by Grassmannian duality
-    (`EndAlgebra.expand`).  Expanded so, END is the tensor product of
-    truncated Sym_N with the finite complex V ⊗ V^* (V the free basis with
-    the scalar module differential), which keeps slash cohomology and
-    coboundary-membership computations small: both are done through exact
-    string decompositions of the tensor factors.
+    (`EndAlgebra.expand`).  Expanded so, END is the tensor product
+    Sym_N^{trunc} ⊗ V ⊗ V^* (V the free basis with the scalar module
+    differential), which keeps slash cohomology and coboundary membership
+    small: slash dims come from the string statistics of the factors, and
+    coboundaries are decided one string triple J ⊗ J ⊗ J of the three
+    factors at a time, each factor read through coordinates over the slots
+    of its own strings.
 
 Thick crossings are the Demazure composites ∂_w of the minimal-length
 block-interchange permutation w.  On a product of Schur polynomials of the
@@ -57,14 +59,7 @@ import math
 from . import linalg
 from . import partitions as pt
 from .cyclotomic import LaurentPoly, qbinom
-from .pcomplex import (
-    INF,
-    PComplex,
-    slash_dims_from_stats,
-    tensor_stats,
-    tensor_strings,
-    jj_complex,
-)
+from .pcomplex import INF, PComplex, j_tensor, slash_dims_from_stats, tensor_stats
 from .symfunc import SchurPoly, split_blocks, sym_pcomplex
 
 __all__ = [
@@ -437,12 +432,15 @@ class EndAlgebra:
         self.p = p
         self.nvars = sum(blocks)
         prefixes = [sum(blocks[:i]) for i in range(len(blocks))]
+        # |P(b, pre)| = C(pre + b, b), so the guard needs no label listed
+        size = math.prod(
+            math.comb(pre + b, b) for b, pre in zip(self.blocks, prefixes)
+        )
+        if size > self.SIZE_GUARD:
+            raise ValueError(f"module rank {size} exceeds the guard {self.SIZE_GUARD}")
         per_block = [
             pt.partitions_in_box(b, pre) for b, pre in zip(self.blocks, prefixes)
         ]
-        size = math.prod(len(x) for x in per_block)
-        if size > self.SIZE_GUARD:
-            raise ValueError(f"module rank {size} exceeds the guard {self.SIZE_GUARD}")
         self.basis = sorted(
             itertools.product(*per_block),
             key=lambda t: (sum(sum(l) for l in t), t),
@@ -463,11 +461,7 @@ class EndAlgebra:
                 raise AssertionError("escaping box with nonzero coefficient")
             if img:
                 self.D[j] = {self.pos[t]: c for t, c in img.items()}
-        self._scalar_strings = None
-        self._u_coords = _Coordinates(
-            p, lambda d: _slot_basis(self._u_strings(), d), "V⊗V^* string slots"
-        )
-        self._r_string_cache: dict = {}
+        self._string_cache: dict = {}
 
     # ---- expansion of module elements over the free basis ----
 
@@ -508,9 +502,7 @@ class EndAlgebra:
         def fn(elem):
             out: dict[tuple, int] = {}
             for t, c0 in elem.items():
-                for kappa, c in pt.lr_expand(t[bi], dotpart).items():
-                    if len(kappa) > b:
-                        continue
+                for kappa, c in pt.lr_expand(t[bi], dotpart, b).items():
                     key = t[:bi] + (kappa,) + t[bi + 1 :]
                     val = (out.get(key, 0) + c0 * c) % p
                     if val:
@@ -600,39 +592,50 @@ class EndAlgebra:
         dims = slash_dims_from_stats(total, self.p)
         return dims, total.cap - 2 * (self.p - 1)
 
+    @functools.cached_property
+    def _slash_totals(self):
+        """(cap, totals, valid_cap): the graded dims of H_/(END) summed over
+        k, at cap = (degree span of the free basis) + 2(p−1) + 4p² + 2."""
+        p = self.p
+        cap = max(self.degrees) - min(self.degrees) + 2 * (p - 1) + 4 * p * p + 2
+        dims, valid_cap = self.slash_hilbert(cap)
+        total: dict[int, int] = {}
+        for per in dims.values():
+            for d, c in per.items():
+                total[d] = total.get(d, 0) + c
+        return cap, total, valid_cap
+
     # ---- coboundary membership ----
 
-    def _u_strings(self):
-        if self._scalar_strings is None:
-            v = self.scalar_complex()
-            vs = v.string_decompose()
-            vds = v.dual().string_decompose()
-            self._scalar_strings = tensor_strings(
-                vs, vds, self.p, lambda i, j: (i, j)
-            )
-        return self._scalar_strings
-
-    def _r_strings(self, cap):
-        """Sym_N truncated at cap, its strings, and coordinates over their
-        slots."""
-        if cap not in self._r_string_cache:
-            r = sym_pcomplex(self.nvars, self.p, cap)
-            strings = r.string_decompose()
+    def _strings(self, factor):
+        """One tensor factor of END = Sym_N^{trunc} ⊗ V ⊗ V^*, cached: its
+        explicit strings and coordinates over their slots.  factor is "V",
+        "V*", or the cap at which Sym_N is truncated."""
+        if factor not in self._string_cache:
+            if factor == "V":
+                c, what = self.scalar_complex(), "V"
+            elif factor == "V*":
+                c, what = self.scalar_complex().dual(), "V^*"
+            else:
+                c, what = sym_pcomplex(self.nvars, self.p, factor), "Sym_N"
+            strings = c.string_decompose()
             coords = _Coordinates(
-                self.p, lambda d: _slot_basis(strings, d), "Sym_N string slots"
+                self.p, lambda d: _slot_basis(strings, d), f"{what} string slots"
             )
-            self._r_string_cache[cap] = (r, strings, coords)
-        return self._r_string_cache[cap]
+            self._string_cache[factor] = (c, strings, coords)
+        return self._string_cache[factor]
 
     def is_slash_coboundary(self, x: BlockOp) -> bool:
         """Membership of x in Im(∂^{p−1}) of the END p-complex.
 
-        Expands the images of the free basis into entries over Sym_N, then
-        decomposes END = Sym^{trunc} ⊗ (V⊗V^*) into string ⊗ string blocks
-        and tests membership block by block; this is exact because the
-        image of a direct sum is the direct sum of the images.  Raises
-        ValueError unless every entry f at (i, j) has degree
-        deg f + deg_i − deg_j = x.shift.
+        Expands the images of the free basis into entries over Sym_N.  Each
+        factor of END = Sym^{trunc} ⊗ V ⊗ V^* splits into strings, so END
+        is the direct sum of the triples J_{l1} ⊗ J_{l2} ⊗ J_{l3}, and the
+        image of a direct sum is the sum of the images: an entry f at (i, j)
+        is f ⊗ e_i ⊗ e_j^*, read over the slots of each factor, and x is a
+        coboundary exactly when each triple component lies in the image of
+        its abstract J ⊗ J ⊗ J (`_string_image`).  Raises ValueError unless
+        every entry f at (i, j) has degree deg f + deg_i − deg_j = x.shift.
         """
         if x.alg is not self:
             raise ValueError("operator over a different module")
@@ -648,24 +651,31 @@ class EndAlgebra:
             return True
         maxpoly = max(f.degree() for f in entries.values())
         cap = maxpoly + 2 * p
-        r, rstrings, r_coords = self._r_strings(cap)
+        r, rstrings, r_coords = self._strings(cap)
+        _, vstrings, v_coords = self._strings("V")
+        _, wstrings, w_coords = self._strings("V*")
         r_index = {lam: i for i, lam in enumerate(r.labels)}
+        v_at: dict[int, dict] = {}
+        w_at: dict[int, dict] = {}
         blocks: dict[tuple, dict] = {}
         for (i, j), f in entries.items():
+            if i not in v_at:
+                v_at[i] = v_coords(self.degrees[i], {i: 1})
+            if j not in w_at:
+                w_at[j] = w_coords(-self.degrees[j], {j: 1})
             du = self.degrees[i] - self.degrees[j]
-            ucoords = self._u_coords(du, {(i, j): 1})
             rc = r_coords(g - du, {r_index[lam]: c for lam, c in f.terms.items()})
             for (rs, rslot), c1 in rc.items():
-                for (us, uslot), c2 in ucoords.items():
-                    vec = blocks.setdefault((rs, us), {})
-                    slot = (rslot, uslot)
-                    val = (vec.get(slot, 0) + c1 * c2) % p
-                    if val:
-                        vec[slot] = val
-                    elif slot in vec:
-                        del vec[slot]
-        ustrings = self._u_strings()
-        for (rs, us), vec in blocks.items():
+                for (vs, vslot), c2 in v_at[i].items():
+                    for (ws, wslot), c3 in w_at[j].items():
+                        vec = blocks.setdefault((rs, vs, ws), {})
+                        slot = (rslot, vslot, wslot)
+                        val = (vec.get(slot, 0) + c1 * c2 * c3) % p
+                        if val:
+                            vec[slot] = val
+                        elif slot in vec:
+                            del vec[slot]
+        for (rs, vs, ws), vec in blocks.items():
             if not vec:
                 continue
             rstr = rstrings[rs]
@@ -673,15 +683,17 @@ class EndAlgebra:
             # cap choice; a nonzero component there would be unsound
             if rstr.length < p and rstr.head_degree + 2 * (p - 1) > cap:
                 raise AssertionError("component on a possibly cut string")
-            if vec not in _jj_image(rstr.length, ustrings[us].length, p):
+            lengths = (rstr.length, vstrings[vs].length, wstrings[ws].length)
+            if vec not in _string_image(lengths, p):
                 return False
         return True
 
 
 @functools.cache
-def _jj_image(l1, l2, p):
-    """Im(∂^{p−1}) in J_{l1}⊗J_{l2}, over (s,t) keys."""
-    c = jj_complex(l1, l2, p)
+def _string_image(lengths, p):
+    """Im(∂^{p−1}) in the tensor of abstract strings of these lengths, over
+    slot-tuple keys."""
+    c = j_tensor(lengths, p)
     images = []
     for j in range(c.dim):
         vec = {j: 1}
@@ -732,8 +744,8 @@ def _merge_term(nu, beta, a, b, p):
     for t, (t_hat, eps) in _duals(a, b, p).items():
         if sum(t) > sum(nu) + sum(beta):
             continue
-        for kappa, k in pt.lr_expand(nu, t_hat).items():
-            hit = pt.swap_pushforward(kappa, a, beta, b)  # None past a rows
+        for kappa, k in pt.lr_expand(nu, t_hat, a).items():
+            hit = pt.swap_pushforward(kappa, a, beta, b)
             if hit:
                 key = (t, hit[1])
                 out[key] = (out.get(key, 0) + pow(eps, -1, p) * k * hit[0]) % p
@@ -873,20 +885,6 @@ def nh_graded_dims(a: int, p: int, lo: int, hi: int) -> dict:
     return {d: c for d, c in out.items() if c}
 
 
-def _end_slash_totals(alg: EndAlgebra):
-    """(cap, totals, valid_cap): the graded dims of H_/(END) summed over k,
-    at cap = (degree span of the free basis) + 2(p−1) + 4p² + 2."""
-    p = alg.p
-    span = max(alg.degrees) - min(alg.degrees)
-    cap = span + 2 * (p - 1) + 4 * p * p + 2
-    dims, valid_cap = alg.slash_hilbert(cap)
-    total: dict[int, int] = {}
-    for per in dims.values():
-        for d, c in per.items():
-            total[d] = total.get(d, 0) + c
-    return cap, total, valid_cap
-
-
 def thick_nilhecke_check(a: int, p: int) -> dict:
     """All four thick nilHecke verifications in END(S_{(p^a)}).
 
@@ -932,7 +930,7 @@ def thick_nilhecke_check(a: int, p: int) -> dict:
                 continue
             slides.append(alg.is_slash_coboundary(xop))
     report["dot_slide_mod_coboundary"] = all(slides)
-    cap, total, valid_cap = _end_slash_totals(alg)
+    cap, total, valid_cap = alg._slash_totals
     lo = min(alg.degrees) - max(alg.degrees)
     expect = nh_graded_dims(a, p, lo, valid_cap)
     report["hilbert_cap"] = cap
@@ -955,7 +953,7 @@ def end_formality_check(p: int) -> dict:
     ring on generators of degrees 2p² and 4p², with the two shifts ±2p²
     coming from the minimal nontrivial expanded-box class."""
     alg = _end_algebra_cached((p, p), p)
-    cap, total, valid_cap = _end_slash_totals(alg)
+    cap, total, valid_cap = alg._slash_totals
     # target: shifts {−2p²: 1, 0: 2, 2p²: 1} over k[g_1, g_2] with
     # deg g_1 = 2p², deg g_2 = 4p²; that ring has floor(t/2)+1 monomials
     # in degree 2p²·t.

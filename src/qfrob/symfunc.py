@@ -127,9 +127,7 @@ class SchurPoly:
         out: dict[tuple, int] = {}
         for lam, c1 in self.terms.items():
             for mu, c2 in other.terms.items():
-                for nu, k in pt.lr_expand(lam, mu).items():
-                    if self.n is not None and len(nu) > self.n:
-                        continue
+                for nu, k in pt.lr_expand(lam, mu, self.n).items():
                     out[nu] = out.get(nu, 0) + c1 * c2 * k
         return SchurPoly(self.p, out, self.n)
 

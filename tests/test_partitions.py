@@ -90,6 +90,21 @@ class TestLittlewoodRichardson:
         for lam, c in expect.items():
             assert pt.lr_restrict(lam, mu).get(nu, 0) == c
 
+    def test_row_bound_matches_oracle(self):
+        seen = 0
+        for total in range(12):
+            for m in range(total + 1):
+                for mu in pt.partitions_of(m):
+                    for nu in pt.partitions_of(total - m):
+                        expect = lr_oracle.lr_expand(mu, nu)
+                        for rows in range(1, 5):
+                            bounded = {
+                                lam: c for lam, c in expect.items() if len(lam) <= rows
+                            }
+                            assert pt.lr_expand(mu, nu, rows) == bounded, (mu, nu, rows)
+                            seen += 1
+        assert seen == 7868
+
     def test_square_of_box(self):
         assert pt.lr_expand((1,), (1,)) == {(2,): 1, (1, 1): 1}
 

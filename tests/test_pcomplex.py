@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_oracle
+from coboundary_oracle import tensor_strings
 from qfrob import pcomplex
 from qfrob.pcomplex import (
     INF,
     PComplex,
-    jj_complex,
+    j_tensor,
     slash_dims_from_stats,
     tensor,
     tensor_stats,
-    tensor_strings,
 )
 from qfrob.symfunc import sym_pcomplex, twist_pcomplex, vab_pcomplex
 
@@ -270,7 +270,7 @@ class TestTensor:
 
     def test_jp_tensor_jp(self):
         for p in (2, 3):
-            t = jj_complex(p, p, p)
+            t = j_tensor((p, p), p)
             assert sorted(s.length for s in t.string_decompose()) == [p] * p
 
     def test_tensor_with_contractible_is_contractible(self):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import coboundary_oracle
 import demazure_oracle
 import expansion_oracle
 from demazure_oracle import block_swap_word, demazure_word
@@ -460,6 +461,31 @@ class TestExpansionTower:
             for img in x.images():
                 alg.expand(img)
         assert built == []
+
+
+class TestCoboundaryOracle:
+    """`EndAlgebra.is_slash_coboundary` reads Sym_N, V and V^* as separate
+    string factors; the route over explicit strings of V ⊗ V^* in
+    `coboundary_oracle` must give the same verdicts."""
+
+    def test_closed_candidates_match_oracle(self):
+        verdicts = []
+        for a, p in ((2, 2), (3, 2), (2, 3)):
+            alg = pdgmod._end_algebra_cached((p,) * a, p)
+            ident = alg.op_identity()
+            candidates = [ident]
+            for x in _slide_defects(alg, a):
+                candidates += [x, x.scale(2), x - ident]
+            for x in candidates:
+                if x.is_zero():
+                    continue  # the doubles at p = 2
+                assert x.commutator_with_diff().is_zero()
+                got = alg.is_slash_coboundary(x)
+                assert got == coboundary_oracle.is_slash_coboundary(alg, x)
+                verdicts.append(got)
+        assert len(verdicts) == 21
+        # the 3 identities and the 8 defects minus the identity
+        assert verdicts.count(False) == 11
 
 
 class TestDuals:
