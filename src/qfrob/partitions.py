@@ -84,14 +84,18 @@ def partitions_in_box(rows: int, cols: int) -> tuple:
 
 
 def partitions_of(n: int, max_rows=None, max_part=None):
-    """Partitions of n, optionally bounded, graded-lex order within size n."""
+    """Partitions of n, optionally bounded, graded-lex order within size n.
+
+    A prefix is dropped as soon as its remaining rows, each at most its
+    last part, cannot hold what is left of n.
+    """
     res = []
 
     def rec(remaining, maxp, prefix):
         if remaining == 0:
             res.append(tuple(prefix))
             return
-        if max_rows is not None and len(prefix) >= max_rows:
+        if max_rows is not None and remaining > maxp * (max_rows - len(prefix)):
             return
         for part in range(min(remaining, maxp), 0, -1):
             prefix.append(part)

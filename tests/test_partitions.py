@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import demazure_oracle
 import lr_oracle
+import partitions_oracle
 from qfrob import partitions as pt
 
 
@@ -57,6 +58,15 @@ class TestBasics:
             hat = pt.complement(lam, 2, 3)
             assert pt.fits_in(hat, 3, 2)
             assert pt.complement(hat, 3, 2) == lam
+
+    def test_partitions_of_matches_unpruned(self):
+        # dropping a prefix whose rows cannot hold the rest loses nothing
+        for m in range(31):
+            for max_rows in (None, *range(1, 10)):
+                for max_part in (None, 2, 5):
+                    assert pt.partitions_of(m, max_rows, max_part) == (
+                        partitions_oracle.partitions_of(m, max_rows, max_part)
+                    )
 
     def test_expand_p(self):
         assert pt.expand_p((2, 1), 3) == (6, 6, 6, 3, 3, 3)

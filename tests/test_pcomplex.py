@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_oracle
+import stats_oracle
 from coboundary_oracle import tensor_strings
-from qfrob import pcomplex
+from qfrob import linalg, pcomplex
 from qfrob.pcomplex import (
     INF,
     PComplex,
@@ -15,6 +16,7 @@ from qfrob.pcomplex import (
     tensor,
     tensor_stats,
 )
+from qfrob.pdgmod import staircase_complex
 from qfrob.symfunc import sym_pcomplex, twist_pcomplex, vab_pcomplex
 
 
@@ -70,6 +72,11 @@ def string_complex(p, heads):
         for s in range(l - 1):
             diff[start + s] = {start + s + 1: 1}
     return PComplex(p, labels, degrees, diff, cap=INF)
+
+
+def capped(c: PComplex, cap) -> PComplex:
+    """c with its degree cap replaced, the basis kept."""
+    return PComplex(c.p, c.labels, c.degrees, c.diff, cap=cap)
 
 
 def scramble(c: PComplex, seed=0):
@@ -141,13 +148,22 @@ class TestValidate:
         [
             string_complex(3, [(2, 4), (0, 4)]),
             PComplex(2, ["a", "b", "c"], [0, 2, 4], {0: {1: 1}, 1: {0: 1}}, cap=INF),
+            capped(string_complex(3, [(10, 4), (0, 4)]), 8),
         ],
-        ids=["too_long_string", "inhomogeneous"],
+        ids=["too_long_string", "inhomogeneous", "too_long_lower_copy"],
     )
     def test_computations_validate(self, compute, c):
         with pytest.raises(ValueError) as exc:
             compute(c)
         assert str(exc.value) == c.validation_error()
+
+    def test_only_the_lower_copy_in_window(self):
+        # two identical too-long strings; at cap 8 the ∂^3 = 0 window ends
+        # at degree 2, which holds the head of the lower copy (index 4) only
+        c = capped(string_complex(3, [(10, 4), (0, 4)]), 8)
+        assert c.validation_error() == f"∂^3 does not vanish on {c.labels[4]!r}"
+        # the upper copy alone lies above the window
+        assert capped(string_complex(3, [(10, 4)]), 8).validation_error() is None
 
 
 class TestSlashCohomology:
@@ -448,3 +464,169 @@ def test_sparse_matches_dense_oracle(make):
 @oracle_complexes
 def test_reps_form_basis(make):
     assert_reps_form_basis(make())
+
+
+# ---------- string statistics by components ----------
+
+
+def stats_outcome(compute, c):
+    """The counts, in order, and the cap of compute(c), or the type and
+    message of what it raises."""
+    try:
+        stats = compute(c)
+    except (ValueError, AssertionError) as exc:
+        return type(exc), str(exc)
+    return list(stats.counts.items()), stats.cap
+
+
+def assert_stats_match_oracle(c):
+    """string_stats(c) equals the whole-complex oracle's; returns the outcome."""
+    outcome = stats_outcome(PComplex.string_stats, c)
+    assert outcome == stats_outcome(stats_oracle.string_stats, c)
+    return outcome
+
+
+def component_forms(c: PComplex) -> set:
+    """The distinct forms of the connected components of ∂'s support graph,
+    found by graph search: degrees relative to the first index, and key-sorted
+    ∂ rows in local indices, both in increasing global order."""
+    nbrs = [set() for _ in range(c.dim)]
+    for j, cols in c.diff.items():
+        for i in cols:
+            nbrs[i].add(j)
+            nbrs[j].add(i)
+    seen, forms = set(), set()
+    for start in range(c.dim):
+        if start in seen:
+            continue
+        comp, todo = {start}, [start]
+        while todo:
+            for t in nbrs[todo.pop()] - comp:
+                comp.add(t)
+                todo.append(t)
+        seen |= comp
+        idx = sorted(comp)
+        local = {g: k for k, g in enumerate(idx)}
+        forms.add(
+            (
+                tuple(c.degrees[g] - c.degrees[idx[0]] for g in idx),
+                tuple(
+                    tuple(sorted((local[i], x) for i, x in c.diff.get(g, {}).items()))
+                    for g in idx
+                ),
+            )
+        )
+    return forms
+
+
+def direct_sum(parts, cap, drop_above_cap, rng):
+    """The direct sum of the (complex, shift) parts with the given cap.
+
+    The parts' bases are interleaved at random, each keeping its own order,
+    so equal parts stay equal components that are not contiguous.  With
+    drop_above_cap, basis vectors of degree > cap and the entries of ∂
+    into them are dropped, as the builders truncate.
+    """
+    queues = [
+        [(k, i) for i in range(c.dim) if not drop_above_cap or c.degrees[i] + s <= cap]
+        for k, (c, s) in enumerate(parts)
+    ]
+    cells = []
+    while any(queues):
+        cells.append(rng.choice([q for q in queues if q]).pop(0))
+    pos = {cell: n for n, cell in enumerate(cells)}
+    diff = {}
+    for n, (k, i) in enumerate(cells):
+        row = {
+            pos[(k, t)]: x for t, x in parts[k][0].diff.get(i, {}).items() if (k, t) in pos
+        }
+        if row:
+            diff[n] = row
+    degrees = [parts[k][0].degrees[i] + parts[k][1] for k, i in cells]
+    return PComplex(parts[0][0].p, cells, degrees, diff, cap=cap)
+
+
+stats_complexes = pytest.mark.parametrize(
+    "make",
+    [
+        lambda: sym_pcomplex(4, 2, 32),
+        lambda: sym_pcomplex(4, 3, 72),
+        lambda: sym_pcomplex(3, 5, 100),
+        lambda: twist_pcomplex(4, 1, 2, 32),
+        lambda: twist_pcomplex(4, 1, 3, 72),
+        lambda: twist_pcomplex(3, 2, 5, 100),
+        lambda: vab_pcomplex(1, 2, 2),
+        lambda: vab_pcomplex(2, 1, 3),
+        lambda: vab_pcomplex(1, 1, 5),
+        lambda: j_tensor((2, 3), 3),
+        lambda: j_tensor((2, 2, 3), 5),
+        lambda: staircase_complex(3),
+        lambda: staircase_complex(3).dual(),
+        # basis vectors above the cap, where the window ends
+        lambda: tensor(sym_pcomplex(2, 3, 16), string_complex(3, [(0, 2), (2, 1)])),
+    ],
+    ids=[
+        "sym4_p2",
+        "sym4_p3",
+        "sym3_p5",
+        "twist4_1_p2",
+        "twist4_1_p3",
+        "twist3_2_p5",
+        "vab_1_2_p2",
+        "vab_2_1_p3",
+        "vab_1_1_p5",
+        "j_2_3_p3",
+        "j_2_2_3_p5",
+        "staircase3",
+        "staircase3_dual",
+        "truncated_tensor",
+    ],
+)
+
+
+class TestStatsByComponents:
+    @stats_complexes
+    def test_matches_whole_complex_oracle(self, make):
+        assert_stats_match_oracle(make())
+
+    def test_random_direct_sums_match_oracle(self):
+        # repeated copies at several shifts, some cut by the cap, some too
+        # long for ∂^p = 0 inside or outside the window
+        outcomes = set()
+        for seed in range(60):
+            rng = random.Random(seed)
+            p = rng.choice([2, 3, 5])
+            parts = []
+            for n in range(rng.randint(1, 3)):
+                heads = [
+                    (2 * rng.randrange(3), rng.randint(1, p + (rng.random() < 0.15)))
+                    for _ in range(rng.randint(1, 3))
+                ]
+                part = scramble(string_complex(p, heads), seed=seed * 7 + n)
+                parts += [(part, 2 * rng.randrange(8)) for _ in range(rng.randint(1, 4))]
+            cap = rng.choice([INF, 2 * rng.randrange(4, 14)])
+            c = direct_sum(parts, cap, rng.random() < 0.5, rng)
+            raised = assert_stats_match_oracle(c)[0] in (ValueError, AssertionError)
+            outcomes.add(raised)
+        assert outcomes == {False, True}
+
+    def test_ranks_each_distinct_component_once(self, monkeypatch):
+        # one rank per distinct form, power and degree; the whole-complex
+        # oracle makes fewer, larger calls, so the rows ranked are compared
+        c = twist_pcomplex(5, 1, 3, 72)
+        calls = []
+        real = linalg.sparse_rank
+
+        def spy(rows, p):
+            calls.append(len(rows))
+            return real(rows, p)
+
+        monkeypatch.setattr(linalg, "sparse_rank", spy)
+        c.string_stats()
+        ours = list(calls)
+        calls.clear()
+        stats_oracle.string_stats(c)
+        forms = component_forms(c)
+        assert len(ours) <= sum((c.p - 1) * len(set(rel)) for rel, _ in forms)
+        assert sum(ours) <= (c.p - 1) * sum(len(rel) for rel, _ in forms)
+        assert sum(ours) < sum(calls)
