@@ -473,8 +473,17 @@ def _make_spec(name, params) -> CheckSpec:
     return CheckSpec(name, {k: params[k] for k in argnames})
 
 
+class _LineParser(argparse.ArgumentParser):
+    """The flags of one config line: a flag argparse cannot read (a
+    non-integer value, a stray word) raises UsageError instead of exiting,
+    so that `default_specs` can name the line."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _parse_check_args(name, tokens):
-    parser = argparse.ArgumentParser(prog=name)
+    parser = _LineParser(prog=name, add_help=False)
     _add_check_flags(parser)
     return _make_spec(name, vars(parser.parse_args(tokens)))
 
@@ -482,15 +491,21 @@ def _parse_check_args(name, tokens):
 def default_specs(config_path=None):
     """Parse the pinned parameter file into CheckSpecs.
 
-    Raises UsageError on an unreadable file, a file with no check or a bad line.
+    Raises UsageError on an unreadable or non-UTF-8 file, a file with no
+    check or a bad line: one that shlex cannot split (an unbalanced quote),
+    whose flags argparse cannot read, or that `_make_spec` refuses.
     """
     if config_path is None:
         config_path = os.environ.get("QFROB_CONFIG")
     if config_path:
         try:
-            text = Path(config_path).read_text()
+            text = Path(config_path).read_text(encoding="utf-8")
         except OSError as exc:
             raise UsageError(f"config {config_path}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise UsageError(
+                f"config {config_path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+            ) from None
     else:
         text = resources.files("qfrob").joinpath("defaults.cfg").read_text()
     specs = []
@@ -498,26 +513,26 @@ def default_specs(config_path=None):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        tokens = shlex.split(line)
         try:
+            tokens = shlex.split(line)
             specs.append(_parse_check_args(tokens[0], tokens[1:]))
-        except UsageError as exc:
+        except ValueError as exc:  # a UsageError, or shlex on a lone quote
             raise UsageError(f"config line {lineno}: {exc}") from None
     if not specs:
         raise UsageError(f"config {config_path or 'defaults.cfg'} holds no check")
     return specs
 
 
-def _emit(reports, json_path):
+def _emit(reports, json_file):
     for rep in reports:
         print(rep.row())
     npass = sum(r.status == "pass" for r in reports)
     print(f"-- {npass}/{len(reports)} checks passed")
-    if json_path:
+    if json_file:
         payload = [r.as_json() for r in reports]
-        with open(json_path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        print(f"json report written to {json_path}")
+        with json_file:
+            json.dump(payload, json_file, indent=2, sort_keys=True)
+        print(f"json report written to {json_file.name}")
 
 
 def main(argv=None) -> int:
@@ -537,15 +552,23 @@ def main(argv=None) -> int:
     allp.add_argument("--json", type=str, default=None)
     ns = parser.parse_args(argv)
 
+    json_file = None
     try:
         if ns.command == "report-all":
             specs = default_specs(ns.config)
         else:
             specs = [_make_spec(ns.command, {k: getattr(ns, k) for k in _FLAGS})]
+        # opened before any check runs, so that an unwritable path costs
+        # no run
+        if ns.json:
+            try:
+                json_file = open(ns.json, "w")
+            except OSError as exc:
+                raise UsageError(f"--json {ns.json}: {exc.strerror}") from None
     except UsageError as exc:
         parser.error(str(exc))
     reports = [run_check(s) for s in specs]
-    _emit(reports, ns.json)
+    _emit(reports, json_file)
     return 0 if all(r.status == "pass" for r in reports) else 1
 
 

@@ -5,9 +5,12 @@ The module has three layers.
 
 1.  The nilHecke algebra NH_n = END_{Sym_n}(Pol_n), generated by
     multiplication by variables and the divided-difference (Demazure)
-    operators δ_i(f) = (f − s_i f)/(x_i − x_{i+1}), as `BlockOp`s on a
-    `PolWindow`, the monomials of degree ≤ cap.  Relations are checked by
-    evaluating both sides exactly on every monomial of the window; since
+    operators δ_i(f) = (f − s_i f)/(x_i − x_{i+1}).  Pol_n is the block
+    module of layer 2 with blocks (1, ..., 1): the block coordinate (c,) of
+    block i is x_i^c, the dot rule of block i is x_i and the crossing rule
+    of blocks i, i+1 is δ_i (`BlockRules`), so NH_n runs on the same rules
+    as the thick crossings and dots of layer 3.  Relations are checked by
+    evaluating both sides exactly on every monomial of degree ≤ cap; since
     the relations are equalities of homogeneous Sym_n-linear operators,
     windowed equality at sufficient width decides them.  Sufficient width
     is cap ≥ max(4n, n(n−1)) (`nilhecke_least_window`): with deg x_i = 2,
@@ -63,15 +66,12 @@ from .pcomplex import INF, PComplex, j_tensor, slash_dims_from_stats, tensor_sta
 from .symfunc import SchurPoly, split_blocks, sym_pcomplex
 
 __all__ = [
-    "PolElem",
-    "monomial",
-    "demazure",
-    "PolWindow",
     "nilhecke_least_window",
     "nilhecke_relations_check",
     "nh_acyclicity_check",
     "staircase_complex",
     "grass_rank_ok",
+    "BlockRules",
     "EndAlgebra",
     "BlockOp",
     "end_algebra",
@@ -89,163 +89,8 @@ THICK_MAX_AP = 6
 
 
 # --------------------------------------------------------------------------
-# sparse polynomials and Demazure operators
-# --------------------------------------------------------------------------
-
-
-class PolElem:
-    """Sparse element of F_p[x_1..x_n]; deg(x_i) = 2."""
-
-    __slots__ = ("n", "p", "terms")
-
-    def __init__(self, n, p, terms=None):
-        self.n = n
-        self.p = p
-        clean = {}
-        for exps, c in (terms or {}).items():
-            c %= p
-            if c:
-                clean[tuple(exps)] = c
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, n, p):
-        return cls(n, p)
-
-    @classmethod
-    def one(cls, n, p):
-        return cls(n, p, {(0,) * n: 1})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, PolElem):
-            return NotImplemented
-        return (self.n, self.p, self.terms) == (other.n, other.p, other.terms)
-
-    def __hash__(self):
-        return hash((self.n, self.p, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return PolElem(self.n, self.p, out)
-
-    def __neg__(self):
-        return PolElem(self.n, self.p, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return PolElem(self.n, self.p, {e: c * other for e, c in self.terms.items()})
-        out: dict[tuple, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return PolElem(self.n, self.p, out)
-
-    __rmul__ = __mul__
-
-    def diff(self):
-        """The derivation with ∂(x_i) = x_i²."""
-        out: dict[tuple, int] = {}
-        for exps, c in self.terms.items():
-            for i, a in enumerate(exps):
-                if a:
-                    key = exps[:i] + (a + 1,) + exps[i + 1 :]
-                    out[key] = out.get(key, 0) + c * a
-        return PolElem(self.n, self.p, out)
-
-    def degree(self):
-        return max((2 * sum(e) for e in self.terms), default=None)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for e in sorted(self.terms):
-            mono = "*".join(
-                f"x{i+1}^{k}" if k > 1 else f"x{i+1}" for i, k in enumerate(e) if k
-            )
-            bits.append(f"{self.terms[e]}*{mono}" if mono else f"{self.terms[e]}")
-        return " + ".join(bits)
-
-    __repr__ = __str__
-
-
-def monomial(n, p, exps, c=1) -> PolElem:
-    return PolElem(n, p, {tuple(exps): c})
-
-
-def demazure(i: int, f: PolElem) -> PolElem:
-    """δ_i(f) = (f − s_i f)/(x_i − x_{i+1}), 1-based i.
-
-    On a monomial x_i^a x_{i+1}^b the quotient is the closed form
-    Σ_{j=0}^{a−b−1} x_i^{a−1−j} x_{i+1}^{b+j} for a > b, its negative with
-    a, b swapped for a < b, and 0 for a = b; in particular the division is
-    always exact.
-    """
-    if not 1 <= i <= f.n - 1:
-        raise ValueError("index out of range")
-    ia, ib = i - 1, i
-    out: dict[tuple, int] = {}
-    for exps, c in f.terms.items():
-        a, b = exps[ia], exps[ib]
-        if a == b:
-            continue
-        sign, lo, hi = (1, b, a) if a > b else (-1, a, b)
-        for j in range(hi - lo):
-            e = list(exps)
-            e[ia], e[ib] = hi - 1 - j, lo + j
-            if a < b:
-                e[ia], e[ib] = lo + j, hi - 1 - j
-            key = tuple(e)
-            out[key] = out.get(key, 0) + sign * c
-    return PolElem(f.n, f.p, out)
-
-
-# --------------------------------------------------------------------------
 # the nilHecke algebra on a window of Pol_n
 # --------------------------------------------------------------------------
-
-
-class PolWindow:
-    """Pol_n in degrees ≤ cap, as a space that `BlockOp`s act on.
-
-    `basis` holds every monomial of degree ≤ cap as an exponent tuple,
-    ordered by degree; operators act on {exponents: coeff} dicts.
-    """
-
-    def __init__(self, n, p, cap):
-        self.n = n
-        self.p = p
-        self.basis = [
-            e for m in range(cap // 2 + 1) for e in sorted(self._compositions(m, n))
-        ]
-
-    @staticmethod
-    def _compositions(m, n):
-        if n == 1:
-            return [(m,)]
-        out = []
-        for first in range(m + 1):
-            for rest in PolWindow._compositions(m - first, n - 1):
-                out.append((first,) + rest)
-        return out
-
-    def op(self, shift: int, fmap) -> "BlockOp":
-        """The operator of degree `shift` given by a PolElem → PolElem map."""
-        n, p = self.n, self.p
-        return BlockOp(self, lambda e: fmap(PolElem(n, p, e)).terms, shift)
-
-    def op_diff(self) -> "BlockOp":
-        """The polynomial differential ∂(x_i) = x_i²."""
-        return self.op(2, PolElem.diff)
 
 
 def nilhecke_least_window(n: int) -> int:
@@ -267,30 +112,39 @@ def nilhecke_relations_check(n: int, p: int, window: int):
         return True, None
     if window < nilhecke_least_window(n):
         raise ValueError("window too small to be conclusive")
-    win = PolWindow(n, p, window)
-    x = [
-        win.op(2, lambda f, i=i: monomial(n, p, tuple(
-            1 if j == i else 0 for j in range(n))) * f)
-        for i in range(n)
+    # Pol_n is the block module with blocks (1, ..., 1): x^e has the block
+    # coordinates ((e_1,) or (), ...), x_i is the dot on block i and δ_i the
+    # crossing of blocks i, i+1
+    rules = BlockRules((1,) * n, p)
+    x = [rules.op_dot(i) for i in range(1, n + 1)]
+    dd = [rules.op_crossing(i) for i in range(1, n)]
+    ident = rules.op_identity()
+    # x^e for e ∈ N^n with |e| ≤ m, read off n bars among m + n slots
+    m = window // 2
+    monomials = [
+        tuple((b - a - 1,) if b - a - 1 else () for a, b in zip((-1,) + bars, bars))
+        for bars in itertools.combinations(range(m + n), n)
     ]
-    dd = [win.op(-2, lambda f, i=i: demazure(i + 1, f)) for i in range(n - 1)]
-    ident = win.op(0, lambda f: f)
+
+    def agree(lhs, rhs):
+        return all(lhs({t: 1}) == rhs({t: 1}) for t in monomials)
+
     for i in range(n - 1):
-        if not dd[i].compose(dd[i]).is_zero():
+        if any(dd[i].compose(dd[i])({t: 1}) for t in monomials):
             return False, f"delta_{i+1}^2 != 0"
     for i in range(n - 2):
         lhs = dd[i].compose(dd[i + 1]).compose(dd[i])
         rhs = dd[i + 1].compose(dd[i]).compose(dd[i + 1])
-        if not lhs.equals(rhs):
+        if not agree(lhs, rhs):
             return False, f"braid relation fails at {i+1}"
     for i in range(n - 1):
-        if not (x[i].compose(dd[i]) - dd[i].compose(x[i + 1])).equals(ident):
+        if not agree(x[i].compose(dd[i]) - dd[i].compose(x[i + 1]), ident):
             return False, f"dot slide (left) fails at {i+1}"
-        if not (dd[i].compose(x[i]) - x[i + 1].compose(dd[i])).equals(ident):
+        if not agree(dd[i].compose(x[i]) - x[i + 1].compose(dd[i]), ident):
             return False, f"dot slide (right) fails at {i+1}"
     for i in range(n - 1):
         for j in range(i + 2, n - 1):
-            if not dd[i].compose(dd[j]).equals(dd[j].compose(dd[i])):
+            if not agree(dd[i].compose(dd[j]), dd[j].compose(dd[i])):
                 return False, f"distant crossings {i+1},{j+1} do not commute"
     return True, None
 
@@ -342,15 +196,14 @@ def grass_rank_ok(a: int, b: int, p: int) -> bool:
 class BlockOp:
     """A Sym-linear operator given by a rule on the coordinates of a space.
 
-    The space `alg` provides `p`, a `basis` of coordinate keys and
-    `op_diff()`, its differential as a BlockOp; rules map {key: coeff}
-    dicts to such dicts.  Two spaces do: an `EndAlgebra`, whose keys are
-    tuples of block partitions and whose rules for crossings, dots and the
-    module differential act block-locally, and a `PolWindow`, whose keys
-    are monomial exponents.  Composites stay cheap: no expansion over a
-    basis is involved.  `equals` compares the images of `basis` exactly;
-    on the free basis of a block module this decides equality of Sym_N-linear
-    operators, on a window it is equality there.
+    The space `alg` provides `p`; rules map {key: coeff} dicts to such
+    dicts.  `BlockRules` gives the rules for crossings, dots and the module
+    differential on block coordinates, tuples of block partitions, which
+    act block-locally; operators over it are applied directly, as the
+    nilHecke relations are on a window of monomials.  An `EndAlgebra` adds
+    the free basis as `basis`: `equals` compares the images of `basis`
+    exactly, which decides equality of Sym_N-linear operators.  Composites
+    stay cheap: no expansion over a basis is involved.
     """
 
     __slots__ = ("alg", "fn", "shift")
@@ -415,79 +268,16 @@ class BlockOp:
         return d.compose(self) - self.compose(d)
 
 
-class EndAlgebra:
-    """END_{Sym_N}(block module) with the ∂-stable free basis.
-
-    `blocks` lists the tensor block sizes; the free basis over Sym_N is
-    indexed by tuples (λ_1, ..., λ_r) with λ_i ∈ P(b_i, b_1+...+b_{i−1}),
-    so λ_1 = () always.  Elements of END are the Sym_N-linear `BlockOp`s;
-    D is the module differential on the free basis, whose structure
-    constants are scalars.
+class BlockRules:
+    """Dots, crossings and the module differential of the block module with
+    block sizes `blocks`, as `BlockOp` rules on block coordinates: tuples
+    (λ_1, ..., λ_r) standing for Π_i π_{λ_i}(block i) · v, with no bound on
+    the λ_i.  No free basis is listed, so the rules apply at any size.
     """
-
-    SIZE_GUARD = 400
 
     def __init__(self, blocks, p):
         self.blocks = tuple(blocks)
         self.p = p
-        self.nvars = sum(blocks)
-        prefixes = [sum(blocks[:i]) for i in range(len(blocks))]
-        # |P(b, pre)| = C(pre + b, b), so the guard needs no label listed
-        size = math.prod(
-            math.comb(pre + b, b) for b, pre in zip(self.blocks, prefixes)
-        )
-        if size > self.SIZE_GUARD:
-            raise ValueError(f"module rank {size} exceeds the guard {self.SIZE_GUARD}")
-        per_block = [
-            pt.partitions_in_box(b, pre) for b, pre in zip(self.blocks, prefixes)
-        ]
-        self.basis = sorted(
-            itertools.product(*per_block),
-            key=lambda t: (sum(sum(l) for l in t), t),
-        )
-        self.pos = {t: i for i, t in enumerate(self.basis)}
-        shift = -sum(
-            self.blocks[i] * self.blocks[j]
-            for i in range(len(blocks))
-            for j in range(i + 1, len(blocks))
-        )
-        self.degrees = [2 * sum(sum(l) for l in t) + shift for t in self.basis]
-        self.gen_degree = shift
-        # op_diff read off on the free basis, which it must preserve: a box
-        # leaving an index rectangle carries coefficient exactly 0
-        self.D: dict[int, dict[int, int]] = {}
-        for j, img in enumerate(self.op_diff().images()):
-            if any(t not in self.pos for t in img):
-                raise AssertionError("escaping box with nonzero coefficient")
-            if img:
-                self.D[j] = {self.pos[t]: c for t, c in img.items()}
-        self._string_cache: dict = {}
-
-    # ---- expansion of module elements over the free basis ----
-
-    def expand(self, elem: dict) -> dict:
-        """Free-basis coordinates of a module element in block coordinates.
-
-        elem: {tuple of per-block partitions: coeff}; returns
-        {basis index: SchurPoly over Sym_N}.  Blocks 2, 3, ... are merged
-        in turn into the blocks before them (`_merge_term`).
-        """
-        p = self.p
-        # (merged partition, blocks not yet merged, labels so far): coeff
-        state = {(t[0], t[1:], ()): c % p for t, c in elem.items() if c % p}
-        for a, b in zip(itertools.accumulate(self.blocks), self.blocks[1:]):
-            nxt: dict[tuple, int] = {}
-            for (nu, rest, labels), c0 in state.items():
-                for (t, mu), c in _merge_term(nu, rest[0], a, b, p).items():
-                    key = (mu, rest[1:], labels + (t,))
-                    nxt[key] = (nxt.get(key, 0) + c0 * c) % p
-            state = {key: c for key, c in nxt.items() if c}
-        out: dict[int, dict] = {}
-        for (nu, _, labels), c in state.items():
-            out.setdefault(self.pos[((),) + labels], {})[nu] = c
-        return {j: SchurPoly(p, coeffs, self.nvars) for j, coeffs in out.items()}
-
-    # ---- dots, crossings and the differential, as local operators ----
 
     def op_identity(self) -> BlockOp:
         return BlockOp(self, lambda e: dict(e), 0)
@@ -560,6 +350,78 @@ class EndAlgebra:
             return out
 
         return BlockOp(self, fn, 2)
+
+
+class EndAlgebra(BlockRules):
+    """END_{Sym_N}(block module) with the ∂-stable free basis.
+
+    `blocks` lists the tensor block sizes; the free basis over Sym_N is
+    indexed by tuples (λ_1, ..., λ_r) with λ_i ∈ P(b_i, b_1+...+b_{i−1}),
+    so λ_1 = () always.  Elements of END are the Sym_N-linear `BlockOp`s
+    built from the `BlockRules`; D is the module differential on the free
+    basis, whose structure constants are scalars.
+    """
+
+    SIZE_GUARD = 400
+
+    def __init__(self, blocks, p):
+        super().__init__(blocks, p)
+        self.nvars = sum(blocks)
+        prefixes = [sum(blocks[:i]) for i in range(len(blocks))]
+        # |P(b, pre)| = C(pre + b, b), so the guard needs no label listed
+        size = math.prod(
+            math.comb(pre + b, b) for b, pre in zip(self.blocks, prefixes)
+        )
+        if size > self.SIZE_GUARD:
+            raise ValueError(f"module rank {size} exceeds the guard {self.SIZE_GUARD}")
+        per_block = [
+            pt.partitions_in_box(b, pre) for b, pre in zip(self.blocks, prefixes)
+        ]
+        self.basis = sorted(
+            itertools.product(*per_block),
+            key=lambda t: (sum(sum(l) for l in t), t),
+        )
+        self.pos = {t: i for i, t in enumerate(self.basis)}
+        shift = -sum(
+            self.blocks[i] * self.blocks[j]
+            for i in range(len(blocks))
+            for j in range(i + 1, len(blocks))
+        )
+        self.degrees = [2 * sum(sum(l) for l in t) + shift for t in self.basis]
+        self.gen_degree = shift
+        # op_diff read off on the free basis, which it must preserve: a box
+        # leaving an index rectangle carries coefficient exactly 0
+        self.D: dict[int, dict[int, int]] = {}
+        for j, img in enumerate(self.op_diff().images()):
+            if any(t not in self.pos for t in img):
+                raise AssertionError("escaping box with nonzero coefficient")
+            if img:
+                self.D[j] = {self.pos[t]: c for t, c in img.items()}
+        self._string_cache: dict = {}
+
+    # ---- expansion of module elements over the free basis ----
+
+    def expand(self, elem: dict) -> dict:
+        """Free-basis coordinates of a module element in block coordinates.
+
+        elem: {tuple of per-block partitions: coeff}; returns
+        {basis index: SchurPoly over Sym_N}.  Blocks 2, 3, ... are merged
+        in turn into the blocks before them (`_merge_term`).
+        """
+        p = self.p
+        # (merged partition, blocks not yet merged, labels so far): coeff
+        state = {(t[0], t[1:], ()): c % p for t, c in elem.items() if c % p}
+        for a, b in zip(itertools.accumulate(self.blocks), self.blocks[1:]):
+            nxt: dict[tuple, int] = {}
+            for (nu, rest, labels), c0 in state.items():
+                for (t, mu), c in _merge_term(nu, rest[0], a, b, p).items():
+                    key = (mu, rest[1:], labels + (t,))
+                    nxt[key] = (nxt.get(key, 0) + c0 * c) % p
+            state = {key: c for key, c in nxt.items() if c}
+        out: dict[int, dict] = {}
+        for (nu, _, labels), c in state.items():
+            out.setdefault(self.pos[((),) + labels], {})[nu] = c
+        return {j: SchurPoly(p, coeffs, self.nvars) for j, coeffs in out.items()}
 
     # ---- the p-complex structure ----
 

@@ -7,14 +7,218 @@ composite ∂_w is applied letter by letter along a reduced word, and the
 result is read back in Schur coordinates by back substitution through the
 unitriangular Kostka matrix.  Kept here unchanged as the independent oracle
 for the rule; the tests require the two to agree.
+
+It also holds the monomial layer that `qfrob.pdgmod` used for the nilHecke
+relations before they moved to the block rules (`pdgmod.BlockRules` with
+blocks (1, ..., 1)): sparse polynomials (`PolElem`), the Demazure operator
+on monomials (`demazure`), the window of monomials that `BlockOp`s act on
+(`PolWindow`), and the relations check on that window
+(`relations_check`), which the tests require to give the verdicts of
+`pdgmod.nilhecke_relations_check`.
 """
 
 import functools
 
 from qfrob.partitions import partitions_of
-from qfrob.pdgmod import PolElem, demazure
+from qfrob.pdgmod import BlockOp, nilhecke_least_window
 
 Partition = tuple
+
+
+# --------------------------------------------------------------------------
+# sparse polynomials and Demazure operators
+# --------------------------------------------------------------------------
+
+
+class PolElem:
+    """Sparse element of F_p[x_1..x_n]; deg(x_i) = 2."""
+
+    __slots__ = ("n", "p", "terms")
+
+    def __init__(self, n, p, terms=None):
+        self.n = n
+        self.p = p
+        clean = {}
+        for exps, c in (terms or {}).items():
+            c %= p
+            if c:
+                clean[tuple(exps)] = c
+        self.terms = clean
+
+    @classmethod
+    def zero(cls, n, p):
+        return cls(n, p)
+
+    @classmethod
+    def one(cls, n, p):
+        return cls(n, p, {(0,) * n: 1})
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        if not isinstance(other, PolElem):
+            return NotImplemented
+        return (self.n, self.p, self.terms) == (other.n, other.p, other.terms)
+
+    def __hash__(self):
+        return hash((self.n, self.p, frozenset(self.terms.items())))
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, 0) + c
+        return PolElem(self.n, self.p, out)
+
+    def __neg__(self):
+        return PolElem(self.n, self.p, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return PolElem(self.n, self.p, {e: c * other for e, c in self.terms.items()})
+        out: dict[tuple, int] = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                key = tuple(a + b for a, b in zip(e1, e2))
+                out[key] = out.get(key, 0) + c1 * c2
+        return PolElem(self.n, self.p, out)
+
+    __rmul__ = __mul__
+
+    def diff(self):
+        """The derivation with ∂(x_i) = x_i²."""
+        out: dict[tuple, int] = {}
+        for exps, c in self.terms.items():
+            for i, a in enumerate(exps):
+                if a:
+                    key = exps[:i] + (a + 1,) + exps[i + 1 :]
+                    out[key] = out.get(key, 0) + c * a
+        return PolElem(self.n, self.p, out)
+
+    def degree(self):
+        return max((2 * sum(e) for e in self.terms), default=None)
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        bits = []
+        for e in sorted(self.terms):
+            mono = "*".join(
+                f"x{i+1}^{k}" if k > 1 else f"x{i+1}" for i, k in enumerate(e) if k
+            )
+            bits.append(f"{self.terms[e]}*{mono}" if mono else f"{self.terms[e]}")
+        return " + ".join(bits)
+
+    __repr__ = __str__
+
+
+def monomial(n, p, exps, c=1) -> PolElem:
+    return PolElem(n, p, {tuple(exps): c})
+
+
+def demazure(i: int, f: PolElem) -> PolElem:
+    """δ_i(f) = (f − s_i f)/(x_i − x_{i+1}), 1-based i.
+
+    On a monomial x_i^a x_{i+1}^b the quotient is the closed form
+    Σ_{j=0}^{a−b−1} x_i^{a−1−j} x_{i+1}^{b+j} for a > b, its negative with
+    a, b swapped for a < b, and 0 for a = b; in particular the division is
+    always exact.
+    """
+    if not 1 <= i <= f.n - 1:
+        raise ValueError("index out of range")
+    ia, ib = i - 1, i
+    out: dict[tuple, int] = {}
+    for exps, c in f.terms.items():
+        a, b = exps[ia], exps[ib]
+        if a == b:
+            continue
+        sign, lo, hi = (1, b, a) if a > b else (-1, a, b)
+        for j in range(hi - lo):
+            e = list(exps)
+            e[ia], e[ib] = hi - 1 - j, lo + j
+            if a < b:
+                e[ia], e[ib] = lo + j, hi - 1 - j
+            key = tuple(e)
+            out[key] = out.get(key, 0) + sign * c
+    return PolElem(f.n, f.p, out)
+
+
+# --------------------------------------------------------------------------
+# the nilHecke algebra on a window of Pol_n
+# --------------------------------------------------------------------------
+
+
+class PolWindow:
+    """Pol_n in degrees ≤ cap, as a space that `BlockOp`s act on.
+
+    `basis` holds every monomial of degree ≤ cap as an exponent tuple,
+    ordered by degree; operators act on {exponents: coeff} dicts.
+    """
+
+    def __init__(self, n, p, cap):
+        self.n = n
+        self.p = p
+        self.basis = [
+            e for m in range(cap // 2 + 1) for e in sorted(self._compositions(m, n))
+        ]
+
+    @staticmethod
+    def _compositions(m, n):
+        if n == 1:
+            return [(m,)]
+        out = []
+        for first in range(m + 1):
+            for rest in PolWindow._compositions(m - first, n - 1):
+                out.append((first,) + rest)
+        return out
+
+    def op(self, shift: int, fmap) -> "BlockOp":
+        """The operator of degree `shift` given by a PolElem → PolElem map."""
+        n, p = self.n, self.p
+        return BlockOp(self, lambda e: fmap(PolElem(n, p, e)).terms, shift)
+
+    def op_diff(self) -> "BlockOp":
+        """The polynomial differential ∂(x_i) = x_i²."""
+        return self.op(2, PolElem.diff)
+
+
+def relations_check(n: int, p: int, window: int, delta=demazure):
+    """The nilHecke relations on a `PolWindow`, in the order and with the
+    messages of `pdgmod.nilhecke_relations_check`; `delta(i, f)` is the
+    Demazure operator to check, `demazure` unless a test passes a mutant."""
+    if n == 1:
+        return True, None
+    if window < nilhecke_least_window(n):
+        raise ValueError("window too small to be conclusive")
+    win = PolWindow(n, p, window)
+    x = [
+        win.op(2, lambda f, i=i: monomial(n, p, tuple(
+            1 if j == i else 0 for j in range(n))) * f)
+        for i in range(n)
+    ]
+    dd = [win.op(-2, lambda f, i=i: delta(i + 1, f)) for i in range(n - 1)]
+    ident = win.op(0, lambda f: f)
+    for i in range(n - 1):
+        if not dd[i].compose(dd[i]).is_zero():
+            return False, f"delta_{i+1}^2 != 0"
+    for i in range(n - 2):
+        lhs = dd[i].compose(dd[i + 1]).compose(dd[i])
+        rhs = dd[i + 1].compose(dd[i]).compose(dd[i + 1])
+        if not lhs.equals(rhs):
+            return False, f"braid relation fails at {i+1}"
+    for i in range(n - 1):
+        if not (x[i].compose(dd[i]) - dd[i].compose(x[i + 1])).equals(ident):
+            return False, f"dot slide (left) fails at {i+1}"
+        if not (dd[i].compose(x[i]) - x[i + 1].compose(dd[i])).equals(ident):
+            return False, f"dot slide (right) fails at {i+1}"
+    for i in range(n - 1):
+        for j in range(i + 2, n - 1):
+            if not dd[i].compose(dd[j]).equals(dd[j].compose(dd[i])):
+                return False, f"distant crossings {i+1},{j+1} do not commute"
+    return True, None
 
 # Global sign of the Demazure pairing, fixed once by the brute-force
 # (a,b) = (1,1) derivation: ∂_w(π_λ(x)·π_{λ̂}(x')) = PAIRING_SIGN·(−1)^{|λ̂|}.

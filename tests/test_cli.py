@@ -16,7 +16,8 @@ from qfrob.cli import CheckSpec, default_specs, main, run_check
 # invert by Fermat), a negative n, a twist check with n = 0, a cap below
 # 2(p−1), which leaves an empty valid window, a thick check with a·p over
 # its size guard, a nilHecke or Grassmannian check whose module rank is over
-# the END size guard, and a flag the check does not read
+# the END size guard, a flag the check does not read, and words no flag
+# reads: a non-integer value, a stray word, an unbalanced quote
 BAD_ARGS = [
     "verify-slash --p 4 --n 2",
     "verify-vi --p 0",
@@ -49,6 +50,9 @@ BAD_ARGS = [
     "verify-binom --p 2 --max 1 --n 7",
     "verify-thick --p 2 --a 2 --cap 10",
     "verify-grass --p 2 --max 6",
+    "verify-nilhecke --p 2 --cap 1e3",
+    "verify-binom --p 2 --max 1 extra",
+    'verify-binom --p "2 --max 1',
 ]
 
 
@@ -147,6 +151,26 @@ class TestMain:
         for r in (a, b):
             r[0].pop("ms")
         assert a == b
+
+    @pytest.mark.parametrize("command", ["verify-binom", "report-all"])
+    def test_unwritable_json_is_refused_before_any_check(
+        self, command, tmp_path, capsys, monkeypatch
+    ):
+        ran = []
+        monkeypatch.setitem(
+            cli.CHECKS, "verify-binom", (lambda p, maxab: ran.append(p), ("p", "max"))
+        )
+        cfg = tmp_path / "own.cfg"
+        cfg.write_text("verify-binom --p 2 --max 1\n")
+        target = str(tmp_path / "missing" / "r.json")
+        argv = ["report-all", "--config", str(cfg)]
+        if command == "verify-binom":
+            argv = ["verify-binom", "--p", "2", "--max", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--json", target])
+        assert exc.value.code == 2
+        assert target in capsys.readouterr().err
+        assert not ran
 
     def test_usage_error_exit_two(self):
         proc = subprocess.run(
@@ -251,6 +275,14 @@ class TestConfig:
             main(argv)
         assert exc.value.code == 2
         assert missing in capsys.readouterr().err
+
+    def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "own.cfg"
+        cfg.write_bytes(b"verify-binom --p 2 --max 1\n\xff\xfe\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["report-all", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert str(cfg) in capsys.readouterr().err
 
     def test_config_file_is_closed(self, tmp_path):
         cfg = tmp_path / "own.cfg"

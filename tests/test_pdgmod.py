@@ -5,22 +5,26 @@ import pytest
 import coboundary_oracle
 import demazure_oracle
 import expansion_oracle
-from demazure_oracle import block_swap_word, demazure_word
+from demazure_oracle import (
+    PolElem,
+    PolWindow,
+    block_swap_word,
+    demazure,
+    demazure_word,
+    monomial,
+)
 from qfrob import partitions as pt
 from qfrob import pdgmod
 from qfrob.cyclotomic import qbinom
 from qfrob.pdgmod import (
     BlockOp,
     EndAlgebra,
-    PolElem,
-    PolWindow,
-    demazure,
     end_algebra,
     end_formality_check,
     grass_rank_ok,
-    monomial,
     nh_acyclicity_check,
     nh_graded_dims,
+    nilhecke_least_window,
     nilhecke_relations_check,
     pairing_value,
     staircase_complex,
@@ -85,17 +89,101 @@ class TestNilHeckeRelations:
             nilhecke_relations_check(6, 5, 24)
 
     def test_wrong_demazure_in_one_degree_fails(self, monkeypatch):
-        real = pdgmod.demazure
-
-        def doubled_at_six(i, f):
-            g = real(i, f)
-            return g * 2 if f.degree() == 6 else g
-
-        monkeypatch.setattr(pdgmod, "demazure", doubled_at_six)
+        _mutate_crossing(monkeypatch, _doubled_at_six)
         assert nilhecke_relations_check(3, 3, 12) == (
             False,
             "dot slide (left) fails at 1",
         )
+
+
+# Mutants of the crossing δ_i, as maps (i, f, δ_i f, p) -> the image to use
+# instead, with f and δ_i f as {exponents: coeff}; each is applied to the
+# block-rule crossing and to the oracle's Demazure operator alike.
+def _doubled_at_six(i, f, g, p):
+    if max((2 * sum(e) for e in f), default=None) != 6:
+        return g
+    return {e: 2 * c % p for e, c in g.items() if 2 * c % p}
+
+
+def _second_negated(i, f, g, p):
+    return {e: -c % p for e, c in g.items()} if i == 2 else g
+
+
+def _cubes_dropped(i, f, g, p):
+    return {e: c for e, c in g.items() if e[i - 1] < 3}
+
+
+def _one_fixed(i, f, g, p):
+    one = {e: c for e, c in f.items() if not any(e)}
+    return {**g, **one}
+
+
+# −1 = 1 at p = 2, so negation is no mutant there
+CROSSING_MUTANTS = [
+    pytest.param(m, p, id=f"{m.__name__}-{p}")
+    for m in (_doubled_at_six, _second_negated, _cubes_dropped, _one_fixed)
+    for p in (2, 3, 5)
+    if (m, p) != (_second_negated, 2)
+]
+
+
+def _mutate_crossing(monkeypatch, mutant):
+    """Make `BlockRules.op_crossing` apply `mutant`, reading the block
+    coordinates (c,) or () of one-variable blocks as exponents c."""
+    real = pdgmod.BlockRules.op_crossing
+
+    def exps(elem):
+        return {tuple(lam[0] if lam else 0 for lam in t): c for t, c in elem.items()}
+
+    def mutated(self, k):
+        op = real(self, k)
+
+        def fn(elem):
+            img = mutant(k, exps(elem), exps(op(elem)), self.p)
+            return {tuple((c,) if c else () for c in e): v for e, v in img.items()}
+
+        return BlockOp(self, fn, op.shift)
+
+    monkeypatch.setattr(pdgmod.BlockRules, "op_crossing", mutated)
+
+
+class TestRelationRoutes:
+    """The block rules against the oracle's monomial window."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_same_verdicts(self, n, p):
+        least = nilhecke_least_window(n)
+        for window in (least, least + 4):
+            got = nilhecke_relations_check(n, p, window)
+            assert got == demazure_oracle.relations_check(n, p, window) == (True, None)
+
+    @pytest.mark.parametrize("mutant,p", CROSSING_MUTANTS)
+    def test_same_verdicts_on_mutants(self, monkeypatch, mutant, p):
+        def delta(i, f):
+            return PolElem(f.n, p, mutant(i, f.terms, demazure(i, f).terms, p))
+
+        verdicts = set()
+        for n in (2, 3, 4):
+            window = nilhecke_least_window(n)
+            want = demazure_oracle.relations_check(n, p, window, delta)
+            with monkeypatch.context() as m:
+                _mutate_crossing(m, mutant)
+                assert nilhecke_relations_check(n, p, window) == want
+            verdicts.add(want)
+        # every mutant breaks a relation somewhere
+        assert any(not ok for ok, _ in verdicts)
+
+    def test_lists_no_free_basis(self, monkeypatch):
+        # Pol_n has rank n! over Sym_n, over EndAlgebra.SIZE_GUARD from n = 6
+        # on; the check must never build the free basis the guard protects
+        def refuse(*args):
+            raise AssertionError("free basis listed")
+
+        monkeypatch.setattr(pdgmod.EndAlgebra, "__init__", refuse)
+        monkeypatch.setattr(pdgmod, "_end_algebra_cached", refuse)
+        monkeypatch.setattr(pt, "partitions_in_box", refuse)
+        assert nilhecke_relations_check(4, 3, 16) == (True, None)
 
 
 class TestNhDifferential:
