@@ -30,16 +30,22 @@ computed once, and Z[v^{±1}] has no zero divisors, so equal scaled
 numerators are exactly equal fractions in Q(v).
 
 The oracle compares those numerators by Kronecker substitution v ↦ 2^K:
-each Laurent polynomial f on the oracle side is held as (P, lo, bound)
-with P·2^{K·lo} = f(2^K) and bound ≥ ‖f‖₁, products and sums act on these
+each Laurent polynomial f on either side is held as (P, lo, bound) with
+P·2^{K·lo} = f(2^K) and bound ≥ ‖f‖₁, products and sums act on these
 integers, and nothing is unpacked.  f ↦ f(2^K) is a ring homomorphism, so
 unequal values prove unequal polynomials; equal values prove L = R only
 when bound(L) + bound(R) < 2^{K−1}, since then every coefficient of L − R
 lies below 2^{K−1} in absolute value, where the substitution is
 injective.  A comparison that misses the bound is redone at the least
 width 64·2^m that fits it (packed expansions are cached per width), so no
-fixed width can alias.  Only the output coefficients of `udot_mult`, the
-code under test, are packed; it keeps its Laurent arithmetic.
+fixed width can alias.  `udot_mult`, the code under test, runs unchanged
+over the packed ring, Z[v^{±1}] through v ↦ 2^K with the generic
+binomials packed: `_word_mult` uses only sums, products and binomials,
+and the substitution is a ring homomorphism, so the run yields exactly
+the image of each generic coefficient, with a true ℓ1 bound, and the
+comparison reads it as it comes.  A packed coefficient counts as zero
+only when P = 0 and bound < 2^{K−1}; one that aliases to 0 stays a word
+of value 0, which can only widen the comparison.
 
 The homomorphism and kernel checks multiply only where Fr can see the
 result, and Fr keeps a word only when p divides its a, b and n.  Every
@@ -95,7 +101,6 @@ __all__ = [
     "kernel_check",
     "oracle_box_check",
     "k0_symbol_check",
-    "oracle_monomials",
     "oracle_product_agrees",
     "commutation_formula_agrees",
 ]
@@ -122,7 +127,7 @@ class CoeffRing:
         return rho(f, self.p)
 
     def one(self):
-        return self.of(LaurentPoly.one())
+        return _ring_binom(self.tag, self.p, 0, 0)
 
     def binom(self, m: int, k: int):
         return _ring_binom(self.tag, self.p, m, k)
@@ -416,6 +421,7 @@ def frobenius_hom_check(p: int, amax: int, nmax: int) -> dict:
     """
     ring = CoeffRing("op", p)
     words = canonical_words(amax, amax, -nmax, nmax)
+    ys: dict[CBWord, tuple] = {}  # w2 -> (y, Fr(y)), each built once
     by_left: dict[int, list] = {}
     for w in words:
         by_left.setdefault(w.left_weight(), []).append(w)
@@ -428,9 +434,12 @@ def frobenius_hom_check(p: int, amax: int, nmax: int) -> dict:
             pairs += 1
             if w2.n % p or (w1.a - w1.b + w2.a - w2.b) % p:
                 continue
-            y = UdotElem(ring, {w2: ring.one()})
+            if w2 not in ys:
+                y = UdotElem(ring, {w2: ring.one()})
+                ys[w2] = y, frobenius(y)
+            y, fy = ys[w2]
             lhs = _frobenius_of_product(x, y)
-            rhs = udot_mult(fx, frobenius(y))
+            rhs = udot_mult(fx, fy)
             if lhs != rhs:
                 failures.append((str(w1), str(w2), str(lhs), str(rhs)))
     return {
@@ -456,6 +465,7 @@ def kernel_check(p: int, amax: int, nmax: int) -> dict:
     """
     ring = CoeffRing("op", p)
     words = canonical_words(amax, amax, -nmax, nmax)
+    z1s: dict[CBWord, UdotElem] = {}  # each built once
     by_n: dict[int, list] = {}
     for w in words:
         by_n.setdefault(w.n, []).append(w)
@@ -482,8 +492,9 @@ def kernel_check(p: int, amax: int, nmax: int) -> dict:
                 continue
             uz = udot_mult(u, z2)
             for w1 in visible:
-                z1 = UdotElem(ring, {w1: ring.one()})
-                img = _frobenius_of_product(z1, uz)
+                if w1 not in z1s:
+                    z1s[w1] = UdotElem(ring, {w1: ring.one()})
+                img = _frobenius_of_product(z1s[w1], uz)
                 if not img.is_zero():
                     failures.append((str(w1), kind, str(w2), str(img)))
     return {
@@ -503,16 +514,18 @@ def oracle_box_check(amax: int, nmax: int) -> tuple[int, bool]:
     stopping at the first disagreement (pairs then counts up to it).
 
     The oracle works over Z[v^{±1}] and does not depend on p, so the
-    decision is made once per process for each box.
+    decision is made once per process for each box.  All pairs share one
+    packed ring per width, and with it its packed binomials.
     """
     words = canonical_words(amax, amax, -nmax, nmax)
+    packed_ring = functools.cache(_PackedRing)
     pairs = 0
     for w1 in words:
         for w2 in words:
             if w1.n != w2.left_weight():
                 continue
             pairs += 1
-            if not oracle_product_agrees(w1, w2):
+            if not oracle_product_agrees(w1, w2, packed_ring):
                 return pairs, False
     return pairs, True
 
@@ -553,31 +566,6 @@ def _move_v_past_powers(i: int, n: int):
     return c_prev - qint(n + 2 * (i - 1))
 
 
-def oracle_monomials(b: int, a: int, n: int):
-    """Normal form of ϑ^b θ^a 1_n as {(i, j): LaurentPoly} over the
-    monomial basis θ^i ϑ^j 1_n, via the defining relations alone, one ϑ
-    at a time from the left."""
-    out: dict[tuple, LaurentPoly] = {(a, 0): LaurentPoly.one()}
-
-    def add(key, poly):
-        poly = out[key] + poly if key in out else poly
-        if poly.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = poly
-
-    for _ in range(b):
-        prev, out = out, {}
-        for (i, j), c in prev.items():
-            # multiply by ϑ on the left: ϑ θ^i ϑ^j 1_n; the idempotent to
-            # the right of θ^i is 1_{n − 2j}
-            add((i, j + 1), c)
-            coeff = _move_v_past_powers(i, n - 2 * j)
-            if not coeff.is_zero():
-                add((i - 1, j), c * coeff)
-    return out
-
-
 # Packed view: at width K a Laurent polynomial f is the triple
 # (P, lo, bound) with P·2^{K·lo} = f(2^K) and bound ≥ ‖f‖₁; see
 # `_packed_agree` for why comparisons on it are exact.
@@ -603,6 +591,61 @@ def _padd(x, y, K):
     if x[1] > y[1]:
         x, y = y, x
     return x[0] + (y[0] << (K * (y[1] - x[1]))), x[1], x[2] + y[2]
+
+
+def _packed_zero(x, K) -> bool:
+    """Whether the packed x is certainly 0: P = 0 and bound < 2^{K−1}.  A
+    nonzero f whose coefficients all lie below 2^{K−1} in absolute value
+    has f(2^K) ≠ 0, so P = 0 with a larger bound decides nothing."""
+    return not x[0] and x[2] < 1 << (K - 1)
+
+
+class _Packed(tuple):
+    """A packed triple as an element of a `_PackedRing`: `*` is `_pmul`,
+    `+` is `_padd` at the ring's width K (the class attribute K of the
+    ring's subclass), and the element is false only when it is certainly
+    0."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        return self.__class__(_pmul(self, other))
+
+    def __add__(self, other):
+        return self.__class__(_padd(self, other, self.K))
+
+    def __bool__(self):
+        return not _packed_zero(self, self.K)
+
+
+class _PackedRing:
+    """Z[v^{±1}] through v ↦ 2^K, as a coefficient ring for `udot_mult`.
+
+    Its elements are `_Packed` triples of width K, and `binom(m, k)` packs
+    the generic `_ring_binom`, once per ring.  f ↦ f(2^K) is a ring
+    homomorphism and `_word_mult` uses only sums, products and these
+    binomials, so a product over this ring yields exactly the image of
+    each generic coefficient, with a true ℓ1 bound.  A generic zero has
+    P = 0; it is dropped unless its bound reaches 2^{K−1}, and then it
+    stays as a word with value 0, which can only widen a comparison.
+    Nothing outside the ring keeps its binomials, so a new ring reads
+    `_ring_binom` afresh.
+    """
+
+    def __init__(self, K: int):
+        self.K = K
+        self.elem = type("_Packed", (_Packed,), {"__slots__": (), "K": K})
+        self._binoms: dict[tuple, _Packed] = {}
+
+    def one(self):
+        return self.elem(_ONE)
+
+    def binom(self, m: int, k: int):
+        c = self._binoms.get((m, k))
+        if c is None:
+            c = self.elem(_pack(_ring_binom("generic", None, m, k), self.K))
+            self._binoms[m, k] = c
+        return c
 
 
 def _packed_agree(sides) -> bool:
@@ -635,8 +678,22 @@ def _packed_agree(sides) -> bool:
 
 @functools.cache
 def _packed_monomials(b: int, a: int, n: int, K: int) -> dict:
-    """`oracle_monomials(b, a, n)` packed at width K."""
-    return {key: _pack(c, K) for key, c in oracle_monomials(b, a, n).items()}
+    """Normal form of ϑ^b θ^a 1_n as {(i, j): coefficient} over the
+    monomial basis θ^i ϑ^j 1_n, packed at width K, via the defining
+    relations alone: ϑ times the cached form of ϑ^{b−1} θ^a 1_n.  A
+    coefficient that is certainly 0 is dropped."""
+    if b == 0:
+        return {(a, 0): _ONE}
+    out: dict[tuple, tuple] = {}
+    for (i, j), c in _packed_monomials(b - 1, a, n, K).items():
+        # ϑ θ^i ϑ^j 1_n; the idempotent to the right of θ^i is 1_{n − 2j}
+        terms = [((i, j + 1), c)]
+        coeff = _move_v_past_powers(i, n - 2 * j)
+        if coeff:
+            terms.append(((i - 1, j), _pmul(c, _pack(coeff, K))))
+        for key, t in terms:
+            out[key] = _padd(out[key], t, K) if key in out else t
+    return {key: c for key, c in out.items() if not _packed_zero(c, K)}
 
 
 def _packed_expansion(w: CBWord, K: int) -> dict:
@@ -659,32 +716,31 @@ def _cofactor(top: tuple, bottom: tuple, K: int) -> tuple:
     return _pack(num.divexact(den), K)
 
 
-def _fractions_agree(A, B, lhs, lhs_bottom, rhs_terms) -> bool:
-    """Whether lhs/Π_{s ∈ lhs_bottom}[s]! equals Σ coeff·w over
-    rhs_terms = [(coeff, w)], w a word read as its numerator over
+def _fractions_agree(A, B, lhs, lhs_bottom, rhs) -> bool:
+    """Whether lhs/Π_{s ∈ lhs_bottom}[s]! equals Σ coeff·w over the terms
+    (coeff, w) of the right side, w a word read as its numerator over
     [a]!·[b]!, monomial by monomial, with both sides scaled to
     D = [A]!·[B]! (exact: see the module docstring).  lhs(K) is the left
-    numerator packed at width K.  The caller picks A, B so that D is a
-    multiple of the left denominator; a right-hand word with a > A or
-    b > B raises.
+    numerator and rhs(K) the right terms, both packed at width K.  The
+    caller picks A, B so that D is a multiple of the left denominator; a
+    right-hand word with a > A or b > B raises.
     """
-    for _, w in rhs_terms:
-        if w.a > A or w.b > B:
-            raise ValueError(f"word ({w.a}, {w.b}) lies outside D = [{A}]!·[{B}]!")
     bottom = tuple(sorted(lhs_bottom))
 
     def sides(K):
-        rhs: dict[tuple, tuple] = {}
-        for coeff, w in rhs_terms:
-            scale = _pmul(_pack(coeff, K), _cofactor((A, B), (w.a, w.b), K))
+        right: dict[tuple, tuple] = {}
+        for coeff, w in rhs(K):
+            if w.a > A or w.b > B:
+                raise ValueError(f"word ({w.a}, {w.b}) lies outside D = [{A}]!·[{B}]!")
+            scale = _pmul(coeff, _cofactor((A, B), (w.a, w.b), K))
             for key, c in _packed_expansion(w, K).items():
                 t = _pmul(scale, c)
-                rhs[key] = _padd(rhs[key], t, K) if key in rhs else t
+                right[key] = _padd(right[key], t, K) if key in right else t
         left = lhs(K)
         scale = _cofactor((A, B), bottom, K)
-        for key in left.keys() | rhs.keys():
+        for key in left.keys() | right.keys():
             L = _pmul(left[key], scale) if key in left else _ZERO
-            yield L, rhs.get(key, _ZERO)
+            yield L, right.get(key, _ZERO)
 
     return _packed_agree(sides)
 
@@ -704,26 +760,34 @@ def _monomial_product(w1: CBWord, w2: CBWord, K: int) -> dict:
     return out
 
 
-def oracle_product_agrees(w1: CBWord, w2: CBWord) -> bool:
-    """Whether udot_mult over the generic ring matches the rational-field
+def oracle_product_agrees(w1: CBWord, w2: CBWord, packed_ring=_PackedRing) -> bool:
+    """Whether udot_mult over Z[v^{±1}] matches the rational-field
     expansion of w1·w2 (zero when weights mismatch).
+
+    udot_mult runs over `packed_ring(K)`, Z[v^{±1}] packed at the width K
+    of the comparison, so its coefficients are read as they come (see
+    `_PackedRing`).  `oracle_box_check` passes a cached constructor, one
+    ring per width for all the pairs of its box.
 
     Compared over D = [a1+a2]!·[b1+b2]!: every word of the product has
     a ≤ a1+a2 and b ≤ b1+b2, so D is a multiple of its [a]!·[b]!, and of
     the left side's [a1]![b1]![a2]![b2]! by a product of two Gaussian
     binomials."""
-    ring = CoeffRing("generic")
-    prod = udot_mult(
-        UdotElem(ring, {w1: ring.one()}), UdotElem(ring, {w2: ring.one()})
-    )
+
+    def product(K):
+        ring = packed_ring(K)
+        return udot_mult(
+            UdotElem(ring, {w1: ring.one()}), UdotElem(ring, {w2: ring.one()})
+        )
+
     if w1.n != w2.left_weight():
-        return prod.is_zero()
+        return product(_START_WIDTH).is_zero()
     return _fractions_agree(
         w1.a + w2.a,
         w1.b + w2.b,
         lambda K: _monomial_product(w1, w2, K),
         (w1.a, w1.b, w2.a, w2.b),
-        [(coeff, w) for w, coeff in prod.terms.items()],
+        lambda K: [(c, w) for w, c in product(K).terms.items()],
     )
 
 
@@ -736,4 +800,10 @@ def commutation_formula_agrees(A: int, B: int, n: int) -> bool:
         c = qbinom_int(A - B + n, j)
         if not c.is_zero():
             rhs_terms.append((c, CBWord("FE", A - j, B - j, n)))
-    return _fractions_agree(A, B, lambda K: {(A, B): _ONE}, (A, B), rhs_terms)
+    return _fractions_agree(
+        A,
+        B,
+        lambda K: {(A, B): _ONE},
+        (A, B),
+        lambda K: [(_pack(c, K), w) for c, w in rhs_terms],
+    )

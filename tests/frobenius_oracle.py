@@ -1,4 +1,4 @@
-"""Reference homomorphism and kernel checks for the tests.
+"""Reference Frobenius checks and monomial expansions for the tests.
 
 The exhaustive loops that `qgroup.frobenius_hom_check` and
 `qgroup.kernel_check` ran before they learned the weight rule: every
@@ -6,8 +6,13 @@ weight-matched pair and triple is multiplied out in full, whatever its
 weight, and only then sent through `frobenius`.  Kept here unchanged as
 the independent oracle for the pairs and triples that the fast checks
 decide without multiplying.
+
+`oracle_monomials` is the Laurent-polynomial normal form of ϑ^b θ^a 1_n
+that the product oracle once packed afresh for every b; it is the slow
+oracle of the packed recursion `qgroup._packed_monomials`.
 """
 
+from qfrob.cyclotomic import LaurentPoly, qint
 from qfrob.qgroup import (
     CoeffRing,
     UdotElem,
@@ -79,3 +84,32 @@ def kernel_check(p: int, amax: int, nmax: int) -> dict:
         "ok": not failures,
         "failures": failures[:3],
     }
+
+
+def oracle_monomials(b: int, a: int, n: int):
+    """Normal form of ϑ^b θ^a 1_n as {(i, j): LaurentPoly} over the
+    monomial basis θ^i ϑ^j 1_n, via the defining relations alone, one ϑ
+    at a time from the left."""
+    out: dict[tuple, LaurentPoly] = {(a, 0): LaurentPoly.one()}
+
+    def add(key, poly):
+        poly = out[key] + poly if key in out else poly
+        if poly.is_zero():
+            out.pop(key, None)
+        else:
+            out[key] = poly
+
+    for _ in range(b):
+        prev, out = out, {}
+        for (i, j), c in prev.items():
+            # multiply by ϑ on the left: ϑ θ^i ϑ^j 1_n; the idempotent to
+            # the right of θ^i is 1_{n − 2j}, and by the defining
+            # commutator ϑ θ^i 1_m = θ^i ϑ 1_m − Σ_{t<i} [m + 2t]·θ^{i−1} 1_m
+            add((i, j + 1), c)
+            m = n - 2 * j
+            coeff = LaurentPoly.zero()
+            for t in range(i):
+                coeff = coeff - qint(m + 2 * t)
+            if not coeff.is_zero():
+                add((i - 1, j), c * coeff)
+    return out

@@ -267,6 +267,104 @@ class TestPackedComparison:
         assert _wrong_binomial_rejections(monkeypatch) == 206
 
 
+def _packed_image(x, f, K) -> bool:
+    """Whether the packed x has the value f(2^K) and a bound ≥ ‖f‖₁."""
+    Q, mo, norm = qgroup._pack(f, K)
+    P, lo, bound = x
+    base = min(lo, mo)
+    return P << (K * (lo - base)) == Q << (K * (mo - base)) and bound >= norm
+
+
+def _packed_zero_word(x, K) -> bool:
+    """Whether x has value 0 with a bound that forbids calling it 0."""
+    return x[0] == 0 and x[2] >= 1 << (K - 1)
+
+
+class TestPackedRing:
+    def test_one_is_the_unit_of_every_ring(self):
+        rings = [CoeffRing("generic")] + [
+            CoeffRing(tag, p) for tag in ("op", "rho") for p in (2, 3, 5)
+        ]
+        for ring in rings:
+            assert ring.one() == ring.of(LaurentPoly.one()), ring
+
+    @pytest.mark.parametrize("K", [64, 8])
+    def test_products_are_packed_generic_products(self, K):
+        # every generic word appears with its packed value and a true
+        # bound; a word the packed run adds has value 0 and a bound that
+        # keeps it from being called 0
+        words = canonical_words(3, 3, -6, 6)
+        ring = qgroup._PackedRing(K)
+        pairs = 0
+        for w1 in words:
+            for w2 in words:
+                if w1.n != w2.left_weight():
+                    continue
+                pairs += 1
+                generic = udot_mult(
+                    UdotElem(G, {w1: G.one()}), UdotElem(G, {w2: G.one()})
+                )
+                packed = udot_mult(
+                    UdotElem(ring, {w1: ring.one()}), UdotElem(ring, {w2: ring.one()})
+                )
+                for w, c in generic.terms.items():
+                    assert w in packed.terms, (w1, w2, w)
+                    assert _packed_image(packed.terms[w], c, K), (w1, w2, w)
+                for w, x in packed.terms.items():
+                    if w not in generic.terms:
+                        assert _packed_zero_word(x, K), (w1, w2, w)
+        assert pairs == 2688
+
+    def test_an_aliased_zero_is_not_zero(self):
+        # v − 256 packs to P = 0 at K = 8, but its bound 257 ≥ 2^7 says
+        # that the substitution may have aliased it, so it stays nonzero
+        ring = qgroup._PackedRing(8)
+        f = LaurentPoly({1: 1, 0: -256})
+        v = ring.elem(qgroup._pack(LaurentPoly({1: 1}), 8))
+        c = ring.elem(qgroup._pack(LaurentPoly.from_int(-256), 8))
+        for x in (ring.elem(qgroup._pack(f, 8)), v + c):
+            assert x[0] == 0 and x
+        # a zero with a small bound is 0
+        assert not v + ring.elem(qgroup._pack(LaurentPoly({1: -1}), 8))
+
+
+@pytest.fixture(scope="class")
+def box_reads():
+    """Run the (4, 8) oracle box once, recording every width at which it
+    compares and every (b, a, n) whose packed expansion it reads."""
+    reads = set()
+    real = qgroup._packed_monomials
+
+    def monomials(b, a, n, K):
+        reads.add((b, a, n))
+        return real(b, a, n, K)
+
+    with pytest.MonkeyPatch.context() as mp:
+        widths = _widths_seen(mp)
+        mp.setattr(qgroup, "_packed_monomials", monomials)
+        assert qgroup.oracle_box_check.__wrapped__(4, 8) == (8625, True)
+    return set(widths), reads
+
+
+class TestPackedOracleBox:
+    def test_pinned_box_compares_at_the_start_width_only(self, box_reads):
+        widths, _ = box_reads
+        assert widths == {64}
+
+    def test_recursive_expansions_match_the_laurent_oracle(self, box_reads):
+        _, reads = box_reads
+        assert reads
+        for b, a, n in reads:
+            want = frobenius_oracle.oracle_monomials(b, a, n)
+            for K in (64, 8):
+                got = qgroup._packed_monomials(b, a, n, K)
+                for key, f in want.items():
+                    assert key in got, (b, a, n, K, key)
+                    assert _packed_image(got[key], f, K), (b, a, n, K, key)
+                for key in got.keys() - want.keys():
+                    assert _packed_zero_word(got[key], K), (b, a, n, K, key)
+
+
 class TestAssociativity:
     def test_random_triples(self):
         rng = random.Random(3)
