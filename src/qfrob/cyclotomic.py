@@ -260,21 +260,18 @@ def qbinom_int(m: int, k: int) -> LaurentPoly:
     """Gaussian binomial [m, k] for arbitrary integer m and k ≥ 0.
 
     Defined by the product formula [m][m−1]...[m−k+1]/[k]!, which agrees
-    with qbinom on 0 ≤ k ≤ m and extends it to negative m.  The division
-    is exact; a nonzero remainder would mean an arithmetic bug.
+    with qbinom on 0 ≤ k ≤ m and extends it to negative m.  Since
+    [−x] = −[x], for m < 0 the product is (−1)^k [k−m−1]...[−m], so
+    [m, k] = (−1)^k [k−m−1, k], taken from qbinom without division.
     """
     if k < 0:
         raise ValueError("lower index must be nonnegative")
-    if k == 0:
-        return LaurentPoly.one()
     if 0 <= m < k:
         return LaurentPoly.zero()
-    if m >= k:
+    if m >= 0:
         return qbinom(m, k)
-    num = LaurentPoly.one()
-    for i in range(k):
-        num = num * qint(m - i)
-    return num.divexact(qfact(k))
+    b = qbinom(k - m - 1, k)
+    return -b if k % 2 else b
 
 
 class CycElem:

@@ -10,8 +10,8 @@ built
   `pcomplex` (the matrices of ∂^j there are well under 1 % nonzero), and
 * `SparseSpan`, the only solve: coordinates of a vector over a fixed list
   of vectors, or None when it is not in their span.  It serves the
-  string-slot coordinates of `pdgmod` and the coboundary membership tests
-  of the lima, theta0 and thick checks.
+  string-slot coordinates of `pdgmod` and the string-triple coboundary
+  test of the thick check.
 
 The row operations take the first usable pivot scanning keys in increasing
 order, so kernels and chosen basis extensions are fully

@@ -44,7 +44,6 @@ __all__ = [
     "StringStats",
     "tensor",
     "tensor_stats",
-    "slash_dims_from_stats",
     "j_tensor",
 ]
 
@@ -105,10 +104,6 @@ class PComplex:
     def indices_at(self, d):
         return self._by_degree.get(d, [])
 
-    def power_images(self, d, j):
-        """[∂^j(e_i) for e_i in the basis of degree d], as sparse vectors."""
-        return _Powers(self).images(d, j)
-
     def apply(self, vec: dict) -> dict:
         out: dict[int, int] = {}
         for j, c in vec.items():
@@ -132,12 +127,15 @@ class PComplex:
     def slash_cohomology(self) -> "SlashCohomology":
         """Slash dims from the ranks behind `string_stats`; representatives
         are read off `string_decompose` on first access to `reps`."""
-        return SlashCohomology(
-            p=self.p,
-            dims=slash_dims_from_stats(self.string_stats(), self.p),
-            valid_window=(self.min_degree(), self.cap - 2 * (self.p - 1)),
-            source=self,
-        )
+        return self.string_stats().slash(source=self)
+
+    def independent_mod_coboundaries(self, d, vecs) -> bool:
+        """Whether the vectors of degree d are linearly independent modulo
+        Im ∂^{p−1}, the span of the images ∂^{p−1}(e_i) of the basis of
+        degree d − 2(p−1)."""
+        j = self.p - 1
+        im = _Powers(self).images(d - 2 * j, j)
+        return len(linalg.sparse_extend_basis(im, vecs, self.p)) == len(vecs)
 
     # ---------- string decomposition ----------
 
@@ -389,19 +387,23 @@ class SlashCohomology:
     """Slash cohomology with chosen homogeneous representatives.
 
     dims[k][d] and reps[k][d] cover k = 0..p−2 and degrees in the valid
-    window; degrees outside the window are unknown, not zero.  `reps` is
-    read off the strings of `source` on first access.
+    window; degrees outside the window are unknown, not zero.  Built by
+    `StringStats.slash`; `reps` is read off the strings of `source` on
+    first access.
     """
 
     p: int
     dims: dict
     valid_window: tuple
-    source: PComplex = field(repr=False, compare=False)
+    source: PComplex = field(default=None, repr=False, compare=False)
 
     @functools.cached_property
     def reps(self) -> dict:
         """reps[k][d]: slot ℓ−1−k of each string of length ℓ < p through
-        degree d, in `string_decompose` order, as key-sorted vectors."""
+        degree d, in `string_decompose` order, as key-sorted vectors.
+        Raises ValueError when there is no source complex."""
+        if self.source is None:
+            raise ValueError("slash cohomology from statistics only: no representatives")
         found = {k: {} for k in range(self.p - 1)}
         for s in self.source.string_decompose():
             for k, d, slot in _string_classes(
@@ -474,6 +476,18 @@ class StringStats:
     def min_head(self):
         return min((h for h, _ in self.counts), default=0)
 
+    def slash(self, source=None) -> SlashCohomology:
+        """H_{/k} on the valid window [lowest head, cap − 2(p−1)], each
+        string giving its `_string_classes`; `source` is the complex whose
+        strings these are, if any, for representatives."""
+        p = self.p
+        hi = self.cap - 2 * (p - 1)
+        dims = {k: {} for k in range(p - 1)}
+        for (h, l), m in self.counts.items():
+            for k, d, _ in _string_classes(h, l, p, hi):
+                dims[k][d] = dims[k].get(d, 0) + m
+        return SlashCohomology(p, dims, (self.min_head(), hi), source)
+
 
 @functools.cache
 def _string_tensor_table(l1: int, l2: int, p: int):
@@ -527,12 +541,3 @@ def _string_classes(head: int, length: int, p: int, hi):
         if head + 2 * slot <= hi:
             yield k, head + 2 * slot, slot
 
-
-def slash_dims_from_stats(stats: StringStats, p: int):
-    """Graded dims of H_{/k} from string statistics, on the valid window."""
-    hi = stats.cap - 2 * (p - 1)
-    out = {k: {} for k in range(p - 1)}
-    for (h, l), m in stats.counts.items():
-        for k, d, _ in _string_classes(h, l, p, hi):
-            out[k][d] = out[k].get(d, 0) + m
-    return out

@@ -62,8 +62,8 @@ import math
 from . import linalg
 from . import partitions as pt
 from .cyclotomic import LaurentPoly, qbinom
-from .pcomplex import INF, PComplex, j_tensor, slash_dims_from_stats, tensor_stats
-from .symfunc import SchurPoly, split_blocks, sym_pcomplex
+from .pcomplex import INF, PComplex, SlashCohomology, j_tensor, tensor_stats
+from .symfunc import SchurPoly, split_blocks, sym_hilbert, sym_pcomplex
 
 __all__ = [
     "nilhecke_least_window",
@@ -178,8 +178,8 @@ def nh_acyclicity_check(p: int):
     """
     v = staircase_complex(p)
     cap = 2 * (v.max_degree() - v.min_degree()) + 4 * p * p + 2 * p
-    dims, valid_cap = _end_algebra_cached((1,) * p, p).slash_hilbert(cap)
-    return all(not per for per in dims.values()), dims, valid_cap
+    sl = _end_algebra_cached((1,) * p, p).slash_hilbert(cap)
+    return sl.is_zero(), sl.dims, sl.valid_window[1]
 
 
 def grass_rank_ok(a: int, b: int, p: int) -> bool:
@@ -437,22 +437,13 @@ class EndAlgebra(BlockRules):
             out[d] = out.get(d, 0) + 1
         return LaurentPoly(out)
 
-    def end_stats_factors(self):
+    def slash_hilbert(self, cap: int) -> SlashCohomology:
+        """H_/(END) with Sym_N truncated at cap, from the string statistics
+        of END = Sym_N^{trunc} ⊗ V ⊗ V^*; it has no representatives."""
         v = self.scalar_complex()
-        sv = v.string_stats()
-        svd = v.dual().string_stats()
-        return tensor_stats(sv, svd, self.p)
-
-    def slash_hilbert(self, cap: int):
-        """Graded dims of H_/(END) on the valid window, via string stats.
-
-        Returns (dims: {k: {degree: dim}}, valid_cap).
-        """
-        u_stats = self.end_stats_factors()
+        u_stats = tensor_stats(v.string_stats(), v.dual().string_stats(), self.p)
         r_stats = sym_pcomplex(self.nvars, self.p, cap).string_stats()
-        total = tensor_stats(r_stats, u_stats, self.p)
-        dims = slash_dims_from_stats(total, self.p)
-        return dims, total.cap - 2 * (self.p - 1)
+        return tensor_stats(r_stats, u_stats, self.p).slash()
 
     @functools.cached_property
     def _slash_totals(self):
@@ -460,12 +451,8 @@ class EndAlgebra(BlockRules):
         k, at cap = (degree span of the free basis) + 2(p−1) + 4p² + 2."""
         p = self.p
         cap = max(self.degrees) - min(self.degrees) + 2 * (p - 1) + 4 * p * p + 2
-        dims, valid_cap = self.slash_hilbert(cap)
-        total: dict[int, int] = {}
-        for per in dims.values():
-            for d, c in per.items():
-                total[d] = total.get(d, 0) + c
-        return cap, total, valid_cap
+        sl = self.slash_hilbert(cap)
+        return cap, sl.total_dims(), sl.valid_window[1]
 
     # ---- coboundary membership ----
 
@@ -733,18 +720,7 @@ def nh_graded_dims(a: int, p: int, lo: int, hi: int) -> dict:
         for l2, c2 in poincare.items():
             d = step * (l1 - l2)
             shifts[d] = shifts.get(d, 0) + c1 * c2
-    out: dict[int, int] = {}
-    maxm = (hi - min(shifts)) // step + 1
-    sym_dims = {0: 1}
-    # partitions with parts ≤ a, graded by size, give Hilbert(Sym_a)
-    for m in range(1, maxm + 1):
-        sym_dims[m] = len(pt.partitions_of(m, max_part=a))
-    for d0, c0 in shifts.items():
-        for m, cm in sym_dims.items():
-            d = d0 + step * m
-            if lo <= d <= hi:
-                out[d] = out.get(d, 0) + c0 * cm
-    return {d: c for d, c in out.items() if c}
+    return sym_hilbert(a, step, shifts, lo, hi)
 
 
 def thick_nilhecke_check(a: int, p: int) -> dict:
@@ -816,20 +792,11 @@ def end_formality_check(p: int) -> dict:
     coming from the minimal nontrivial expanded-box class."""
     alg = _end_algebra_cached((p, p), p)
     cap, total, valid_cap = alg._slash_totals
-    # target: shifts {−2p²: 1, 0: 2, 2p²: 1} over k[g_1, g_2] with
-    # deg g_1 = 2p², deg g_2 = 4p²; that ring has floor(t/2)+1 monomials
-    # in degree 2p²·t.
+    # target: shifts {−2p²: 1, 0: 2, 2p²: 1} over Sym_2 dilated by 2p²,
+    # the ring on generators of degrees 2p² and 4p²
     step = 2 * p * p
-    shifts = {-step: 1, 0: 2, step: 1}
     lo = min(alg.degrees) - max(alg.degrees)
-    expect: dict[int, int] = {}
-    for s, c in shifts.items():
-        t = 0
-        while s + step * t <= valid_cap:
-            d = s + step * t
-            if d >= lo:
-                expect[d] = expect.get(d, 0) + c * (t // 2 + 1)
-            t += 1
+    expect = sym_hilbert(2, step, {-step: 1, 0: 2, step: 1}, lo, valid_cap)
     return {
         "p": p,
         "cap": cap,

@@ -15,9 +15,11 @@ Finite variable counts are handled by row truncation: partitions with
 more than n rows are dropped after every product, differential or
 transpose.  The degree of π_λ is 2|λ|.
 
-Builders assemble the associated p-complexes: truncated Sym_n and S_n(a),
-the finite box complexes V_{a,b} on P(bp, ap) with the plain content
-differential, and V_i on P(i, kp−i) with contents shifted by i.
+`sym_hilbert` is the Hilbert series of Sym_m with degrees dilated, times
+a Laurent polynomial of shifts: the graded dims that the slash checks
+expect.  Builders assemble the associated p-complexes: truncated Sym_n
+and S_n(a), the finite box complexes V_{a,b} on P(bp, ap) with the plain
+content differential, and V_i on P(i, kp−i) with contents shifted by i.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "split_blocks",
     "theta0_gen",
     "lima_partitions",
+    "sym_hilbert",
     "sym_pcomplex",
     "twist_pcomplex",
     "vab_pcomplex",
@@ -286,6 +289,26 @@ def split_vars(f: SchurPoly, a: int, b: int) -> dict:
 def theta0_gen(i: int, p: int, n=None) -> SchurPoly:
     """The image e_{ip}^p of the i-th dilated generator; degree 2ip²."""
     return elementary(i * p, p, n) ** p
+
+
+# ---------- dilated Hilbert series ----------
+
+
+def sym_hilbert(m: int, step: int, shifts: dict, lo: int, hi: int) -> dict:
+    """Σ_s c_s·t^s · Hilb(Sym_m)(t^step) on degrees [lo, hi], shifts {s: c_s},
+    as {degree: dim} without zeros.  Sym_m, on generators of degrees
+    step·1, ..., step·m, has as many monomials in degree step·t as t has
+    partitions into parts ≤ m."""
+    top = max(((hi - s) // step for s in shifts), default=-1)
+    parts = [1] + [0] * top
+    for j in range(1, m + 1):
+        for t in range(j, top + 1):
+            parts[t] += parts[t - j]
+    out: dict[int, int] = {}
+    for s, c in shifts.items():
+        for t in range(max(0, -((s - lo) // step)), (hi - s) // step + 1):
+            out[s + step * t] = out.get(s + step * t, 0) + c * parts[t]
+    return {d: c for d, c in out.items() if c}
 
 
 # ---------- p-complex builders ----------

@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from qfrob import cli, qgroup
+from qfrob import cli, qgroup, symfunc
 from qfrob.cyclotomic import LaurentPoly
 from qfrob.pcomplex import PComplex
 from qfrob.cli import CheckSpec, default_specs, main, run_check
@@ -310,3 +310,80 @@ class TestTheta0Check:
     def test_coproduct_compatibility_p2(self):
         rep = run_check(CheckSpec("verify-theta0", {"p": 2, "kmax": 2}))
         assert rep.status == "pass"
+
+    @staticmethod
+    def _patch_split(monkeypatch, change):
+        real = symfunc.split_vars
+
+        def patched(f, a, b):
+            out = dict(real(f, a, b))
+            change(out, f.p, a, b)
+            return out
+
+        monkeypatch.setattr(symfunc, "split_vars", patched)
+
+    def test_changed_coefficient_on_shared_term_fails(self, monkeypatch):
+        # ((3,3,3), (3,3,3)) is on both sides; doubled, the difference is
+        # a term neither of whose factors is a coboundary
+        key = ((3, 3, 3), (3, 3, 3))
+
+        def double(out, p, a, b):
+            if key in out:
+                out[key] = 2 * out[key] % p
+
+        self._patch_split(monkeypatch, double)
+        assert cli.check_verify_theta0(3, 2) == (
+            "fail",
+            {"kmax": 2, "noncoboundary_term": (2, 1, 1, (3, 3, 3), (3, 3, 3))},
+        )
+
+    def test_leftover_coboundary_term_passes(self, monkeypatch):
+        # π_(2,1) = ∂π_(2) in Sym_2 at p = 2, so a leftover term with that
+        # left factor dies in slash cohomology; π_(3,2) is no coboundary
+        assert symfunc.schur(2, (2,), n=2).diff() == symfunc.schur(2, (2, 1), n=2)
+
+        def inject(out, p, a, b):
+            if (a, b) == (2, 2):
+                out[((2, 1), (3, 2))] = 1
+
+        self._patch_split(monkeypatch, inject)
+        assert cli.check_verify_theta0(2, 2) == ("pass", {"kmax": 2})
+
+    def test_non_cocycle_generator_fails(self, monkeypatch):
+        real = symfunc.theta0_gen
+
+        def gen(i, p, n=None):
+            g = real(i, p, n)
+            return g + symfunc.schur(p, (1,), n) if i == 2 else g
+
+        monkeypatch.setattr(symfunc, "theta0_gen", gen)
+        assert cli.check_verify_theta0(2, 2) == ("fail", {"kmax": 2, "not_cocycle": 2})
+
+
+class TestLimaCheck:
+    @staticmethod
+    def _swap(monkeypatch, old, new):
+        real = symfunc.lima_partitions
+
+        def patched(b, a, p):
+            return [new if tuple(lam) == old else lam for lam in real(b, a, p)]
+
+        monkeypatch.setattr(symfunc, "lima_partitions", patched)
+
+    def test_non_cocycle(self, monkeypatch):
+        self._swap(monkeypatch, (2, 2), (1, 1, 1, 1))
+        assert cli.check_verify_lima(2, 1, 2) == (
+            "fail",
+            {"dim": 3, "expected_dim": 3, "non_cocycle": "(1, 1, 1, 1)"},
+        )
+
+    def test_degree_mismatch(self, monkeypatch):
+        self._swap(monkeypatch, (2, 2), (2, 1))
+        assert cli.check_verify_lima(2, 1, 1) == (
+            "fail",
+            {"dim": 2, "expected_dim": 2, "degree_mismatch": 6},
+        )
+
+
+def test_cli_runs_no_elimination_of_its_own():
+    assert not hasattr(cli, "SparseSpan")

@@ -80,6 +80,25 @@ class TestQbinom:
         assert qbinom_int(-1, 2) == (qint(-1) * qint(-2)).divexact(qfact(2))
         assert qbinom_int(-3, 2) == (qint(-3) * qint(-4)).divexact(qfact(2))
 
+    def test_qbinom_int_negative_matches_product_formula(self, monkeypatch):
+        # [m, k] = [m][m−1]...[m−k+1] / [k]! for m ∈ [−12, −1], k ≤ 9,
+        # while qbinom_int itself divides nothing
+        expect = {}
+        for m in range(-12, 0):
+            for k in range(10):
+                num = LaurentPoly.one()
+                for i in range(k):
+                    num = num * qint(m - i)
+                expect[m, k] = num.divexact(qfact(k))
+
+        def refuse(self, other):
+            raise AssertionError("divexact called")
+
+        qbinom_int.cache_clear()
+        monkeypatch.setattr(LaurentPoly, "divexact", refuse)
+        for (m, k), b in expect.items():
+            assert qbinom_int(m, k) == b
+
 
 _COEFF = st.one_of(st.integers(-9, 9), st.integers(-(2**80), 2**80))
 _POLY = st.dictionaries(st.integers(-15, 15), _COEFF, max_size=8).map(LaurentPoly)

@@ -12,12 +12,11 @@ from qfrob.pcomplex import (
     INF,
     PComplex,
     j_tensor,
-    slash_dims_from_stats,
     tensor,
     tensor_stats,
 )
 from qfrob.pdgmod import staircase_complex
-from qfrob.symfunc import sym_pcomplex, twist_pcomplex, vab_pcomplex
+from qfrob.symfunc import sym_pcomplex, twist_pcomplex, vab_pcomplex, vi_pcomplex
 
 
 def assert_matches_dense_oracle(c):
@@ -337,9 +336,7 @@ class TestTensor:
         m = string_complex(3, [(0, 2)])
         t = tensor(a, m)
         sl = t.slash_cohomology()
-        dims = slash_dims_from_stats(
-            tensor_stats(a.string_stats(), m.string_stats(), 3), 3
-        )
+        dims = tensor_stats(a.string_stats(), m.string_stats(), 3).slash().dims
         for k in range(2):
             got = {d: v for d, v in dims[k].items() if d <= sl.valid_window[1]}
             expect = {d: v for d, v in sl.dims[k].items() if d <= t.cap - 4}
@@ -630,3 +627,117 @@ class TestStatsByComponents:
         assert len(ours) <= sum((c.p - 1) * len(set(rel)) for rel, _ in forms)
         assert sum(ours) <= (c.p - 1) * sum(len(rel) for rel, _ in forms)
         assert sum(ours) < sum(calls)
+
+
+class TestSlashFromStats:
+    """Every slash result is `StringStats.slash`: the complex's own one is
+    its statistics' one with the complex as source, and the window starts
+    at the lowest degree, where every basis vector is a string head."""
+
+    def assert_same(self, c):
+        sl = c.slash_cohomology()
+        assert sl == c.string_stats().slash()
+        assert sl.valid_window == (c.min_degree(), c.cap - 2 * (c.p - 1))
+        assert sl.source is c
+
+    @stats_complexes
+    def test_builders(self, make):
+        self.assert_same(make())
+
+    @pytest.mark.parametrize("i, k, p", [(1, 2, 3), (2, 1, 3), (2, 2, 5)])
+    def test_vi(self, i, k, p):
+        self.assert_same(vi_pcomplex(i, k, p))
+
+    def test_empty(self):
+        self.assert_same(PComplex(3, [], [], {}, cap=20))
+        self.assert_same(PComplex(2, [], [], {}))
+
+    def test_random_direct_sums(self):
+        checked = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            p = rng.choice([2, 3, 5])
+            parts = []
+            for n in range(rng.randint(1, 3)):
+                heads = [
+                    (2 * rng.randrange(3), rng.randint(1, p))
+                    for _ in range(rng.randint(1, 3))
+                ]
+                part = scramble(string_complex(p, heads), seed=seed * 7 + n)
+                parts += [(part, 2 * rng.randrange(8)) for _ in range(rng.randint(1, 4))]
+            cap = rng.choice([INF, 2 * rng.randrange(4, 14)])
+            c = direct_sum(parts, cap, True, rng)
+            if c.validation_error() is None:
+                self.assert_same(c)
+                checked += 1
+        assert checked >= 30
+
+    def test_stats_only_result_has_no_reps(self):
+        sl = sym_pcomplex(2, 3, 30).string_stats().slash()
+        assert sl.dims[0]
+        with pytest.raises(ValueError):
+            sl.reps
+
+
+class TestIndependentModCoboundaries:
+    """`PComplex.independent_mod_coboundaries` against dense ranks: vectors
+    of degree d are independent modulo Im ∂^{p−1} exactly when they raise
+    the rank of the ∂^{p−1} images by their number."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: sym_pcomplex(3, 3, 40),
+            lambda: sym_pcomplex(4, 2, 20),
+            lambda: sym_pcomplex(2, 5, 60),
+            lambda: vab_pcomplex(1, 2, 2),
+            lambda: vab_pcomplex(2, 1, 3),
+        ],
+        ids=["sym3_p3", "sym4_p2", "sym2_p5", "vab_1_2_p2", "vab_2_1_p3"],
+    )
+    def test_matches_dense_oracle(self, make):
+        c = make()
+        p, j = c.p, c.p - 1
+        rng = random.Random(5)
+        seen = set()
+        for d in c.support_degrees():
+            if d > c.cap:
+                continue
+            local = c.indices_at(d)
+            if c.indices_at(d - 2 * j):
+                im = dense_oracle.power_matrix(c, d - 2 * j, j)
+            else:
+                im = np.zeros((len(local), 0), dtype=np.int64)
+            images = [dense_oracle._vector(local, im[:, col]) for col in range(im.shape[1])]
+
+            def rand():
+                return {i: rng.randrange(p) for i in local if rng.random() < 0.6}
+
+            def scaled(v, s):
+                return {i: x * s % p for i, x in v.items() if x * s % p}
+
+            def added(v, w):
+                out = dict(v)
+                for i, x in w.items():
+                    out[i] = (out.get(i, 0) + x) % p
+                return {i: x for i, x in out.items() if x}
+
+            cases = [[{i: 1}] for i in local]
+            cases += [[{i: 1} for i in local]]
+            cases += [[rand() for _ in range(rng.randint(1, 3))] for _ in range(6)]
+            v = {local[0]: 1}
+            cases += [[v, scaled(v, p - 1)], [v, v], [{}]]
+            if images:
+                w = rng.choice(images)
+                cases += [[w], [added(v, w)], [v, added(v, w)], [v, added(rand(), w)]]
+            for vecs in cases:
+                cols = np.zeros((len(local), len(vecs)), dtype=np.int64)
+                for col, vec in enumerate(vecs):
+                    for i, x in vec.items():
+                        cols[local.index(i), col] = x
+                base = dense_oracle.rank(im, p) if im.shape[1] else 0
+                gain = dense_oracle.rank(np.concatenate([im, cols], axis=1), p) - base
+                expect = gain == len(vecs)
+                assert c.independent_mod_coboundaries(d, vecs) == expect, (d, vecs)
+                seen.add(expect)
+        assert seen == {False, True}

@@ -16,6 +16,7 @@ from demazure_oracle import (
 from qfrob import partitions as pt
 from qfrob import pdgmod
 from qfrob.cyclotomic import qbinom
+from qfrob.pcomplex import SlashCohomology, tensor
 from qfrob.pdgmod import (
     BlockOp,
     EndAlgebra,
@@ -232,6 +233,27 @@ class TestNhAcyclicity:
         for p in (2, 3, 5):
             strs = staircase_complex(p).string_decompose()
             assert all(s.length == p for s in strs)
+
+    @pytest.mark.parametrize("blocks, p", [((1, 1), 2), ((1, 1, 1), 3), ((2, 1), 3)])
+    def test_slash_hilbert_is_the_tensor_complex_slash(self, blocks, p):
+        # END = Sym_N^{trunc} ⊗ V ⊗ V^*, built out and decided directly
+        alg = EndAlgebra(blocks, p)
+        v = alg.scalar_complex()
+        for cap in (2 * (p - 1), 4 * p * p):
+            sl = alg.slash_hilbert(cap)
+            assert isinstance(sl, SlashCohomology)
+            whole = tensor(sym_pcomplex(sum(blocks), p, cap), tensor(v, v.dual()))
+            assert sl == whole.slash_cohomology()
+
+    @pytest.mark.parametrize("blocks, p", [((1, 1), 2), ((1, 1, 1), 3), ((3, 3), 3)])
+    def test_empty_window_decides_nothing(self, blocks, p):
+        alg = EndAlgebra(blocks, p)
+        for cap in range(2 * (p - 1)):
+            sl = alg.slash_hilbert(cap)
+            assert sl.valid_window[1] < sl.valid_window[0]
+            with pytest.raises(ValueError, match="empty valid window"):
+                sl.is_zero()
+        alg.slash_hilbert(2 * (p - 1)).is_zero()
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_sym_subcomplex_not_acyclic(self, p):

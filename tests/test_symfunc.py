@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 import demazure_oracle
 import dense_oracle
+import series_oracle
 from qfrob import partitions as pt
+from qfrob.pdgmod import nh_graded_dims
 from qfrob.symfunc import (
     SchurPoly,
     complete,
@@ -14,6 +16,7 @@ from qfrob.symfunc import (
     lima_partitions,
     schur,
     split_vars,
+    sym_hilbert,
     sym_pcomplex,
     theta0_gen,
     twist_pcomplex,
@@ -331,3 +334,35 @@ class TestTheta0:
             v[lpos[lam]] = cf
         im = dense_oracle.power_matrix(c, d - 2 * (p - 1), p - 1)
         assert not dense_oracle.in_span(im, v, p)
+
+
+class TestSymHilbert:
+    """`sym_hilbert` against the series the checks once wrote out by hand
+    (`tests/series_oracle.py`)."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_slash_expected(self, p):
+        for n in range(12):
+            for hi in (-2, 0, 2 * p * p - 2, 8 * p * p - 2 * (p - 1), 12 * p * p + 6):
+                assert sym_hilbert(
+                    n // p, 2 * p * p, {0: 1}, 0, hi
+                ) == series_oracle.slash_expected(p, n, hi)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_nh_graded_dims(self, p):
+        step = 2 * p * p
+        for a in range(1, 5):
+            for lo in (-12 * step - 2, -3 * step, -step + 2, 0):
+                for hi in (lo, 0, step - 2, 5 * step, 9 * step + 4):
+                    assert nh_graded_dims(a, p, lo, hi) == series_oracle.nh_graded_dims(
+                        a, p, lo, hi
+                    )
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_formality_expected(self, p):
+        step = 2 * p * p
+        for lo in (-4 * step, -step, -step + 2, 0, step):
+            for hi in (lo - 2, -step, 0, 3 * step - 2, 7 * step + 4):
+                assert sym_hilbert(
+                    2, step, {-step: 1, 0: 2, step: 1}, lo, hi
+                ) == series_oracle.formality_expected(p, lo, hi)
