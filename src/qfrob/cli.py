@@ -20,7 +20,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from importlib import resources
-from math import comb, factorial, isqrt
+from math import comb, isqrt
 from pathlib import Path
 
 from . import pdgmod, qgroup, symfunc
@@ -435,13 +435,15 @@ def _make_spec(name, params) -> CheckSpec:
         raise UsageError(
             "--amax 0 --nmax 0 leaves the kernel check no triple to decide"
         )
-    if name == "verify-nilhecke" and factorial(p) > pdgmod.EndAlgebra.SIZE_GUARD:
-        raise UsageError(
-            f"--p {p}: the staircase module rank p! = {factorial(p)} is over "
-            f"the size guard {pdgmod.EndAlgebra.SIZE_GUARD}"
-        )
+    if name == "verify-nilhecke":
+        rank = pdgmod.module_rank((1,) * p)
+        if rank > pdgmod.EndAlgebra.SIZE_GUARD:
+            raise UsageError(
+                f"--p {p}: the staircase module rank p! = {rank} is over "
+                f"the size guard {pdgmod.EndAlgebra.SIZE_GUARD}"
+            )
     if name == "verify-grass":
-        rank = comb(2 * params["max"], params["max"])
+        rank = pdgmod.module_rank((params["max"], params["max"]))
         if rank > pdgmod.EndAlgebra.SIZE_GUARD:
             raise UsageError(
                 f"--max {params['max']}: the module rank {rank} of S_(max,max) is "

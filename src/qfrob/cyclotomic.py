@@ -158,10 +158,6 @@ class LaurentPoly:
             k >>= 1
         return out
 
-    def bar(self) -> "LaurentPoly":
-        """The bar involution v ↦ v^{−1}."""
-        return LaurentPoly({-e: c for e, c in self.coeffs.items()})
-
     def eval_at_one(self) -> int:
         return sum(self.coeffs.values())
 

@@ -20,9 +20,9 @@ from __future__ import annotations
 import functools
 
 __all__ = [
-    "is_partition",
     "transpose",
     "fits_in",
+    "bounded_partitions",
     "partitions_in_box",
     "partitions_of",
     "addable_boxes",
@@ -37,12 +37,6 @@ __all__ = [
 ]
 
 Partition = tuple
-
-
-def is_partition(lam) -> bool:
-    return all(isinstance(x, int) and x > 0 for x in lam) and all(
-        lam[i] >= lam[i + 1] for i in range(len(lam) - 1)
-    )
 
 
 def transpose(lam: Partition) -> Partition:
@@ -65,22 +59,38 @@ def sort_key(lam: Partition):
     return (sum(lam), lam)
 
 
+def bounded_partitions(hi, size=None, lo=()):
+    """The partitions λ with lo_i ≤ λ_i ≤ hi_i on the rows of hi (lo_i = 0
+    past the end of lo), of the given size if one is given, in decreasing
+    lexicographic order.  A prefix is dropped as soon as the rows after it
+    cannot hold what is left of the size at their lower bounds."""
+    rows = len(hi)
+    lo = tuple(lo) + (0,) * (rows - len(lo))
+    rest = [0] * (rows + 1)  # rest[i]: the least size rows i.. can hold
+    for i in range(rows - 1, -1, -1):
+        rest[i] = rest[i + 1] + lo[i]
+    prefix = []
+
+    def rec(i, left):
+        if i == rows:
+            if not left:
+                yield tuple(x for x in prefix if x)
+            return
+        top = min(hi[i], prefix[-1]) if prefix else hi[i]
+        if left is not None:
+            top = min(top, left - rest[i + 1])
+        for x in range(top, lo[i] - 1, -1):
+            prefix.append(x)
+            yield from rec(i + 1, None if left is None else left - x)
+            prefix.pop()
+
+    return rec(0, size)
+
+
 @functools.cache
 def partitions_in_box(rows: int, cols: int) -> tuple:
     """All partitions with ≤ rows parts and parts ≤ cols, graded-lex sorted."""
-    out = []
-
-    def rec(prefix, maxpart, remaining_rows):
-        out.append(tuple(prefix))
-        if remaining_rows == 0:
-            return
-        for part in range(1, maxpart + 1):
-            prefix.append(part)
-            rec(prefix, part, remaining_rows - 1)
-            prefix.pop()
-
-    rec([], cols, rows)
-    return tuple(sorted(out, key=sort_key))
+    return tuple(sorted(bounded_partitions((cols,) * rows), key=sort_key))
 
 
 def partitions_of(n: int, max_rows=None, max_part=None):
@@ -181,26 +191,9 @@ def _lr_shapes(mu: Partition, nu: Partition, max_rows=None):
         rows = min(rows, max_rows)
     mu_r = list(mu) + [0] * len(nu)
     nu_r = list(nu) + [0] * len(mu)
-    lo = [max(m, n) for m, n in zip(mu_r, nu_r)]
-    hi = [m + (nu[0] if nu else 0) for m in mu_r]
-    rest = [0] * (rows + 1)  # rest[i]: the least size rows i.. can hold
-    for i in range(rows - 1, -1, -1):
-        rest[i] = rest[i + 1] + lo[i]
-    out = []
-
-    def rec(i, left, prefix):
-        if i == rows:
-            if left == 0:
-                out.append(tuple(x for x in prefix if x))
-            return
-        top = min(hi[i], left - rest[i + 1], prefix[-1] if prefix else left)
-        for x in range(top, lo[i] - 1, -1):
-            prefix.append(x)
-            rec(i + 1, left - x, prefix)
-            prefix.pop()
-
-    rec(0, sum(mu) + sum(nu), [])
-    return out
+    lo = [max(m, n) for m, n in zip(mu_r, nu_r)][:rows]
+    hi = [m + (nu[0] if nu else 0) for m in mu_r][:rows]
+    return bounded_partitions(hi, sum(mu) + sum(nu), lo)
 
 
 def _lr_tableaux(lam: Partition, mu: Partition, most) -> dict:

@@ -10,12 +10,11 @@ A p-complex here is a graded F_p-vector space U with a homogeneous operator
     h + 2(ℓ−1−k) for each k ≤ ℓ−1, represented by its slot ℓ−1−k;
   * slash cohomology  H_{/k}(U) = Ker ∂^{k+1} / (Im ∂^{p−k−1} + Ker ∂^k),
     k = 0..p−2, by that rule: dims from the string multiplicities, which
-    ranks of ∂^j give without explicit vectors, and representatives read
-    off the explicit strings only when they are asked for;
-  * tensor products with the Leibniz differential (no signs: all degrees
-    are even), and the tensor J_{l1} ⊗ ... ⊗ J_{lk} of abstract strings
-    (`j_tensor`), the summand that a tensor of complexes restricts to on a
-    tuple of their strings;
+    ranks of ∂^j give without explicit vectors;
+  * the tensor J_{l1} ⊗ ... ⊗ J_{lk} of abstract strings (`j_tensor`), the
+    summand that a tensor of complexes restricts to on a tuple of their
+    strings, with the Leibniz differential (no signs: all degrees are
+    even);
   * string *statistics* and their tensor calculus, which let tensor
     products of large complexes be decomposed exactly without forming the
     product space.  Statistics are taken over the connected components of
@@ -32,7 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import linalg
 
@@ -42,7 +41,6 @@ __all__ = [
     "GradedDims",
     "StringBasis",
     "StringStats",
-    "tensor",
     "tensor_stats",
     "j_tensor",
 ]
@@ -125,9 +123,8 @@ class PComplex:
     # ---------- slash cohomology ----------
 
     def slash_cohomology(self) -> "SlashCohomology":
-        """Slash dims from the ranks behind `string_stats`; representatives
-        are read off `string_decompose` on first access to `reps`."""
-        return self.string_stats().slash(source=self)
+        """Slash dims from the ranks behind `string_stats`."""
+        return self.string_stats().slash()
 
     def independent_mod_coboundaries(self, d, vecs) -> bool:
         """Whether the vectors of degree d are linearly independent modulo
@@ -384,33 +381,15 @@ def _rank_counts(c: PComplex) -> dict:
 
 @dataclass
 class SlashCohomology:
-    """Slash cohomology with chosen homogeneous representatives.
+    """Slash cohomology as graded dimensions.
 
-    dims[k][d] and reps[k][d] cover k = 0..p−2 and degrees in the valid
-    window; degrees outside the window are unknown, not zero.  Built by
-    `StringStats.slash`; `reps` is read off the strings of `source` on
-    first access.
+    dims[k][d] covers k = 0..p−2 and degrees in the valid window; degrees
+    outside the window are unknown, not zero.  Built by `StringStats.slash`.
     """
 
     p: int
     dims: dict
     valid_window: tuple
-    source: PComplex = field(default=None, repr=False, compare=False)
-
-    @functools.cached_property
-    def reps(self) -> dict:
-        """reps[k][d]: slot ℓ−1−k of each string of length ℓ < p through
-        degree d, in `string_decompose` order, as key-sorted vectors.
-        Raises ValueError when there is no source complex."""
-        if self.source is None:
-            raise ValueError("slash cohomology from statistics only: no representatives")
-        found = {k: {} for k in range(self.p - 1)}
-        for s in self.source.string_decompose():
-            for k, d, slot in _string_classes(
-                s.head_degree, s.length, self.p, self.valid_window[1]
-            ):
-                found[k].setdefault(d, []).append(dict(sorted(s.slots[slot].items())))
-        return {k: dict(sorted(per.items())) for k, per in found.items()}
 
     def total_dims(self) -> dict:
         out: dict[int, int] = {}
@@ -430,38 +409,6 @@ class SlashCohomology:
         return GradedDims(dims=self.total_dims(), window=self.valid_window)
 
 
-def tensor(a: PComplex, b: PComplex) -> PComplex:
-    """Tensor product with ∂(x⊗y) = ∂x⊗y + x⊗∂y (all degrees even)."""
-    if a.p != b.p:
-        raise ValueError("tensor factors must share p")
-    p = a.p
-    pairs = [
-        (i, j)
-        for i in range(a.dim)
-        for j in range(b.dim)
-    ]
-    pairs.sort(key=lambda ij: (a.degrees[ij[0]] + b.degrees[ij[1]], ij))
-    pos = {ij: k for k, ij in enumerate(pairs)}
-    labels = [(a.labels[i], b.labels[j]) for i, j in pairs]
-    degrees = [a.degrees[i] + b.degrees[j] for i, j in pairs]
-    diff: dict[int, dict[int, int]] = {}
-    for k, (i, j) in enumerate(pairs):
-        row: dict[int, int] = {}
-        for i2, c in a.diff.get(i, {}).items():
-            row[pos[(i2, j)]] = c % p
-        for j2, c in b.diff.get(j, {}).items():
-            key = pos[(i, j2)]
-            row[key] = (row.get(key, 0) + c) % p
-        row = {t: c for t, c in row.items() if c}
-        if row:
-            diff[k] = row
-    if a.cap == INF and b.cap == INF:
-        cap = INF
-    else:
-        cap = min(a.cap + b.min_degree(), b.cap + a.min_degree())
-    return PComplex(p, labels, degrees, diff, cap=cap)
-
-
 # ---------- string statistics ----------
 
 
@@ -476,17 +423,16 @@ class StringStats:
     def min_head(self):
         return min((h for h, _ in self.counts), default=0)
 
-    def slash(self, source=None) -> SlashCohomology:
+    def slash(self) -> SlashCohomology:
         """H_{/k} on the valid window [lowest head, cap − 2(p−1)], each
-        string giving its `_string_classes`; `source` is the complex whose
-        strings these are, if any, for representatives."""
+        string giving its `_string_classes`."""
         p = self.p
         hi = self.cap - 2 * (p - 1)
         dims = {k: {} for k in range(p - 1)}
         for (h, l), m in self.counts.items():
             for k, d, _ in _string_classes(h, l, p, hi):
                 dims[k][d] = dims[k].get(d, 0) + m
-        return SlashCohomology(p, dims, (self.min_head(), hi), source)
+        return SlashCohomology(p, dims, (self.min_head(), hi))
 
 
 @functools.cache

@@ -61,7 +61,7 @@ import math
 
 from . import linalg
 from . import partitions as pt
-from .cyclotomic import LaurentPoly, qbinom
+from .cyclotomic import LaurentPoly, qbinom, qfact
 from .pcomplex import INF, PComplex, SlashCohomology, j_tensor, tensor_stats
 from .symfunc import SchurPoly, split_blocks, sym_hilbert, sym_pcomplex
 
@@ -75,8 +75,7 @@ __all__ = [
     "EndAlgebra",
     "BlockOp",
     "end_algebra",
-    "thick_crossing",
-    "theta_plus",
+    "module_rank",
     "pairing_value",
     "thick_nilhecke_check",
     "end_formality_check",
@@ -165,7 +164,7 @@ def staircase_complex(p: int) -> PComplex:
     J_1 ⊗ J_2 ⊗ ... ⊗ J_p, contractible because of the J_p factor.  The
     degrees include the generator degree −p(p−1)/2.
     """
-    return _end_algebra_cached((1,) * p, p).scalar_complex()
+    return end_algebra((1,) * p, p).scalar_complex()
 
 
 def nh_acyclicity_check(p: int):
@@ -178,7 +177,7 @@ def nh_acyclicity_check(p: int):
     """
     v = staircase_complex(p)
     cap = 2 * (v.max_degree() - v.min_degree()) + 4 * p * p + 2 * p
-    sl = _end_algebra_cached((1,) * p, p).slash_hilbert(cap)
+    sl = end_algebra((1,) * p, p).slash_hilbert(cap)
     return sl.is_zero(), sl.dims, sl.valid_window[1]
 
 
@@ -190,7 +189,7 @@ def grass_rank_ok(a: int, b: int, p: int) -> bool:
     ((), λ), λ ∈ P(b, a), carries the content differential with twist −a
     on the second block, and the generator degree is −ab.
     """
-    return _end_algebra_cached((a, b), p).graded_rank() == qbinom(a + b, b)
+    return end_algebra((a, b), p).graded_rank() == qbinom(a + b, b)
 
 
 class BlockOp:
@@ -284,6 +283,8 @@ class BlockRules:
 
     def op_dot(self, k: int) -> BlockOp:
         """Multiplication by e_{b_k}^{b_k} on block k (1-based)."""
+        if not 1 <= k <= len(self.blocks):
+            raise ValueError(f"dot index {k} out of range")
         bi = k - 1
         b = self.blocks[bi]
         dotpart = (b,) * b  # (x_1...x_b)^b = π_{(b^b)} in b variables
@@ -306,6 +307,8 @@ class BlockRules:
     def op_crossing(self, k: int) -> BlockOp:
         """The Demazure composite interchanging blocks k and k+1 (equal
         sizes)."""
+        if not 1 <= k <= len(self.blocks) - 1:
+            raise ValueError(f"crossing index {k} out of range")
         bi = k - 1
         a, b = self.blocks[bi], self.blocks[bi + 1]
         if a != b:
@@ -368,10 +371,7 @@ class EndAlgebra(BlockRules):
         super().__init__(blocks, p)
         self.nvars = sum(blocks)
         prefixes = [sum(blocks[:i]) for i in range(len(blocks))]
-        # |P(b, pre)| = C(pre + b, b), so the guard needs no label listed
-        size = math.prod(
-            math.comb(pre + b, b) for b, pre in zip(self.blocks, prefixes)
-        )
+        size = module_rank(self.blocks)
         if size > self.SIZE_GUARD:
             raise ValueError(f"module rank {size} exceeds the guard {self.SIZE_GUARD}")
         per_block = [
@@ -388,7 +388,6 @@ class EndAlgebra(BlockRules):
             for j in range(i + 1, len(blocks))
         )
         self.degrees = [2 * sum(sum(l) for l in t) + shift for t in self.basis]
-        self.gen_degree = shift
         # op_diff read off on the free basis, which it must preserve: a box
         # leaving an index rectangle carries coefficient exactly 0
         self.D: dict[int, dict[int, int]] = {}
@@ -654,42 +653,21 @@ def _pair_crossing(alpha, beta, b, p):
 # --------------------------------------------------------------------------
 
 
+def module_rank(blocks) -> int:
+    """The rank over Sym_N of the block module with these block sizes: the
+    labels of block i are P(b_i, b_1+..+b_{i−1}), C(b_1+..+b_i, b_i) of
+    them, so no label is listed."""
+    return math.prod(
+        math.comb(top, b) for top, b in zip(itertools.accumulate(blocks), blocks)
+    )
+
+
 @functools.cache
-def _end_algebra_cached(blocks: tuple, p: int) -> EndAlgebra:
+def end_algebra(blocks: tuple, p: int) -> EndAlgebra:
+    """END of the block module with these block sizes as a p-DG algebra
+    handle; handles are canonical per (blocks, p), so operators from
+    separate calls compose."""
     return EndAlgebra(blocks, p)
-
-
-def end_algebra(a: int, b: int, p: int) -> EndAlgebra:
-    """END_{Sym_{a+b}}(S_{a,b}) as a p-DG algebra handle; handles are
-    canonical per (blocks, p), so operators from separate calls compose."""
-    return _end_algebra_cached((a, b), p)
-
-
-def thick_crossing(a: int, b: int, p: int) -> BlockOp:
-    """The block-swap Demazure composite as an element of END(S_{a,b});
-    equal block sizes only."""
-    if a != b:
-        raise ValueError("the crossing endomorphism needs a = b")
-    return _end_algebra_cached((a, b), p).op_crossing(1)
-
-
-def theta_plus(kind: str, k: int, a: int, p: int) -> BlockOp:
-    """Image of a nilHecke generator in END(S_{(p^a)}).
-
-    kind "dot": the k-th dot ↦ multiplication by e_p^p(block k), degree 2p².
-    kind "crossing": the k-th crossing ↦ the thick crossing on blocks
-    (k, k+1), degree −2p².
-    """
-    alg = _end_algebra_cached((p,) * a, p)
-    if kind == "dot":
-        if not 1 <= k <= a:
-            raise ValueError("dot index out of range")
-        return alg.op_dot(k)
-    if kind == "crossing":
-        if not 1 <= k <= a - 1:
-            raise ValueError("crossing index out of range")
-        return alg.op_crossing(k)
-    raise ValueError("kind must be 'dot' or 'crossing'")
 
 
 def pairing_value(a: int, b: int, p: int, lam, mu):
@@ -708,13 +686,9 @@ def nh_graded_dims(a: int, p: int, lo: int, hi: int) -> dict:
     [lo, hi]: the square of the length generating function of S_a times the
     Hilbert series of Sym_a, all in steps of 2p²."""
     step = 2 * p * p
-    poincare: dict[int, int] = {0: 1}
-    for i in range(2, a + 1):
-        nxt: dict[int, int] = {}
-        for l, c in poincare.items():
-            for j in range(i):
-                nxt[l + j] = nxt.get(l + j, 0) + c
-        poincare = nxt
+    # [a]! = Σ_ℓ #{w ∈ S_a : ℓ(w) = ℓ}·v^{2ℓ − a(a−1)/2}
+    half = a * (a - 1) // 2
+    poincare = {(e + half) // 2: c for e, c in qfact(a).coeffs.items()}
     shifts: dict[int, int] = {}
     for l1, c1 in poincare.items():
         for l2, c2 in poincare.items():
@@ -737,7 +711,7 @@ def thick_nilhecke_check(a: int, p: int) -> dict:
     """
     if a * p > THICK_MAX_AP:
         raise ValueError(f"a*p > {THICK_MAX_AP} exceeds the size guard")
-    alg = _end_algebra_cached((p,) * a, p)
+    alg = end_algebra((p,) * a, p)
     report: dict[str, object] = {"a": a, "p": p}
     crossings = {k: alg.op_crossing(k) for k in range(1, a)}
     dots = {k: alg.op_dot(k) for k in range(1, a + 1)}
@@ -790,7 +764,7 @@ def end_formality_check(p: int) -> dict:
     """H_/(END(S_{p,p})) against the 2×2 matrix algebra over the polynomial
     ring on generators of degrees 2p² and 4p², with the two shifts ±2p²
     coming from the minimal nontrivial expanded-box class."""
-    alg = _end_algebra_cached((p, p), p)
+    alg = end_algebra((p, p), p)
     cap, total, valid_cap = alg._slash_totals
     # target: shifts {−2p²: 1, 0: 2, 2p²: 1} over Sym_2 dilated by 2p²,
     # the ring on generators of degrees 2p² and 4p²

@@ -91,7 +91,6 @@ __all__ = [
     "CoeffRing",
     "CBWord",
     "UdotElem",
-    "udot",
     "udot_mult",
     "frobenius",
     "frobenius_section",
@@ -165,7 +164,7 @@ class CBWord(NamedTuple):
         return f"F({self.b})E({self.a})1[{self.n}]"
 
 
-def _canonical(shape, a, b, n) -> CBWord:
+def _canonical(a, b, n) -> CBWord:
     """Storage form: ties at n = b − a use the EF shape."""
     if n <= b - a:
         return CBWord("EF", a, b, n)
@@ -221,16 +220,6 @@ class UdotElem:
     __repr__ = __str__
 
 
-def udot(ring: CoeffRing, shape: str, a: int, b: int, n: int, coeff=None) -> UdotElem:
-    """A canonical basis element; the shape is normalized at the tie."""
-    w = _canonical(shape, a, b, n)
-    if w.shape != shape and shape == "FE" and n < b - a:
-        raise ValueError("F E word with n < b−a is not a basis element")
-    if shape == "EF" and n > b - a:
-        raise ValueError("E F word with n > b−a is not a basis element")
-    return UdotElem(ring, {w: coeff if coeff is not None else ring.one()})
-
-
 def _lands_canonical(shape, a, b, n) -> bool:
     """Whether the word is canonical as it stands, the tie n = b − a
     included (it is stored in EF shape)."""
@@ -261,15 +250,15 @@ def _push_canonical(ring, shape, a, b, n, coeff, acc, mod=None):
     if not coeff:
         return
     if _lands_canonical(shape, a, b, n):
-        w = _canonical(shape, a, b, n)
+        w = _canonical(a, b, n)
         acc[w] = acc[w] + coeff if w in acc else coeff
         return
     # EF with n > b−a commutes to FE words, FE with n < b−a to EF words;
     # every word it yields is canonical
-    other, top = ("FE", a - b + n) if shape == "EF" else ("EF", b - a - n)
+    top = a - b + n if shape == "EF" else b - a - n
     start, step = (a % mod, mod) if mod else (0, 1)
     for a2, b2, c in _commute(ring, a, b, top, start, step):
-        w2 = _canonical(other, a2, b2, n)
+        w2 = _canonical(a2, b2, n)
         cc = coeff * c
         acc[w2] = acc[w2] + cc if w2 in acc else cc
 
@@ -361,7 +350,7 @@ def frobenius(x: UdotElem) -> UdotElem:
     for w, c in x.terms.items():
         if w.a % p or w.b % p or w.n % p:
             continue
-        w2 = _canonical(w.shape, w.a // p, w.b // p, w.n // p)
+        w2 = _canonical(w.a // p, w.b // p, w.n // p)
         out[w2] = out[w2] + c if w2 in out else c
     return UdotElem(ring, out)
 
@@ -381,7 +370,7 @@ def frobenius_section(x: UdotElem) -> UdotElem:
     ring = CoeffRing("op", p)
     out: dict[CBWord, object] = {}
     for w, c in x.terms.items():
-        w2 = _canonical(w.shape, w.a * p, w.b * p, w.n * p)
+        w2 = _canonical(w.a * p, w.b * p, w.n * p)
         out[w2] = out[w2] + c if w2 in out else c
     return UdotElem(ring, out)
 
@@ -402,7 +391,7 @@ def canonical_words(amax: int, bmax: int, nmin: int, nmax: int):
     for a in range(amax + 1):
         for b in range(bmax + 1):
             for n in range(nmin, nmax + 1):
-                out.append(_canonical("EF" if n <= b - a else "FE", a, b, n))
+                out.append(_canonical(a, b, n))
     return out
 
 
@@ -476,10 +465,10 @@ def kernel_check(p: int, amax: int, nmax: int) -> dict:
         m = w2.left_weight()
         for kind in ("E", "F"):
             if kind == "E":
-                u = UdotElem(ring, {_canonical("EF", 1, 0, m): ring.one()})
+                u = UdotElem(ring, {_canonical(1, 0, m): ring.one()})
                 top = m + 2
             else:
-                u = UdotElem(ring, {_canonical("EF", 0, 1, m): ring.one()})
+                u = UdotElem(ring, {_canonical(0, 1, m): ring.one()})
                 top = m - 2
             left = by_n.get(top, [])
             triples += len(left)

@@ -8,12 +8,11 @@ content (column minus row) as coefficient:
 
 which restricts the generator formulas ∂(e_r) = e_1 e_r − (r+1) e_{r+1}
 and ∂(h_r) = −h_1 h_r + (r+1) h_{r+1}.  Twisted rank-one modules S_n(a)
-use ∂_a(f) = ∂(f) + a·e_1·f.  The involution ω sends π_λ to
-(−1)^{|λ|} π_{λᵗ} and intertwines the two generator formulas.
+use ∂_a(f) = ∂(f) + a·e_1·f.
 
 Finite variable counts are handled by row truncation: partitions with
-more than n rows are dropped after every product, differential or
-transpose.  The degree of π_λ is 2|λ|.
+more than n rows are dropped after every product or differential.  The
+degree of π_λ is 2|λ|.
 
 `sym_hilbert` is the Hilbert series of Sym_m with degrees dilated, times
 a Laurent polynomial of shifts: the graded dims that the slash checks
@@ -31,9 +30,7 @@ from .pcomplex import INF, PComplex
 
 __all__ = [
     "SchurPoly",
-    "schur",
     "elementary",
-    "complete",
     "split_vars",
     "split_blocks",
     "theta0_gen",
@@ -147,7 +144,7 @@ class SchurPoly:
                 base = base * base
         return out
 
-    # ---- the differential and the involution ----
+    # ---- the differential ----
 
     def diff(self):
         return self.twisted_diff(0)
@@ -158,16 +155,6 @@ class SchurPoly:
         for lam, c in self.terms.items():
             for mu, coeff in pt.add_box(lam, a, max_rows=self.n):
                 out[mu] = out.get(mu, 0) + c * coeff
-        return SchurPoly(self.p, out, self.n)
-
-    def omega(self):
-        out: dict[tuple, int] = {}
-        for lam, c in self.terms.items():
-            lt = pt.transpose(lam)
-            if self.n is not None and len(lt) > self.n:
-                continue
-            sign = -1 if sum(lam) % 2 else 1
-            out[lt] = out.get(lt, 0) + sign * c
         return SchurPoly(self.p, out, self.n)
 
     def to_text(self):
@@ -185,12 +172,6 @@ class SchurPoly:
         return f"SchurPoly(p={self.p}, n={self.n}, {self.to_text()})"
 
 
-def schur(p, lam, n=None, c=1) -> SchurPoly:
-    if not pt.is_partition(tuple(lam)):
-        raise ValueError(f"{lam} is not a partition")
-    return SchurPoly(p, {tuple(lam): c}, n)
-
-
 def elementary(r, p, n=None) -> SchurPoly:
     """e_r = π_{(1^r)}; zero when r exceeds the variable count."""
     if r < 0:
@@ -202,35 +183,12 @@ def elementary(r, p, n=None) -> SchurPoly:
     return SchurPoly(p, {(1,) * r: 1}, n)
 
 
-def complete(r, p, n=None) -> SchurPoly:
-    """h_r = π_{(r)}."""
-    if r < 0:
-        raise ValueError("negative index")
-    if r == 0:
-        return SchurPoly.one(p, n)
-    return SchurPoly(p, {(r,): 1}, n)
-
-
 # ---------- variable splitting ----------
 
 
 def _subpartitions(lam, max_rows=None):
     """Partitions mu ⊆ lam (mu_i ≤ lam_i), optionally with ≤ max_rows rows."""
-    rows = len(lam) if max_rows is None else min(len(lam), max_rows)
-    out = []
-
-    def rec(r, prefix):
-        if r == rows:
-            out.append(tuple(x for x in prefix if x))
-            return
-        hi = min(lam[r], prefix[r - 1] if r else lam[r])
-        for x in range(hi, -1, -1):
-            prefix.append(x)
-            rec(r + 1, prefix)
-            prefix.pop()
-
-    rec(0, [])
-    return sorted(set(out), key=pt.sort_key)
+    return sorted(pt.bounded_partitions(lam[:max_rows]), key=pt.sort_key)
 
 
 @functools.cache

@@ -64,10 +64,10 @@ def kernel_check(p: int, amax: int, nmax: int) -> dict:
         m = w2.left_weight()
         for kind in ("E", "F"):
             if kind == "E":
-                u = UdotElem(ring, {_canonical("EF", 1, 0, m): ring.one()})
+                u = UdotElem(ring, {_canonical(1, 0, m): ring.one()})
                 top = m + 2
             else:
-                u = UdotElem(ring, {_canonical("EF", 0, 1, m): ring.one()})
+                u = UdotElem(ring, {_canonical(0, 1, m): ring.one()})
                 top = m - 2
             uz = udot_mult(u, z2)
             for w1 in by_n.get(top, []):

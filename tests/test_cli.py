@@ -6,6 +6,7 @@ import warnings
 
 import pytest
 
+from library_extras import schur
 from qfrob import cli, qgroup, symfunc
 from qfrob.cyclotomic import LaurentPoly
 from qfrob.pcomplex import PComplex
@@ -340,7 +341,7 @@ class TestTheta0Check:
     def test_leftover_coboundary_term_passes(self, monkeypatch):
         # π_(2,1) = ∂π_(2) in Sym_2 at p = 2, so a leftover term with that
         # left factor dies in slash cohomology; π_(3,2) is no coboundary
-        assert symfunc.schur(2, (2,), n=2).diff() == symfunc.schur(2, (2, 1), n=2)
+        assert schur(2, (2,), n=2).diff() == schur(2, (2, 1), n=2)
 
         def inject(out, p, a, b):
             if (a, b) == (2, 2):
@@ -354,7 +355,7 @@ class TestTheta0Check:
 
         def gen(i, p, n=None):
             g = real(i, p, n)
-            return g + symfunc.schur(p, (1,), n) if i == 2 else g
+            return g + schur(p, (1,), n) if i == 2 else g
 
         monkeypatch.setattr(symfunc, "theta0_gen", gen)
         assert cli.check_verify_theta0(2, 2) == ("fail", {"kmax": 2, "not_cocycle": 2})

@@ -1,3 +1,4 @@
+import itertools
 from math import comb
 
 import pytest
@@ -7,6 +8,7 @@ import demazure_oracle
 import lr_oracle
 import partitions_oracle
 from qfrob import partitions as pt
+from qfrob import symfunc
 
 
 def brute_product_via_monomials(mu, nu, nvars):
@@ -67,6 +69,50 @@ class TestBasics:
                     assert pt.partitions_of(m, max_rows, max_part) == (
                         partitions_oracle.partitions_of(m, max_rows, max_part)
                     )
+
+    def test_bounded_partitions_brute_force(self):
+        # every weakly decreasing vector between lo and hi, in decreasing
+        # lexicographic order, trailing zeros dropped
+        for hi in [(), (3,), (2, 2), (4, 1, 3), (3, 3, 3, 1)]:
+            for lo in [lo for lo in [(), (1,), (2, 1)] if len(lo) <= len(hi)]:
+                for size in (None, 0, 3, 5):
+                    brute = [
+                        tuple(x for x in v if x)
+                        for v in sorted(
+                            itertools.product(*(range(h + 1) for h in hi)), reverse=True
+                        )
+                        if all(v[i] >= v[i + 1] for i in range(len(v) - 1))
+                        and all(x >= b for x, b in zip(v, lo))
+                        and (size is None or sum(v) == size)
+                    ]
+                    got = list(pt.bounded_partitions(hi, size, lo))
+                    assert got == brute, (hi, lo, size)
+
+    def test_partitions_in_box_matches_recursion(self):
+        for rows in range(7):
+            for cols in range(7):
+                assert pt.partitions_in_box(rows, cols) == (
+                    partitions_oracle.partitions_in_box(rows, cols)
+                )
+
+    def test_lr_shapes_match_recursion(self):
+        parts = [lam for m in range(9) for lam in pt.partitions_of(m)]
+        for mu in parts:
+            for nu in parts:
+                if sum(mu) + sum(nu) > 8:
+                    continue
+                for max_rows in (None, 1, 2, 3, 4):
+                    assert list(pt._lr_shapes(mu, nu, max_rows)) == (
+                        partitions_oracle._lr_shapes(mu, nu, max_rows)
+                    ), (mu, nu, max_rows)
+
+    def test_subpartitions_match_recursion(self):
+        for m in range(10):
+            for lam in pt.partitions_of(m):
+                for max_rows in (None, *range(1, len(lam) + 2)):
+                    assert symfunc._subpartitions(lam, max_rows) == (
+                        partitions_oracle._subpartitions(lam, max_rows)
+                    ), (lam, max_rows)
 
     def test_expand_p(self):
         assert pt.expand_p((2, 1), 3) == (6, 6, 6, 3, 3, 3)

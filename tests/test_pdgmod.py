@@ -13,24 +13,25 @@ from demazure_oracle import (
     demazure_word,
     monomial,
 )
+from library_extras import bar, tensor
 from qfrob import partitions as pt
 from qfrob import pdgmod
 from qfrob.cyclotomic import qbinom
-from qfrob.pcomplex import SlashCohomology, tensor
+from qfrob.pcomplex import SlashCohomology
 from qfrob.pdgmod import (
     BlockOp,
+    BlockRules,
     EndAlgebra,
     end_algebra,
     end_formality_check,
     grass_rank_ok,
+    module_rank,
     nh_acyclicity_check,
     nh_graded_dims,
     nilhecke_least_window,
     nilhecke_relations_check,
     pairing_value,
     staircase_complex,
-    theta_plus,
-    thick_crossing,
     thick_nilhecke_check,
 )
 from qfrob.symfunc import (
@@ -182,7 +183,7 @@ class TestRelationRoutes:
             raise AssertionError("free basis listed")
 
         monkeypatch.setattr(pdgmod.EndAlgebra, "__init__", refuse)
-        monkeypatch.setattr(pdgmod, "_end_algebra_cached", refuse)
+        monkeypatch.setattr(pdgmod, "end_algebra", refuse)
         monkeypatch.setattr(pt, "partitions_in_box", refuse)
         assert nilhecke_relations_check(4, 3, 16) == (True, None)
 
@@ -308,8 +309,8 @@ BOX_RULE_CASES = {
     "twist": (lambda: twist_pcomplex(4, 2, 3, 30), (2,)),
     "vab": (lambda: vab_pcomplex(1, 2, 3), (0,)),
     "vi": (lambda: vi_pcomplex(2, 2, 3), (2,)),
-    "grass_23_3": (lambda: end_algebra(2, 3, 3).scalar_complex(), (0, -2)),
-    "grass_31_2": (lambda: end_algebra(3, 1, 2).scalar_complex(), (0, -3)),
+    "grass_23_3": (lambda: end_algebra((2, 3), 3).scalar_complex(), (0, -2)),
+    "grass_31_2": (lambda: end_algebra((3, 1), 2).scalar_complex(), (0, -3)),
     "end_212_3": (lambda: EndAlgebra((2, 1, 2), 3).scalar_complex(), (0, -2, -3)),
     "end_22_2": (lambda: EndAlgebra((2, 2), 2).scalar_complex(), (0, -2)),
     "staircase_3": (lambda: staircase_complex(3), (0, -1, -2)),
@@ -330,19 +331,19 @@ class TestGrassModule:
     """S_{a,b} is the block module with blocks (a, b)."""
 
     def test_basis_and_rank_11(self):
-        alg = end_algebra(1, 1, 2)
+        alg = end_algebra((1, 1), 2)
         assert alg.basis == [((), ()), ((), (1,))]
         assert alg.degrees == [-1, 1]
         assert alg.graded_rank() == qbinom(2, 1)
 
     def test_diff_matrix_11_p2(self):
-        alg = end_algebra(1, 1, 2)
+        alg = end_algebra((1, 1), 2)
         # ∂(v) = −e_1(x')·v = −π_(1)(x')·v ≡ π_(1)(x')·v mod 2
         assert alg.D == {0: {1: 1}}
 
     def test_generator_killed_for_p_blocks(self):
         for p in (2, 3):
-            alg = end_algebra(p, p, p)
+            alg = end_algebra((p, p), p)
             assert alg.basis[0] == ((), ())
             # the empty partition maps only through contents ≢ 0; the twist
             # −p vanishes, so ∂(v) = Σ C(box)π_box with C(box) = content
@@ -356,7 +357,7 @@ class TestGrassModule:
 
     @pytest.mark.parametrize("a,b,p", [(1, 2, 3), (2, 2, 2)])
     def test_diff_nilpotent_and_raising(self, a, b, p):
-        alg = end_algebra(a, b, p)
+        alg = end_algebra((a, b), p)
         c = alg.scalar_complex()
         assert c.validation_error() is None
         for j, row in alg.D.items():
@@ -368,7 +369,7 @@ class TestGrassModule:
         # construction with the roles swapped; rank is the bar image
         for a, b, p in [(1, 2, 3), (2, 1, 2)]:
             assert grass_rank_ok(b, a, p)
-            assert end_algebra(b, a, p).graded_rank() == qbinom(a + b, a).bar()
+            assert end_algebra((b, a), p).graded_rank() == bar(qbinom(a + b, a))
 
 
 class TestBlockSwap:
@@ -442,7 +443,7 @@ class TestCrossingRule:
 class TestEndAlgebra:
     def test_identity_is_cocycle_for_p_blocks(self):
         for p in (2, 3):
-            alg = end_algebra(p, p, p)
+            alg = end_algebra((p, p), p)
             assert alg.op_identity().commutator_with_diff().is_zero()
 
     def test_size_guard(self):
@@ -450,14 +451,14 @@ class TestEndAlgebra:
             EndAlgebra((10, 10), 2)
 
     def test_crossing_11_matrix(self):
-        alg = end_algebra(1, 1, 2)
+        alg = end_algebra((1, 1), 2)
         c = alg.op_crossing(1)
         one = SchurPoly.one(2, 2)
         assert [alg.expand(img) for img in c.images()] == [{}, {0: one}]
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_crossing_squares_to_zero(self, p):
-        c = thick_crossing(p, p, p)
+        c = end_algebra((p, p), p).op_crossing(1)
         assert c.compose(c).is_zero()
 
     @staticmethod
@@ -478,7 +479,7 @@ class TestEndAlgebra:
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_is_slash_coboundary(self, p):
-        alg = end_algebra(p, p, p)
+        alg = end_algebra((p, p), p)
         # the identity is a cocycle whose class is nonzero
         assert not alg.is_slash_coboundary(alg.op_identity())
         t = self._times_e1_block2(alg)
@@ -491,10 +492,10 @@ class TestEndAlgebra:
         with pytest.raises(ValueError):
             alg.is_slash_coboundary(BlockOp(alg, t.fn, 0))
         with pytest.raises(ValueError):
-            alg.is_slash_coboundary(end_algebra(1, 1, p).op_identity())
+            alg.is_slash_coboundary(end_algebra((1, 1), p).op_identity())
 
     def test_expand_roundtrip(self):
-        alg = end_algebra(2, 2, 2)
+        alg = end_algebra((2, 2), 2)
         # an element equal to e_1(all)·basis_0 expands with coefficient e_1
         coords = expansion_oracle.basis_times_sym(alg, 0, (1,))
         out = alg.expand(coords)
@@ -531,7 +532,7 @@ class TestExpansionTower:
     def test_slide_defects_match_oracle(self):
         seen = 0
         for a, p in ((2, 2), (3, 2), (2, 3)):
-            alg = pdgmod._end_algebra_cached((p,) * a, p)
+            alg = pdgmod.end_algebra((p,) * a, p)
             for x in _slide_defects(alg, a):
                 for img in x.images():
                     assert alg.expand(img) == expansion_oracle.expand(alg, img)
@@ -545,7 +546,7 @@ class TestExpansionTower:
          (2, 3), (3, 1, 1), (3, 3), (2, 2, 2)],
     )
     def test_random_elements_match_oracle(self, blocks, p):
-        alg = pdgmod._end_algebra_cached(blocks, p)
+        alg = pdgmod.end_algebra(blocks, p)
         rng = random.Random(str((blocks, p)))
         for _ in range(15):
             elem = _random_element(alg, rng)
@@ -581,7 +582,7 @@ class TestCoboundaryOracle:
     def test_closed_candidates_match_oracle(self):
         verdicts = []
         for a, p in ((2, 2), (3, 2), (2, 3)):
-            alg = pdgmod._end_algebra_cached((p,) * a, p)
+            alg = pdgmod.end_algebra((p,) * a, p)
             ident = alg.op_identity()
             candidates = [ident]
             for x in _slide_defects(alg, a):
@@ -640,7 +641,8 @@ class TestDuals:
 class TestThetaPlus:
     def test_images_are_cocycles(self):
         for kind, k in [("dot", 1), ("dot", 2), ("crossing", 1)]:
-            m = theta_plus(kind, k, 2, 2)
+            alg = end_algebra((2, 2), 2)
+            m = alg.op_dot(k) if kind == "dot" else alg.op_crossing(k)
             assert m.commutator_with_diff().is_zero()
 
     @staticmethod
@@ -654,23 +656,49 @@ class TestThetaPlus:
         }
 
     def test_degrees(self):
-        assert self._expanded_degrees(theta_plus("dot", 1, 2, 2)) == {8}
-        assert self._expanded_degrees(theta_plus("crossing", 1, 2, 2)) == {-8}
-        assert self._expanded_degrees(theta_plus("dot", 1, 2, 3)) == {18}
+        assert self._expanded_degrees(end_algebra((2, 2), 2).op_dot(1)) == {8}
+        assert self._expanded_degrees(end_algebra((2, 2), 2).op_crossing(1)) == {-8}
+        assert self._expanded_degrees(end_algebra((3, 3), 3).op_dot(1)) == {18}
 
     def test_index_guards(self):
         with pytest.raises(ValueError):
-            theta_plus("dot", 3, 2, 2)
+            end_algebra((2, 2), 2).op_dot(3)
         with pytest.raises(ValueError):
-            theta_plus("crossing", 2, 2, 2)
+            end_algebra((2, 2), 2).op_crossing(2)
 
     def test_dot_image_is_block_multiplication(self):
         # on S_{(p,p)} with p = 2 the first dot multiplies by e_2² in the
         # first block: its operator fixes the module basis up to expansion
-        alg = end_algebra(2, 2, 2)
+        alg = end_algebra((2, 2), 2)
         op = alg.op_dot(1)
         img = op({((), ()): 1})
         assert img == {(((2, 2)), ()): 1} or img == {((2, 2), ()): 1}
+
+
+class TestBlockIndices:
+    """Block k of r blocks takes a dot for 1 ≤ k ≤ r and a crossing with
+    block k + 1 for 1 ≤ k ≤ r − 1; any other k is refused, not wrapped
+    around through a negative index."""
+
+    @pytest.mark.parametrize("blocks", [(2, 2), (1, 1, 1), (3,)])
+    def test_out_of_range_raises(self, blocks):
+        rules = BlockRules(blocks, 2)
+        r = len(blocks)
+        for k in (0, r + 1):
+            with pytest.raises(ValueError):
+                rules.op_dot(k)
+        for k in (0, r):
+            with pytest.raises(ValueError):
+                rules.op_crossing(k)
+
+    def test_module_rank_counts_the_free_basis(self):
+        for blocks in [(1, 1, 1), (2, 3), (3, 1), (2, 1, 2), (1,) * 5]:
+            assert module_rank(blocks) == len(EndAlgebra(blocks, 2).basis)
+
+    def test_in_range_builds(self):
+        rules = BlockRules((1, 1, 1), 2)
+        assert [rules.op_dot(k).shift for k in (1, 2, 3)] == [2, 2, 2]
+        assert [rules.op_crossing(k).shift for k in (1, 2)] == [-2, -2]
 
 
 class TestCrossingLinearity:
