@@ -69,7 +69,7 @@ def _fmt_dims(d):
 
 
 def check_verify_slash(p: int, n: int, cap: int) -> tuple[str, dict]:
-    sl = symfunc.sym_pcomplex(n, p, cap).slash_cohomology()
+    sl = symfunc.twist_stats(n, 0, p, cap).slash()
     hi = sl.valid_window[1]
     # Sym_{⌊n/p⌋} with degrees dilated by p²
     expect = symfunc.sym_hilbert(n // p, 2 * p * p, {0: 1}, 0, hi)
@@ -95,7 +95,7 @@ def check_verify_twist(p: int, n: int, cap: int) -> tuple[str, dict]:
         return "pass", values
     bad = {}
     for a in range(1, r + 1):
-        sl = symfunc.twist_pcomplex(n, a, p, cap).slash_cohomology()
+        sl = symfunc.twist_stats(n, a, p, cap).slash()
         if not sl.is_zero():
             bad[a] = _fmt_dims(sl.total_dims())
     values["acyclic_for_a"] = list(range(1, r + 1))
@@ -173,7 +173,7 @@ def check_verify_nilhecke(p: int, n: int, cap: int) -> tuple[str, dict]:
     ok_rel, detail = pdgmod.nilhecke_relations_check(n, p, cap)
     ok_acyclic, dims, valid_cap = pdgmod.nh_acyclicity_check(p)
     # contrast: the symmetric subalgebra alone is not acyclic
-    sym_sl = symfunc.sym_pcomplex(p, p, 4 * p * p).slash_cohomology()
+    sym_sl = symfunc.twist_stats(p, 0, p, 4 * p * p).slash()
     values = {
         "relations_window": cap,
         "relations": ok_rel,
@@ -248,10 +248,7 @@ def check_verify_theta0(p: int, kmax: int) -> tuple[str, dict]:
             values["not_cocycle"] = k
             return "fail", values
     # class of the first generator is nonzero: not a (p−1)-fold boundary
-    n = p
-    cap = 2 * p * p + 4 * p
-    c = symfunc.sym_pcomplex(n, p, cap)
-    sl = c.slash_cohomology()
+    sl = symfunc.twist_stats(p, 0, p, 2 * p * p + 4 * p).slash()
     if sl.dims[0].get(2 * p * p, 0) != 1:
         values["class_missing"] = True
         return "fail", values

@@ -63,7 +63,7 @@ from . import linalg
 from . import partitions as pt
 from .cyclotomic import LaurentPoly, qbinom, qfact
 from .pcomplex import INF, PComplex, SlashCohomology, j_tensor, tensor_stats
-from .symfunc import SchurPoly, split_blocks, sym_hilbert, sym_pcomplex
+from .symfunc import SchurPoly, split_blocks, sym_hilbert, sym_pcomplex, twist_stats
 
 __all__ = [
     "nilhecke_least_window",
@@ -441,7 +441,7 @@ class EndAlgebra(BlockRules):
         of END = Sym_N^{trunc} ⊗ V ⊗ V^*; it has no representatives."""
         v = self.scalar_complex()
         u_stats = tensor_stats(v.string_stats(), v.dual().string_stats(), self.p)
-        r_stats = sym_pcomplex(self.nvars, self.p, cap).string_stats()
+        r_stats = twist_stats(self.nvars, 0, self.p, cap)
         return tensor_stats(r_stats, u_stats, self.p).slash()
 
     @functools.cached_property

@@ -16,17 +16,21 @@ degree of π_λ is 2|λ|.
 
 `sym_hilbert` is the Hilbert series of Sym_m with degrees dilated, times
 a Laurent polynomial of shifts: the graded dims that the slash checks
-expect.  Builders assemble the associated p-complexes: truncated Sym_n
-and S_n(a), the finite box complexes V_{a,b} on P(bp, ap) with the plain
-content differential, and V_i on P(i, kp−i) with contents shifted by i.
+expect.  `twist_stats` gives the string statistics of truncated Sym_n and
+S_n(a) from bead segments, without building a partition.  Builders
+assemble the associated p-complexes where vectors are needed: truncated
+Sym_n and S_n(a), the finite box complexes V_{a,b} on P(bp, ap) with the
+plain content differential, and V_i on P(i, kp−i) with contents shifted
+by i.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 from . import partitions as pt
-from .pcomplex import INF, PComplex
+from .pcomplex import INF, PComplex, StringStats, tensor_stats
 
 __all__ = [
     "SchurPoly",
@@ -38,6 +42,7 @@ __all__ = [
     "sym_hilbert",
     "sym_pcomplex",
     "twist_pcomplex",
+    "twist_stats",
     "vab_pcomplex",
     "vi_pcomplex",
 ]
@@ -269,6 +274,114 @@ def sym_hilbert(m: int, step: int, shifts: dict, lo: int, hi: int) -> dict:
     return {d: c for d, c in out.items() if c}
 
 
+# ---------- string statistics of S_n(a) from bead segments ----------
+
+
+def twist_stats(n: int, a: int, p: int, cap: int) -> StringStats:
+    """The string statistics of `twist_pcomplex(n, a, p, cap)`, read off
+    bead segments: no partition is built.
+
+    Beads.  A partition λ with at most n rows is the set of n bead
+    positions β_r = λ_r + n−1−r, r = 0..n−1, and 2|λ| = 2Σβ − n(n−1).
+    Adding a box to row r moves bead β_r to the empty position β_r + 1.
+    The box has content β_r − (n−1), so the move carries the coefficient
+    β_r − c₀ mod p, with c₀ = n−1−a.
+
+    Walls.  A move from β ≡ c₀ (mod p) carries 0, so no bead crosses from
+    such a position to the next one.  These walls cut the positions into
+    segments: a first segment 0..w with w = c₀ mod p, then full segments
+    of p positions each.  In a segment of s positions the move from local
+    position j carries j + 1 − s mod p, which is nonzero below the top
+    (`_segment_stats`); in a full segment that is j + 1.
+
+    Tensor.  The bead counts (m_0, m_1, ...) per segment therefore never
+    change under ∂, and ∂ is the sum of commuting moves, one per segment.
+    So the complex is the direct sum, over the distributions of the n beads
+    (`_bead_distributions`), of the tensor of segment complexes on the
+    m_k-subsets of each segment, shifted to degree 2Σ m_k·start_k − n(n−1).
+    In characteristic p, (Σ ∂_k)^p = Σ ∂_k^p, so ∂^p = 0 follows from the
+    segments.  The statistics of a tensor are `tensor_stats` of its
+    factors'; they depend only on the sorted (size, count) pairs of the
+    occupied segments, the form of the distribution (`_form_stats`).
+
+    Truncation.  The part above cap is the subcomplex spanned by the basis
+    vectors of degree > cap, hence by the slots of degree > cap of any
+    graded string basis.  So truncating at cap cuts each string (h, ℓ) to
+    min(ℓ, (cap − h)//2 + 1) slots, and drops it when h > cap.
+
+    Bookkeeping.  Σ ℓ·count must equal the number of partitions with at
+    most n rows and 2|λ| ≤ cap, counted by `sym_hilbert`, not built; a
+    mismatch raises AssertionError.
+    """
+    counts: dict[tuple, int] = {}
+    for form, shift in _bead_distributions(n, (n - 1 - a) % p, p, cap):
+        for (h, length), m in _form_stats(form, p):
+            h += shift
+            if h <= cap:
+                key = (h, min(length, (cap - h) // 2 + 1))
+                counts[key] = counts.get(key, 0) + m
+    counts = dict(sorted(counts.items()))
+    total = sum(length * m for (_, length), m in counts.items())
+    if total != sum(sym_hilbert(n, 2, {0: 1}, 0, cap).values()):
+        raise AssertionError("bead bookkeeping failed")
+    return StringStats(counts=counts, cap=cap, p=p)
+
+
+def _bead_distributions(n, w, p, cap):
+    """The distributions of n beads over the segments 0..w, then p
+    positions at a time, whose lowest configuration has degree ≤ cap, as
+    (form, shift) pairs: form is the sorted (size, count) pairs of the
+    occupied segments, and shift is 2Σ count·start − n(n−1)."""
+    top = (cap + n * (n - 1)) // 2  # the largest bead sum Σβ within the cap
+    out = []
+
+    def place(start, size, left, base, low, form):
+        # base: Σ count·start so far; low: the least bead sum so far
+        if not left:
+            out.append((tuple(sorted(form)), 2 * base - n * (n - 1)))
+        elif low + left * start + left * (left - 1) // 2 <= top:
+            for m in range(min(left, size) + 1):
+                place(
+                    start + size,
+                    p,
+                    left - m,
+                    base + m * start,
+                    low + m * start + m * (m - 1) // 2,
+                    form + ((size, m),) if m else form,
+                )
+
+    place(0, w + 1, n, 0, 0, ())
+    return out
+
+
+@functools.cache
+def _form_stats(form, p):
+    """Uncut string counts of the tensor of the segment complexes of a
+    bead-distribution form, in degrees twice the local bead sum."""
+    stats = StringStats(counts={(0, 1): 1}, cap=INF, p=p)
+    for size, m in form:
+        stats = tensor_stats(stats, _segment_stats(size, m, p), p)
+    return tuple(stats.counts.items())
+
+
+@functools.cache
+def _segment_stats(size, m, p):
+    """String statistics of m beads in a segment of size ≤ p positions, a
+    move from local position j carrying j + 1 − size mod p, degrees twice
+    the local bead sum."""
+    labels = list(itertools.combinations(range(size), m))
+    pos = {s: i for i, s in enumerate(labels)}
+    diff = {
+        i: {
+            pos[s[:k] + (j + 1,) + s[k + 1 :]]: (j + 1 - size) % p
+            for k, j in enumerate(s)
+            if j + 1 < size and j + 1 not in s
+        }
+        for i, s in enumerate(labels)
+    }
+    return PComplex(p, labels, [2 * sum(s) for s in labels], diff).string_stats()
+
+
 # ---------- p-complex builders ----------
 
 
@@ -309,7 +422,8 @@ def sym_pcomplex(n: int, p: int, cap: int) -> PComplex:
 
 def twist_pcomplex(n: int, a: int, p: int, cap: int) -> PComplex:
     """The rank-one twist S_n(a), truncated above degree cap: contents
-    shifted by a."""
+    shifted by a.  Built for its vectors; `twist_stats` gives its string
+    statistics without building it."""
     labels = [
         lam
         for m in range(0, cap // 2 + 1)

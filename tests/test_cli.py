@@ -7,7 +7,7 @@ import warnings
 import pytest
 
 from library_extras import schur
-from qfrob import cli, qgroup, symfunc
+from qfrob import cli, pdgmod, qgroup, symfunc
 from qfrob.cyclotomic import LaurentPoly
 from qfrob.pcomplex import PComplex
 from qfrob.cli import CheckSpec, default_specs, main, run_check
@@ -125,6 +125,39 @@ class TestRankOnlySlash:
         assert cli.check_verify_slash(3, 4, 72)[0] == "pass"
         assert cli.check_verify_twist(3, 4, 72)[0] == "pass"
         assert cli.check_verify_vi(3, 2)[0] == "pass"
+
+
+class TestStatsBuildNoPartitions:
+    """The stats-only callers read Sym_n and S_n(a) off bead segments."""
+
+    def test_refuse_content_complex(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("_content_complex called")
+
+        hilbert = pdgmod.end_algebra((1, 1, 1), 3).slash_hilbert(40)
+        monkeypatch.setattr(symfunc, "_content_complex", refuse)
+        assert cli.check_verify_slash(3, 6, 72)[0] == "pass"
+        assert cli.check_verify_twist(3, 5, 72)[0] == "pass"
+        assert cli.check_verify_theta0(3, 1)[0] == "pass"
+        assert pdgmod.end_algebra((1, 1, 1), 3).slash_hilbert(40) == hilbert
+
+    def test_wall_shifted_by_one_fails(self, monkeypatch):
+        real = symfunc._bead_distributions
+        monkeypatch.setattr(
+            symfunc,
+            "_bead_distributions",
+            lambda n, w, p, cap: real(n, (w + 1) % p, p, cap),
+        )
+        assert cli.check_verify_slash(3, 6, 72)[0] == "fail"
+
+    def test_dropped_distribution_is_a_failure(self, monkeypatch):
+        real = symfunc._bead_distributions
+        monkeypatch.setattr(symfunc, "_bead_distributions", lambda *args: real(*args)[:-1])
+        with pytest.raises(AssertionError, match="bookkeeping"):
+            symfunc.twist_stats(6, 0, 3, 72)
+        rep = run_check(CheckSpec("verify-slash", {"p": 3, "n": 6, "cap": 72}))
+        assert rep.status == "fail"
+        assert rep.values["error"].startswith("AssertionError")
 
 
 class TestMain:

@@ -19,6 +19,7 @@ from qfrob.symfunc import (
     sym_pcomplex,
     theta0_gen,
     twist_pcomplex,
+    twist_stats,
     vab_pcomplex,
     vi_pcomplex,
 )
@@ -261,6 +262,31 @@ class TestComplexes:
         h = sl.hilbert()
         for d in range(0, h.window[1] + 1, 2):
             assert h[d] == (1 if d % 18 == 0 else 0)
+
+
+# the bead statistics against the built complex, 140 cases: every twist,
+# even and odd caps, n up to 7 (up to 4 for p ≥ 5)
+TWIST_STATS_CAPS = {2: (15, 32), 3: (33, 40), 5: (61,), 7: (57,)}
+TWIST_STATS_GRID = [
+    (p, n) for p in TWIST_STATS_CAPS for n in range(0, (4 if p >= 5 else 7) + 1)
+]
+
+
+class TestTwistStats:
+    @pytest.mark.parametrize("p, n", TWIST_STATS_GRID)
+    def test_matches_built_complex(self, p, n):
+        for a in range(p):
+            for cap in TWIST_STATS_CAPS[p]:
+                got = twist_stats(n, a, p, cap)
+                want = twist_pcomplex(n, a, p, cap).string_stats()
+                assert got.counts == want.counts, (n, a, p, cap)
+                assert (got.cap, got.p) == (want.cap, want.p)
+
+    # the complexes of the slash-fp benchmark lines: verify-slash at p = 3,
+    # n = 4..6, and the twists that verify-twist decides at n = 4 and 5
+    @pytest.mark.parametrize("n, a", [(4, 0), (5, 0), (6, 0), (4, 1), (5, 1), (5, 2)])
+    def test_slash_matches_built_complex(self, n, a):
+        assert twist_stats(n, a, 3, 72).slash() == twist_pcomplex(n, a, 3, 72).slash_cohomology()
 
 
 class TestSplitVars:
