@@ -25,6 +25,7 @@ from pathlib import Path
 
 from . import pdgmod, qgroup, symfunc
 from .cyclotomic import binom_reduction_check, qbinom, to_op, varrho
+from .pcomplex import INF
 
 __all__ = ["main", "run_check", "Report", "CheckSpec"]
 
@@ -106,8 +107,8 @@ def check_verify_twist(p: int, n: int, cap: int) -> tuple[str, dict]:
 
 
 def check_verify_lima(p: int, a: int, b: int) -> tuple[str, dict]:
+    sl = symfunc.twist_stats(b * p, 0, p, INF, cols=a * p).slash()
     c = symfunc.vab_pcomplex(a, b, p)
-    sl = c.slash_cohomology()
     lima = symfunc.lima_partitions(b, a, p)
     total = sum(sum(v.values()) for v in sl.dims.values())
     values = {"dim": total, "expected_dim": comb(a + b, a)}
@@ -138,8 +139,8 @@ def check_verify_vi(p: int, kmax: int) -> tuple[str, dict]:
     bad = []
     for i in range(1, p):
         for k in range(1, kmax + 1):
-            c = symfunc.vi_pcomplex(i, k, p)
-            lengths = sorted({length for _, length in c.string_stats().counts})
+            stats = symfunc.twist_stats(i, i, p, INF, cols=k * p - i)
+            lengths = sorted({length for _, length in stats.counts})
             if lengths not in ([], [p]):
                 bad.append((i, k, lengths))
     values = {"i_range": list(range(1, p)), "k_range": list(range(1, kmax + 1))}

@@ -17,9 +17,10 @@ A p-complex here is a graded F_p-vector space U with a homogeneous operator
     even);
   * string *statistics* and their tensor calculus, which let tensor
     products of large complexes be decomposed exactly without forming the
-    product space.  Statistics are taken over the connected components of
-    ∂'s support graph, a direct sum: each distinct component form is
-    validated and ranked once, and its counts are shifted to every copy.
+    product space.  A complex's own statistics come from the ranks of the
+    powers of ∂ over the whole complex; the package ranks only small ones
+    (bead segments and J_{l1} ⊗ J_{l2}), and `symfunc.twist_stats` sums
+    their tensors for the large content complexes.
 
 Truncation: a complex may be cut above a degree cap, in which case graded
 data is only trusted on degrees d with d + 2(p−1) ≤ cap; builders in this
@@ -93,12 +94,6 @@ class PComplex:
     def support_degrees(self):
         return sorted(self._by_degree)
 
-    def min_degree(self):
-        return min(self._by_degree) if self._by_degree else 0
-
-    def max_degree(self):
-        return max(self._by_degree) if self._by_degree else 0
-
     def indices_at(self, d):
         return self._by_degree.get(d, [])
 
@@ -121,10 +116,6 @@ class PComplex:
         return _Powers(self).validation_error()
 
     # ---------- slash cohomology ----------
-
-    def slash_cohomology(self) -> "SlashCohomology":
-        """Slash dims from the ranks behind `string_stats`."""
-        return self.string_stats().slash()
 
     def independent_mod_coboundaries(self, d, vecs) -> bool:
         """Whether the vectors of degree d are linearly independent modulo
@@ -163,93 +154,43 @@ class PComplex:
         return strings
 
     def string_stats(self) -> "StringStats":
-        """String multiplicities by (head degree, length), from ranks only.
+        """Validate the complex and count its strings by (head degree,
+        length), from ranks only, in (head, length) order.
 
-        The statistics of a direct sum are the sums of its summands', so
-        they are taken over the connected components of ∂'s support graph:
-        each distinct component form is validated and ranked once by
-        `_rank_counts`, and its counts are shifted to the degree of each of
-        its copies and summed.  Identical matrices have identical ranks, so
-        the counts are those of the whole complex, in (head, length) order.
-        If a component fails validation, the ValueError carries the whole
-        complex's `validation_error`.
+        With r_j(d) = rank(∂^j: U_d → U_{d+2j}) and r_0(d) = dim U_d, the
+        number of strings with head exactly at d and length exactly ℓ is
+        (r_{ℓ−1}(d) − r_ℓ(d−2)) − (r_ℓ(d) − r_{ℓ+1}(d−2)); this avoids
+        building explicit vectors.  Once `validate` has passed, r_p and
+        r_{p+1} are 0 in every degree: ∂^p vanishes up to cap − 2p and
+        lands past the cap above it.  So only ∂^1 … ∂^{p−1} are ranked.
         """
+        powers = _Powers(self)
+        powers.validate()
+        p = self.p
+        ranks: dict[int, list] = {}
+        for d in self.support_degrees():
+            ranks[d] = [len(self.indices_at(d))] + [
+                linalg.sparse_rank(powers.images(d, j), p) for j in range(1, p)
+            ]
+            powers.release(d)
+
+        def r(d, j):
+            if d not in ranks:
+                return 0
+            return ranks[d][j] if j < len(ranks[d]) else 0
+
         counts: dict[tuple, int] = {}
-        for sub, shifts in self._component_forms():
-            try:
-                part = _rank_counts(sub)
-            except ValueError:
-                raise ValueError(self.validation_error()) from None
-            for s in shifts:
-                for (h, length), m in part.items():
-                    key = (h + s, length)
-                    counts[key] = counts.get(key, 0) + m
-        counts = {key: m for key, m in sorted(counts.items()) if m}
+        for d in self.support_degrees():
+            for length in range(1, p + 1):
+                m = (r(d, length - 1) - r(d - 2, length)) - (
+                    r(d, length) - r(d - 2, length + 1)
+                )
+                if m:
+                    counts[(d, length)] = m
         total = sum(l * m for (h, l), m in counts.items())
         if total != self.dim or any(m < 0 for m in counts.values()):
             raise AssertionError("rank bookkeeping failed")
         return StringStats(counts=counts, cap=self.cap, p=self.p)
-
-    def _component_forms(self):
-        """The connected components of ∂'s support graph grouped by form, as
-        (sub-complex, shifts) pairs; [(self, [0])] when there are fewer
-        than two.
-
-        A component's form is its degrees relative to its first index and
-        its ∂ rows in local indices, as stored, both taken in increasing
-        global order; its shift is the degree of its first index.  The
-        sub-complex of a form is cut at cap − (its lowest shift), so its
-        ∂^p = 0 window is that of its lowest copy, the widest in the whole
-        complex: a form fails validation exactly when one of its copies does.
-        """
-        parent = list(range(self.dim))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = i = parent[parent[i]]
-            return i
-
-        # the root of a component is its first index
-        for j, cols in self.diff.items():
-            b = find(j)
-            for i in cols:
-                a = find(i)
-                if a < b:
-                    parent[b] = b = a
-                elif a > b:
-                    parent[a] = b
-        members: dict[int, list] = {}
-        for i in range(self.dim):
-            members.setdefault(find(i), []).append(i)
-        if len(members) < 2:
-            return [(self, [0])]
-        degrees, diff, local = self.degrees, self.diff, [0] * self.dim
-        copies: dict[tuple, list] = {}
-        for idx in members.values():
-            for k, g in enumerate(idx):
-                local[g] = k
-            shift = degrees[idx[0]]
-            form = (
-                tuple([degrees[g] - shift for g in idx]),
-                tuple(
-                    tuple([(local[i], c) for i, c in diff[g].items()]) if g in diff else ()
-                    for g in idx
-                ),
-            )
-            copies.setdefault(form, []).append(shift)
-        return [
-            (
-                PComplex(
-                    self.p,
-                    range(len(rel)),
-                    rel,
-                    {k: dict(row) for k, row in enumerate(rows)},
-                    cap=self.cap - min(shifts),
-                ),
-                shifts,
-            )
-            for (rel, rows), shifts in copies.items()
-        ]
 
     # ---------- constructions ----------
 
@@ -340,43 +281,6 @@ class _Powers:
                 basis = linalg.sparse_nullspace(rows.values(), local, self.c.p)
             self._kernels[key] = basis
         return self._kernels[key]
-
-
-def _rank_counts(c: PComplex) -> dict:
-    """Validate c and count its strings by (head degree, length), from
-    ranks only; zero counts are left out.
-
-    With r_j(d) = rank(∂^j: U_d → U_{d+2j}) and r_0(d) = dim U_d, the
-    number of strings with head exactly at d and length exactly ℓ is
-    (r_{ℓ−1}(d) − r_ℓ(d−2)) − (r_ℓ(d) − r_{ℓ+1}(d−2)); this avoids
-    building explicit vectors.  Once `validate` has passed, r_p and
-    r_{p+1} are 0 in every degree: ∂^p vanishes up to cap − 2p and lands
-    past the cap above it.  So only ∂^1 … ∂^{p−1} are ranked.
-    """
-    powers = _Powers(c)
-    powers.validate()
-    p = c.p
-    ranks: dict[int, list] = {}
-    for d in c.support_degrees():
-        ranks[d] = [len(c.indices_at(d))] + [
-            linalg.sparse_rank(powers.images(d, j), p) for j in range(1, p)
-        ]
-        powers.release(d)
-
-    def r(d, j):
-        if d not in ranks:
-            return 0
-        return ranks[d][j] if j < len(ranks[d]) else 0
-
-    counts: dict[tuple, int] = {}
-    for d in c.support_degrees():
-        for length in range(1, p + 1):
-            m = (r(d, length - 1) - r(d - 2, length)) - (
-                r(d, length) - r(d - 2, length + 1)
-            )
-            if m:
-                counts[(d, length)] = m
-    return counts
 
 
 @dataclass

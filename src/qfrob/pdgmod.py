@@ -62,14 +62,13 @@ import math
 from . import linalg
 from . import partitions as pt
 from .cyclotomic import LaurentPoly, qbinom, qfact
-from .pcomplex import INF, PComplex, SlashCohomology, j_tensor, tensor_stats
+from .pcomplex import INF, PComplex, SlashCohomology, StringStats, j_tensor, tensor_stats
 from .symfunc import SchurPoly, split_blocks, sym_hilbert, sym_pcomplex, twist_stats
 
 __all__ = [
     "nilhecke_least_window",
     "nilhecke_relations_check",
     "nh_acyclicity_check",
-    "staircase_complex",
     "grass_rank_ok",
     "BlockRules",
     "EndAlgebra",
@@ -153,31 +152,18 @@ def nilhecke_relations_check(n: int, p: int, window: int):
 # --------------------------------------------------------------------------
 
 
-def staircase_complex(p: int) -> PComplex:
-    """The scalar box complex of the twisted module Pol_p·v over Sym_p.
-
-    Pol_p·v is the block module with p blocks of size 1.  Its free basis
-    x_2^{c_2}...x_p^{c_p} v, 0 ≤ c_i ≤ i−1, is labelled by the one-row
-    partitions (c_i) of the blocks, and block i has twist −(i−1), so the
-    differential sends c to c + e_i with coefficient c_i − (i−1).  Each
-    factor is a single string of length i and the whole complex is a tensor
-    J_1 ⊗ J_2 ⊗ ... ⊗ J_p, contractible because of the J_p factor.  The
-    degrees include the generator degree −p(p−1)/2.
-    """
-    return end_algebra((1,) * p, p).scalar_complex()
-
-
 def nh_acyclicity_check(p: int):
     """Whether the windowed END realization of (NH_p, ∂) has H_/ = 0.
 
     NH_p = END_{Sym_p}(Pol_p·v) with the twisted module generator; in the
-    staircase basis the module differential is scalar, so the matrix
-    p-complex is Sym_p^{trunc} ⊗ (V ⊗ V^*) and its slash dims follow from
-    string statistics.  Returns (ok, dims, valid_cap).
+    staircase basis x_2^{c_2}...x_p^{c_p} v, 0 ≤ c_i ≤ i−1, of the blocks
+    (1, ..., 1) the module differential is scalar, so the matrix p-complex
+    is Sym_p^{trunc} ⊗ (V ⊗ V^*) and its slash dims follow from string
+    statistics.  Returns (ok, dims, valid_cap).
     """
-    v = staircase_complex(p)
-    cap = 2 * (v.max_degree() - v.min_degree()) + 4 * p * p + 2 * p
-    sl = end_algebra((1,) * p, p).slash_hilbert(cap)
+    alg = end_algebra((1,) * p, p)
+    cap = 2 * (max(alg.degrees) - min(alg.degrees)) + 4 * p * p + 2 * p
+    sl = alg.slash_hilbert(cap)
     return sl.is_zero(), sl.dims, sl.valid_window[1]
 
 
@@ -438,11 +424,20 @@ class EndAlgebra(BlockRules):
 
     def slash_hilbert(self, cap: int) -> SlashCohomology:
         """H_/(END) with Sym_N truncated at cap, from the string statistics
-        of END = Sym_N^{trunc} ⊗ V ⊗ V^*; it has no representatives."""
-        v = self.scalar_complex()
-        u_stats = tensor_stats(v.string_stats(), v.dual().string_stats(), self.p)
-        r_stats = twist_stats(self.nvars, 0, self.p, cap)
-        return tensor_stats(r_stats, u_stats, self.p).slash()
+        of END = Sym_N^{trunc} ⊗ V ⊗ V^*; it has no representatives.
+
+        V is the tensor of its blocks' box complexes, block k on
+        P(b_k, A_k) with twist −A_k (A_k the size of the blocks before it),
+        shifted by the generator degree; V^* turns each string (h, ℓ) into
+        (−h − 2(ℓ−1), ℓ)."""
+        p = self.p
+        v = StringStats(counts={(min(self.degrees), 1): 1}, cap=INF, p=p)
+        for b, pre in zip(self.blocks, itertools.accumulate((0,) + self.blocks)):
+            v = tensor_stats(v, twist_stats(b, -pre, p, INF, cols=pre), p)
+        dual = {(-h - 2 * (l - 1), l): m for (h, l), m in v.counts.items()}
+        u_stats = tensor_stats(v, StringStats(counts=dual, cap=INF, p=p), p)
+        r_stats = twist_stats(self.nvars, 0, p, cap)
+        return tensor_stats(r_stats, u_stats, p).slash()
 
     @functools.cached_property
     def _slash_totals(self):

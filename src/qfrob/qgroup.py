@@ -85,7 +85,8 @@ from .cyclotomic import (
     rho,
     to_op,
 )
-from .symfunc import vab_pcomplex
+from .pcomplex import INF
+from .symfunc import twist_stats
 
 __all__ = [
     "CoeffRing",
@@ -530,7 +531,7 @@ def k0_symbol_check(a: int, b: int, p: int) -> bool:
     the statement that the plainly graded character is the integer
     C(a+b, a).)
     """
-    sl = vab_pcomplex(a, b, p).slash_cohomology()
+    sl = twist_stats(b * p, 0, p, INF, cols=a * p).slash()
     shift = a * b * p * p
     char = CycElem.zero(p)
     for d, m in sl.hilbert().dims.items():

@@ -16,18 +16,20 @@ degree of π_λ is 2|λ|.
 
 `sym_hilbert` is the Hilbert series of Sym_m with degrees dilated, times
 a Laurent polynomial of shifts: the graded dims that the slash checks
-expect.  `twist_stats` gives the string statistics of truncated Sym_n and
-S_n(a) from bead segments, without building a partition.  Builders
-assemble the associated p-complexes where vectors are needed: truncated
-Sym_n and S_n(a), the finite box complexes V_{a,b} on P(bp, ap) with the
-plain content differential, and V_i on P(i, kp−i) with contents shifted
-by i.
+expect.  `twist_stats` gives the string statistics of every content
+complex from bead segments, without building a partition: truncated Sym_n
+and S_n(a), and the box complexes on P(r, c) with contents shifted by a
+twist (V_{a,b} on P(bp, ap), V_i on P(i, kp−i), the blocks of END's
+V).  Builders assemble the associated p-complexes where vectors are
+needed: truncated Sym_n and S_n(a), and V_{a,b} with the plain content
+differential.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 from . import partitions as pt
 from .pcomplex import INF, PComplex, StringStats, tensor_stats
@@ -44,7 +46,6 @@ __all__ = [
     "twist_pcomplex",
     "twist_stats",
     "vab_pcomplex",
-    "vi_pcomplex",
 ]
 
 lima_partitions = pt.lima_partitions
@@ -277,9 +278,10 @@ def sym_hilbert(m: int, step: int, shifts: dict, lo: int, hi: int) -> dict:
 # ---------- string statistics of S_n(a) from bead segments ----------
 
 
-def twist_stats(n: int, a: int, p: int, cap: int) -> StringStats:
-    """The string statistics of `twist_pcomplex(n, a, p, cap)`, read off
-    bead segments: no partition is built.
+def twist_stats(n: int, a: int, p: int, cap, cols=None) -> StringStats:
+    """The string statistics of `twist_pcomplex(n, a, p, cap)`, or with
+    cols of the box complex on P(n, cols) with contents shifted by a, read
+    off bead segments: no partition is built.
 
     Beads.  A partition λ with at most n rows is the set of n bead
     positions β_r = λ_r + n−1−r, r = 0..n−1, and 2|λ| = 2Σβ − n(n−1).
@@ -293,6 +295,14 @@ def twist_stats(n: int, a: int, p: int, cap: int) -> StringStats:
     of p positions each.  In a segment of s positions the move from local
     position j carries j + 1 − s mod p, which is nonzero below the top
     (`_segment_stats`); in a full segment that is j + 1.
+
+    Box.  With at most cols columns the beads lie on the positions
+    0..n+cols−1, and the only box leaving P(n, cols) moves the top bead
+    from n+cols−1.  Its builders require that box to carry 0
+    (`_content_complex`, `EndAlgebra`), that is cols + a ≡ 0 (mod p): the
+    top position is a wall, and the line of positions ends after its last
+    full segment.  Otherwise AssertionError is raised.  A box complex is
+    finite and taken whole, with cap INF.
 
     Tensor.  The bead counts (m_0, m_1, ...) per segment therefore never
     change under ∂, and ∂ is the sum of commuting moves, one per segment.
@@ -309,37 +319,43 @@ def twist_stats(n: int, a: int, p: int, cap: int) -> StringStats:
     graded string basis.  So truncating at cap cuts each string (h, ℓ) to
     min(ℓ, (cap − h)//2 + 1) slots, and drops it when h > cap.
 
-    Bookkeeping.  Σ ℓ·count must equal the number of partitions with at
-    most n rows and 2|λ| ≤ cap, counted by `sym_hilbert`, not built; a
-    mismatch raises AssertionError.
+    Bookkeeping.  Σ ℓ·count must equal the number of labels: C(n+cols, n)
+    in a box, else the partitions with at most n rows and 2|λ| ≤ cap,
+    counted by `sym_hilbert`, not built; a mismatch raises AssertionError.
     """
+    if cols is None:
+        end, total = INF, sum(sym_hilbert(n, 2, {0: 1}, 0, cap).values())
+    elif (cols + a) % p:
+        raise AssertionError(f"the top bead position {n + cols - 1} is not a wall")
+    else:
+        end, total = n + cols, math.comb(n + cols, n)
     counts: dict[tuple, int] = {}
-    for form, shift in _bead_distributions(n, (n - 1 - a) % p, p, cap):
+    for form, shift in _bead_distributions(n, (n - 1 - a) % p, p, cap, end):
         for (h, length), m in _form_stats(form, p):
             h += shift
             if h <= cap:
-                key = (h, min(length, (cap - h) // 2 + 1))
+                key = (h, length if cap == INF else min(length, (cap - h) // 2 + 1))
                 counts[key] = counts.get(key, 0) + m
     counts = dict(sorted(counts.items()))
-    total = sum(length * m for (_, length), m in counts.items())
-    if total != sum(sym_hilbert(n, 2, {0: 1}, 0, cap).values()):
+    if sum(length * m for (_, length), m in counts.items()) != total:
         raise AssertionError("bead bookkeeping failed")
     return StringStats(counts=counts, cap=cap, p=p)
 
 
-def _bead_distributions(n, w, p, cap):
+def _bead_distributions(n, w, p, cap, end):
     """The distributions of n beads over the segments 0..w, then p
-    positions at a time, whose lowest configuration has degree ≤ cap, as
-    (form, shift) pairs: form is the sorted (size, count) pairs of the
-    occupied segments, and shift is 2Σ count·start − n(n−1)."""
-    top = (cap + n * (n - 1)) // 2  # the largest bead sum Σβ within the cap
+    positions at a time up to position end − 1, whose lowest configuration
+    has degree ≤ cap, as (form, shift) pairs: form is the sorted (size,
+    count) pairs of the occupied segments, and shift is
+    2Σ count·start − n(n−1)."""
+    top = (cap + n * (n - 1)) / 2  # the largest bead sum Σβ within the cap
     out = []
 
     def place(start, size, left, base, low, form):
         # base: Σ count·start so far; low: the least bead sum so far
         if not left:
             out.append((tuple(sorted(form)), 2 * base - n * (n - 1)))
-        elif low + left * start + left * (left - 1) // 2 <= top:
+        elif start < end and low + left * start + left * (left - 1) // 2 <= top:
             for m in range(min(left, size) + 1):
                 place(
                     start + size,
@@ -436,14 +452,3 @@ def vab_pcomplex(a: int, b: int, p: int) -> PComplex:
     """The finite box complex on P(bp, ap) with the content differential."""
     labels = pt.partitions_in_box(b * p, a * p)
     return _content_complex(p, labels, 0, INF, max_rows=b * p)
-
-
-def vi_pcomplex(i: int, k: int, p: int) -> PComplex:
-    """The finite complex on P(i, kp−i) with contents shifted by i."""
-    if not 1 <= i <= p:
-        raise ValueError("need 1 <= i <= p")
-    cols = k * p - i
-    if cols < 0:
-        raise ValueError("kp - i must be nonnegative")
-    labels = pt.partitions_in_box(i, cols)
-    return _content_complex(p, labels, i, INF, max_rows=i)

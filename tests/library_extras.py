@@ -3,8 +3,10 @@
 
 * `tensor`, the whole tensor product of two complexes, the reference that
   `pcomplex.tensor_stats` decomposes without forming it;
-* `slash_reps`, homogeneous representatives of slash cohomology read off
-  the explicit strings of a complex;
+* `slash_cohomology`, the slash dims of a built complex, and `slash_reps`,
+  homogeneous representatives read off its explicit strings;
+* `vi_pcomplex` and `staircase_complex`, built complexes whose statistics
+  the checks read off bead segments;
 * `schur` and `complete`, single Schur polynomials, and `omega`, the
   involution π_λ ↦ (−1)^{|λ|} π_{λᵗ};
 * `bar`, the bar involution of Laurent polynomials;
@@ -13,9 +15,10 @@
 
 from qfrob import partitions as pt
 from qfrob.cyclotomic import LaurentPoly
-from qfrob.pcomplex import INF, PComplex, _string_classes
+from qfrob.pcomplex import INF, PComplex, SlashCohomology, _string_classes
+from qfrob.pdgmod import end_algebra
 from qfrob.qgroup import CoeffRing, UdotElem, _canonical
-from qfrob.symfunc import SchurPoly
+from qfrob.symfunc import SchurPoly, _content_complex
 
 
 # ---------- p-complexes ----------
@@ -49,14 +52,19 @@ def tensor(a: PComplex, b: PComplex) -> PComplex:
     if a.cap == INF and b.cap == INF:
         cap = INF
     else:
-        cap = min(a.cap + b.min_degree(), b.cap + a.min_degree())
+        cap = min(a.cap + min(b.degrees, default=0), b.cap + min(a.degrees, default=0))
     return PComplex(p, labels, degrees, diff, cap=cap)
+
+
+def slash_cohomology(c: PComplex) -> SlashCohomology:
+    """Slash dims from the ranks behind `c.string_stats()`."""
+    return c.string_stats().slash()
 
 
 def slash_reps(c: PComplex) -> dict:
     """reps[k][d]: slot ℓ−1−k of each string of length ℓ < p through
     degree d, in `string_decompose` order, as key-sorted vectors, on the
-    valid window of `c.slash_cohomology()`."""
+    valid window of `slash_cohomology(c)`."""
     found = {k: {} for k in range(c.p - 1)}
     for s in c.string_decompose():
         for k, d, slot in _string_classes(
@@ -64,6 +72,31 @@ def slash_reps(c: PComplex) -> dict:
         ):
             found[k].setdefault(d, []).append(dict(sorted(s.slots[slot].items())))
     return {k: dict(sorted(per.items())) for k, per in found.items()}
+
+
+def vi_pcomplex(i: int, k: int, p: int) -> PComplex:
+    """The finite complex on P(i, kp−i) with contents shifted by i."""
+    if not 1 <= i <= p:
+        raise ValueError("need 1 <= i <= p")
+    cols = k * p - i
+    if cols < 0:
+        raise ValueError("kp - i must be nonnegative")
+    labels = pt.partitions_in_box(i, cols)
+    return _content_complex(p, labels, i, INF, max_rows=i)
+
+
+def staircase_complex(p: int) -> PComplex:
+    """The scalar box complex of the twisted module Pol_p·v over Sym_p.
+
+    Pol_p·v is the block module with p blocks of size 1.  Its free basis
+    x_2^{c_2}...x_p^{c_p} v, 0 ≤ c_i ≤ i−1, is labelled by the one-row
+    partitions (c_i) of the blocks, and block i has twist −(i−1), so the
+    differential sends c to c + e_i with coefficient c_i − (i−1).  Each
+    factor is a single string of length i and the whole complex is a tensor
+    J_1 ⊗ J_2 ⊗ ... ⊗ J_p, contractible because of the J_p factor.  The
+    degrees include the generator degree −p(p−1)/2.
+    """
+    return end_algebra((1,) * p, p).scalar_complex()
 
 
 # ---------- symmetric polynomials ----------

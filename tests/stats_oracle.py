@@ -1,8 +1,6 @@
 """Whole-complex string statistics: the oracle for `PComplex.string_stats`.
 
-This is `string_stats` as it was before the complex was split into the
-connected components of ∂: every degree of the whole complex is validated
-and ranked in one pass.
+Every degree of the whole complex is validated and ranked in one pass.
 """
 
 from qfrob import linalg

@@ -128,25 +128,31 @@ class TestRankOnlySlash:
 
 
 class TestStatsBuildNoPartitions:
-    """The stats-only callers read Sym_n and S_n(a) off bead segments."""
+    """The stats-only callers read Sym_n, S_n(a) and the box complexes off
+    bead segments."""
 
     def test_refuse_content_complex(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("_content_complex called")
 
         hilbert = pdgmod.end_algebra((1, 1, 1), 3).slash_hilbert(40)
+        hilbert_22 = pdgmod.end_algebra((2, 2), 2).slash_hilbert(40)
         monkeypatch.setattr(symfunc, "_content_complex", refuse)
+        monkeypatch.setattr(pdgmod.EndAlgebra, "scalar_complex", refuse)
         assert cli.check_verify_slash(3, 6, 72)[0] == "pass"
         assert cli.check_verify_twist(3, 5, 72)[0] == "pass"
         assert cli.check_verify_theta0(3, 1)[0] == "pass"
+        assert cli.check_verify_vi(5, 3)[0] == "pass"
+        assert cli.check_verify_grass(3, 2)[0] == "pass"
         assert pdgmod.end_algebra((1, 1, 1), 3).slash_hilbert(40) == hilbert
+        assert pdgmod.end_algebra((2, 2), 2).slash_hilbert(40) == hilbert_22
 
     def test_wall_shifted_by_one_fails(self, monkeypatch):
         real = symfunc._bead_distributions
         monkeypatch.setattr(
             symfunc,
             "_bead_distributions",
-            lambda n, w, p, cap: real(n, (w + 1) % p, p, cap),
+            lambda n, w, p, cap, end: real(n, (w + 1) % p, p, cap, end),
         )
         assert cli.check_verify_slash(3, 6, 72)[0] == "fail"
 

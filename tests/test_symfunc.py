@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 import demazure_oracle
 import dense_oracle
 import series_oracle
-from library_extras import complete, omega, schur, slash_reps
+from library_extras import complete, omega, schur, slash_cohomology, slash_reps, vi_pcomplex
 from qfrob import partitions as pt
+from qfrob.pcomplex import INF
 from qfrob.pdgmod import nh_graded_dims
 from qfrob.symfunc import (
     SchurPoly,
+    _content_complex,
     elementary,
     lima_partitions,
     split_vars,
@@ -21,7 +24,6 @@ from qfrob.symfunc import (
     twist_pcomplex,
     twist_stats,
     vab_pcomplex,
-    vi_pcomplex,
 )
 
 
@@ -240,7 +242,7 @@ class TestComplexes:
     def test_vab_11_p2(self):
         c = vab_pcomplex(1, 1, 2)
         assert c.dim == 6
-        sl = c.slash_cohomology()
+        sl = slash_cohomology(c)
         assert sl.total_dims() == {0: 1, 8: 1}
         reps0 = slash_reps(c)[0]
         assert [c.labels[i] for i in reps0[0][0]] == [()]
@@ -253,12 +255,12 @@ class TestComplexes:
 
     def test_vi_at_i_equals_p(self):
         # i = p: the classes are the expanded-box partitions of P(p, (k−1)p)
-        sl = vi_pcomplex(2, 2, 2).slash_cohomology()
+        sl = slash_cohomology(vi_pcomplex(2, 2, 2))
         assert sl.total_dims() == {0: 1, 8: 1}
 
     def test_twist_hilbert_s3_p3(self):
         c = twist_pcomplex(3, 0, 3, 36)
-        sl = c.slash_cohomology()
+        sl = slash_cohomology(c)
         h = sl.hilbert()
         for d in range(0, h.window[1] + 1, 2):
             assert h[d] == (1 if d % 18 == 0 else 0)
@@ -286,7 +288,41 @@ class TestTwistStats:
     # n = 4..6, and the twists that verify-twist decides at n = 4 and 5
     @pytest.mark.parametrize("n, a", [(4, 0), (5, 0), (6, 0), (4, 1), (5, 1), (5, 2)])
     def test_slash_matches_built_complex(self, n, a):
-        assert twist_stats(n, a, 3, 72).slash() == twist_pcomplex(n, a, 3, 72).slash_cohomology()
+        assert twist_stats(n, a, 3, 72).slash() == slash_cohomology(twist_pcomplex(n, a, 3, 72))
+
+    @staticmethod
+    def assert_box_matches(got, c):
+        want = c.string_stats()
+        assert list(got.counts.items()) == list(want.counts.items())
+        assert (got.cap, got.p) == (want.cap, want.p)
+
+    # V_{a,b} on P(bp, ap), twist 0
+    @pytest.mark.parametrize(
+        "a, b, p",
+        [(a, b, p) for p in (2, 3) for a in range(3) for b in range(3)] + [(1, 1, 5), (1, 1, 7)],
+    )
+    def test_vab_matches_built_complex(self, a, b, p):
+        self.assert_box_matches(twist_stats(b * p, 0, p, INF, cols=a * p), vab_pcomplex(a, b, p))
+
+    # V_i on P(i, kp−i), twist i, for every i < p and k ≤ 3 but the two
+    # largest at p = 7, P(5, 16) and P(6, 15), whose whole-complex ranks
+    # take 8 and 54 s on a 2-core x86 host
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_vi_matches_built_complex(self, p):
+        for i in range(1, p):
+            for k in range(1, 4):
+                if comb(k * p, i) <= 6000:
+                    got = twist_stats(i, i, p, INF, cols=k * p - i)
+                    self.assert_box_matches(got, vi_pcomplex(i, k, p))
+
+    def test_top_of_the_box_not_a_wall(self):
+        # P(2, 2) at p = 3: the box leaving the box from (2, c) has content
+        # 2, so the top bead position 3 is not a wall
+        with pytest.raises(AssertionError, match="not a wall"):
+            twist_stats(2, 0, 3, INF, cols=2)
+        labels = pt.partitions_in_box(2, 2)
+        with pytest.raises(AssertionError, match="nonzero coefficient 2 on a box leaving"):
+            _content_complex(3, labels, 0, INF, max_rows=2)
 
 
 class TestSplitVars:
