@@ -108,17 +108,17 @@ def check_verify_twist(p: int, n: int, cap: int) -> tuple[str, dict]:
 
 def check_verify_lima(p: int, a: int, b: int) -> tuple[str, dict]:
     sl = symfunc.twist_stats(b * p, 0, p, INF, cols=a * p).slash()
-    c = symfunc.vab_pcomplex(a, b, p)
     lima = symfunc.lima_partitions(b, a, p)
     total = sum(sum(v.values()) for v in sl.dims.values())
     values = {"dim": total, "expected_dim": comb(a + b, a)}
     if total != comb(a + b, a):
         return "fail", values
     # representatives must be exactly the expanded-box classes up to
-    # coboundary: each is a cocycle, and they are independent in H_{/0}
-    pos = {lam: i for i, lam in enumerate(c.labels)}
+    # coboundary: each is a cocycle, and they are independent in H_{/0},
+    # which distinct partitions are exactly when each fills its bead
+    # segments (distinct filled partitions span distinct lines)
     for lam in lima:
-        if c.apply({pos[lam]: 1}):
+        if not _is_cocycle(lam, b * p, p):
             values["non_cocycle"] = str(lam)
             return "fail", values
     by_degree: dict[int, list] = {}
@@ -128,7 +128,7 @@ def check_verify_lima(p: int, a: int, b: int) -> tuple[str, dict]:
         if sl.dims[0].get(d, 0) != len(lams):
             values["degree_mismatch"] = d
             return "fail", values
-        if not c.independent_mod_coboundaries(d, [{pos[lam]: 1} for lam in lams]):
+        if not all(symfunc.fills_segments(lam, b * p, p) for lam in lams):
             values["dependent_modulo_coboundary"] = d
             return "fail", values
     values["classes"] = [list(l) for l in lima]
@@ -285,12 +285,17 @@ def check_verify_theta0(p: int, kmax: int) -> tuple[str, dict]:
     return "pass", values
 
 
+def _is_cocycle(lam, nvars, p):
+    """Whether ∂(π_λ) = 0 in Sym_nvars: every box added to λ carries a
+    content ≡ 0 (mod p)."""
+    return symfunc.SchurPoly(p, {lam: 1}, nvars).diff().is_zero()
+
+
 def _factor_is_coboundary(lam, nvars, p):
-    """Whether the class of π_λ dies in H_{/0}(Sym_nvars) (windowed)."""
-    d = 2 * sum(lam)
-    c = symfunc.sym_pcomplex(nvars, p, d + 2 * p)
-    index = {c.labels[i]: i for i in c.indices_at(d)}
-    return not c.independent_mod_coboundaries(d, [{index[tuple(lam)]: 1}])
+    """Whether the class of π_λ dies in H_{/0}(Sym_nvars): π_λ is a cocycle
+    in a free summand, one that does not fill its bead segments
+    (`symfunc.fills_segments`)."""
+    return _is_cocycle(lam, nvars, p) and not symfunc.fills_segments(lam, nvars, p)
 
 
 CHECKS = {

@@ -24,7 +24,6 @@ __all__ = [
     "fits_in",
     "bounded_partitions",
     "partitions_in_box",
-    "partitions_of",
     "addable_boxes",
     "add_box",
     "expand_p",
@@ -91,30 +90,6 @@ def bounded_partitions(hi, size=None, lo=()):
 def partitions_in_box(rows: int, cols: int) -> tuple:
     """All partitions with ≤ rows parts and parts ≤ cols, graded-lex sorted."""
     return tuple(sorted(bounded_partitions((cols,) * rows), key=sort_key))
-
-
-def partitions_of(n: int, max_rows=None, max_part=None):
-    """Partitions of n, optionally bounded, graded-lex order within size n.
-
-    A prefix is dropped as soon as its remaining rows, each at most its
-    last part, cannot hold what is left of n.
-    """
-    res = []
-
-    def rec(remaining, maxp, prefix):
-        if remaining == 0:
-            res.append(tuple(prefix))
-            return
-        if max_rows is not None and remaining > maxp * (max_rows - len(prefix)):
-            return
-        for part in range(min(remaining, maxp), 0, -1):
-            prefix.append(part)
-            rec(remaining - part, part, prefix)
-            prefix.pop()
-
-    top = n if max_part is None else min(n, max_part)
-    rec(n, top, [])
-    return sorted(res, key=sort_key)
 
 
 def addable_boxes(lam: Partition, max_rows=None):

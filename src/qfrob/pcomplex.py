@@ -22,9 +22,11 @@ A p-complex here is a graded F_p-vector space U with a homogeneous operator
     (bead segments and J_{l1} ⊗ J_{l2}), and `symfunc.twist_stats` sums
     their tensors for the large content complexes.
 
-Truncation: a complex may be cut above a degree cap, in which case graded
-data is only trusted on degrees d with d + 2(p−1) ≤ cap; builders in this
-package never cut from below, so no lower margin is needed.
+Truncation: a complex, or its statistics, may be cut above a degree cap,
+in which case graded data is only trusted on degrees d with
+d + 2(p−1) ≤ cap; nothing is cut from below, so no lower margin is needed.
+The package builds only complete complexes (bead segments, abstract
+strings and END's V); truncated ones are read off bead segments.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from . import linalg
 __all__ = [
     "PComplex",
     "SlashCohomology",
-    "GradedDims",
     "StringBasis",
     "StringStats",
     "tensor_stats",
@@ -47,19 +48,6 @@ __all__ = [
 ]
 
 INF = math.inf
-
-
-@dataclass(frozen=True)
-class GradedDims:
-    """Dimensions per degree, known on [window[0], window[1]] only."""
-
-    dims: dict
-    window: tuple
-
-    def __getitem__(self, d):
-        if not self.window[0] <= d <= self.window[1]:
-            raise KeyError(f"degree {d} outside the known window {self.window}")
-        return self.dims.get(d, 0)
 
 
 @dataclass
@@ -114,16 +102,6 @@ class PComplex:
         """None if homogeneous with windowed ∂^p = 0, else a message naming
         the first violating basis vector."""
         return _Powers(self).validation_error()
-
-    # ---------- slash cohomology ----------
-
-    def independent_mod_coboundaries(self, d, vecs) -> bool:
-        """Whether the vectors of degree d are linearly independent modulo
-        Im ∂^{p−1}, the span of the images ∂^{p−1}(e_i) of the basis of
-        degree d − 2(p−1)."""
-        j = self.p - 1
-        im = _Powers(self).images(d - 2 * j, j)
-        return len(linalg.sparse_extend_basis(im, vecs, self.p)) == len(vecs)
 
     # ---------- string decomposition ----------
 
@@ -191,24 +169,6 @@ class PComplex:
         if total != self.dim or any(m < 0 for m in counts.values()):
             raise AssertionError("rank bookkeeping failed")
         return StringStats(counts=counts, cap=self.cap, p=self.p)
-
-    # ---------- constructions ----------
-
-    def dual(self) -> "PComplex":
-        """Linear dual with ∂*(ξ) = −ξ∘∂; only for complete complexes."""
-        if self.cap != INF:
-            raise ValueError("dual of a truncated complex is not defined here")
-        dual_diff: dict[int, dict[int, int]] = {}
-        for j, cols in self.diff.items():
-            for i, c in cols.items():
-                dual_diff.setdefault(i, {})[j] = (-c) % self.p
-        return PComplex(
-            self.p,
-            [("dual", l) for l in self.labels],
-            [-d for d in self.degrees],
-            dual_diff,
-            cap=INF,
-        )
 
 
 class _Powers:
@@ -308,9 +268,6 @@ class SlashCohomology:
         if self.valid_window[1] < self.valid_window[0]:
             raise ValueError(f"empty valid window {self.valid_window}")
         return all(not v for v in self.dims.values())
-
-    def hilbert(self) -> GradedDims:
-        return GradedDims(dims=self.total_dims(), window=self.valid_window)
 
 
 # ---------- string statistics ----------

@@ -36,12 +36,15 @@ The module has three layers.
     commutator with the module differential.  Module elements are expanded
     over the free basis block by block, by Grassmannian duality
     (`EndAlgebra.expand`).  Expanded so, END is the tensor product
-    Sym_N^{trunc} ⊗ V ⊗ V^* (V the free basis with the scalar module
+    Sym_N ⊗ V ⊗ V^* (V the free basis with the scalar module
     differential), which keeps slash cohomology and coboundary membership
-    small: slash dims come from the string statistics of the factors, and
-    coboundaries are decided one string triple J ⊗ J ⊗ J of the three
-    factors at a time, each factor read through coordinates over the slots
-    of its own strings.
+    small: slash dims come from the string statistics of the factors, read
+    off bead segments, with Sym_N truncated.  Coboundaries need no
+    truncation: Sym_N is free summands plus one line per partition that
+    fills its bead segments (`symfunc.fills_segments`), so a cocycle is a
+    coboundary exactly when each line's component in V ⊗ V^* is one.  That
+    is decided one string pair J ⊗ J at a time, through coordinates over
+    the slots of V's strings; those of V^* are read off V's.
 
 Thick crossings are the Demazure composites ∂_w of the minimal-length
 block-interchange permutation w.  On a product of Schur polynomials of the
@@ -63,7 +66,7 @@ from . import linalg
 from . import partitions as pt
 from .cyclotomic import LaurentPoly, qbinom, qfact
 from .pcomplex import INF, PComplex, SlashCohomology, StringStats, j_tensor, tensor_stats
-from .symfunc import SchurPoly, split_blocks, sym_hilbert, sym_pcomplex, twist_stats
+from .symfunc import SchurPoly, fills_segments, split_blocks, sym_hilbert, twist_stats
 
 __all__ = [
     "nilhecke_least_window",
@@ -382,7 +385,6 @@ class EndAlgebra(BlockRules):
                 raise AssertionError("escaping box with nonzero coefficient")
             if img:
                 self.D[j] = {self.pos[t]: c for t, c in img.items()}
-        self._string_cache: dict = {}
 
     # ---- expansion of module elements over the free basis ----
 
@@ -450,85 +452,78 @@ class EndAlgebra(BlockRules):
 
     # ---- coboundary membership ----
 
-    def _strings(self, factor):
-        """One tensor factor of END = Sym_N^{trunc} ⊗ V ⊗ V^*, cached: its
-        explicit strings and coordinates over their slots.  factor is "V",
-        "V*", or the cap at which Sym_N is truncated."""
-        if factor not in self._string_cache:
-            if factor == "V":
-                c, what = self.scalar_complex(), "V"
-            elif factor == "V*":
-                c, what = self.scalar_complex().dual(), "V^*"
-            else:
-                c, what = sym_pcomplex(self.nvars, self.p, factor), "Sym_N"
-            strings = c.string_decompose()
-            coords = _Coordinates(
-                self.p, lambda d: _slot_basis(strings, d), f"{what} string slots"
-            )
-            self._string_cache[factor] = (c, strings, coords)
-        return self._string_cache[factor]
+    @functools.cached_property
+    def _strings(self):
+        """V's explicit strings, the coordinates of each e_i over their
+        slots, and the coordinates of each dual basis vector e_j^* over the
+        slots of the dual strings, {j: {(string, slot): coeff}}.
+
+        With b_{s,t} = ∂^t(head_s) the slots of V's strings and b^*_{s,t}
+        their dual basis, ∂^*(b^*_{s,t}) = −b^*_{s,t−1}.  So V-string s of
+        length ℓ gives a dual string whose slot u is (−1)^u·b^*_{s,ℓ−1−u},
+        and e_j^* = Σ (b_{s,t})_j·b^*_{s,t} is read off the j-entries of V's
+        slots: no solve is needed."""
+        p = self.p
+        strings = self.scalar_complex().string_decompose()
+        coords = _Coordinates(p, lambda d: _slot_basis(strings, d), "V string slots")
+        dual: dict[int, dict] = {}
+        for s, string in enumerate(strings):
+            for t, slot in enumerate(string.slots):
+                u = string.length - 1 - t
+                for j, c in slot.items():
+                    dual.setdefault(j, {})[(s, u)] = (-1) ** u * c % p
+        return strings, coords, dual
 
     def is_slash_coboundary(self, x: BlockOp) -> bool:
         """Membership of x in Im(∂^{p−1}) of the END p-complex.
 
-        Expands the images of the free basis into entries over Sym_N.  Each
-        factor of END = Sym^{trunc} ⊗ V ⊗ V^* splits into strings, so END
-        is the direct sum of the triples J_{l1} ⊗ J_{l2} ⊗ J_{l3}, and the
-        image of a direct sum is the sum of the images: an entry f at (i, j)
-        is f ⊗ e_i ⊗ e_j^*, read over the slots of each factor, and x is a
-        coboundary exactly when each triple component lies in the image of
-        its abstract J ⊗ J ⊗ J (`_string_image`).  Raises ValueError unless
+        Expands the images of the free basis into entries over Sym_N: an
+        entry f at (i, j) is f ⊗ e_i ⊗ e_j^* in END = Sym_N ⊗ V ⊗ V^*.  By
+        the Lines paragraph of `symfunc.fills_segments`, Sym_N is the sum of
+        free summands and of lines π_λ with ∂ = 0, each spanned by part of
+        the partition basis, and a free summand stays free in a tensor
+        (J_ℓ ⊗ J_p ≅ ℓ·J_p).  So x is a coboundary exactly when it is a
+        cocycle and, for each λ that fills its segments,
+        u_λ = Σ [π_λ]f_ij · e_i ⊗ e_j^* is a coboundary of V ⊗ V^*.  The
+        strings of V and V^* split V ⊗ V^* into pairs J_{l1} ⊗ J_{l2}, and
+        each pair component of u_λ is tested against the image of ∂^{p−1}
+        in its abstract pair (`_string_image`).  Raises ValueError unless
         every entry f at (i, j) has degree deg f + deg_i − deg_j = x.shift.
         """
         if x.alg is not self:
             raise ValueError("operator over a different module")
         p = self.p
         g = x.shift
-        entries: dict[tuple, SchurPoly] = {}
+        lines: dict[tuple, dict] = {}
         for j, img in enumerate(x.images()):
             for i, f in self.expand(img).items():
                 if f.homogeneous_degree() + self.degrees[i] - self.degrees[j] != g:
                     raise ValueError(f"entry ({i}, {j}) is not of degree {g}")
-                entries[(i, j)] = f
-        if not entries:
-            return True
-        maxpoly = max(f.degree() for f in entries.values())
-        cap = maxpoly + 2 * p
-        r, rstrings, r_coords = self._strings(cap)
-        _, vstrings, v_coords = self._strings("V")
-        _, wstrings, w_coords = self._strings("V*")
-        r_index = {lam: i for i, lam in enumerate(r.labels)}
+                for lam, c in f.terms.items():
+                    if fills_segments(lam, self.nvars, p):
+                        lines.setdefault(lam, {})[(i, j)] = c
+        if not x.commutator_with_diff().is_zero():
+            return False
+        strings, v_coords, dual = self._strings
         v_at: dict[int, dict] = {}
-        w_at: dict[int, dict] = {}
-        blocks: dict[tuple, dict] = {}
-        for (i, j), f in entries.items():
-            if i not in v_at:
-                v_at[i] = v_coords(self.degrees[i], {i: 1})
-            if j not in w_at:
-                w_at[j] = w_coords(-self.degrees[j], {j: 1})
-            du = self.degrees[i] - self.degrees[j]
-            rc = r_coords(g - du, {r_index[lam]: c for lam, c in f.terms.items()})
-            for (rs, rslot), c1 in rc.items():
+        for u in lines.values():
+            pairs: dict[tuple, dict] = {}
+            for (i, j), c1 in u.items():
+                if i not in v_at:
+                    v_at[i] = v_coords(self.degrees[i], {i: 1})
                 for (vs, vslot), c2 in v_at[i].items():
-                    for (ws, wslot), c3 in w_at[j].items():
-                        vec = blocks.setdefault((rs, vs, ws), {})
-                        slot = (rslot, vslot, wslot)
+                    for (ws, wslot), c3 in dual[j].items():
+                        vec = pairs.setdefault((vs, ws), {})
+                        slot = (vslot, wslot)
                         val = (vec.get(slot, 0) + c1 * c2 * c3) % p
                         if val:
                             vec[slot] = val
                         elif slot in vec:
                             del vec[slot]
-        for (rs, vs, ws), vec in blocks.items():
-            if not vec:
-                continue
-            rstr = rstrings[rs]
-            # cut strings live entirely above the degrees x touches, by the
-            # cap choice; a nonzero component there would be unsound
-            if rstr.length < p and rstr.head_degree + 2 * (p - 1) > cap:
-                raise AssertionError("component on a possibly cut string")
-            lengths = (rstr.length, vstrings[vs].length, wstrings[ws].length)
-            if vec not in _string_image(lengths, p):
-                return False
+            for (vs, ws), vec in pairs.items():
+                lengths = (strings[vs].length, strings[ws].length)
+                if vec and vec not in _string_image(lengths, p):
+                    return False
         return True
 
 
@@ -723,20 +718,14 @@ def thick_nilhecke_check(a: int, p: int) -> dict:
     else:
         report["braid_exact"] = True
     ident = alg.op_identity()
-    slides = []
-    for k in range(1, a):
+    report["dot_slide_mod_coboundary"] = all(
+        alg.is_slash_coboundary(xop)
+        for k in range(1, a)
         for xop in (
             dots[k].compose(crossings[k]) - crossings[k].compose(dots[k + 1]) - ident,
             crossings[k].compose(dots[k]) - dots[k + 1].compose(crossings[k]) - ident,
-        ):
-            if xop.is_zero():
-                slides.append(True)
-                continue
-            if not xop.commutator_with_diff().is_zero():
-                slides.append(False)
-                continue
-            slides.append(alg.is_slash_coboundary(xop))
-    report["dot_slide_mod_coboundary"] = all(slides)
+        )
+    )
     cap, total, valid_cap = alg._slash_totals
     lo = min(alg.degrees) - max(alg.degrees)
     expect = nh_graded_dims(a, p, lo, valid_cap)

@@ -534,7 +534,7 @@ def k0_symbol_check(a: int, b: int, p: int) -> bool:
     sl = twist_stats(b * p, 0, p, INF, cols=a * p).slash()
     shift = a * b * p * p
     char = CycElem.zero(p)
-    for d, m in sl.hilbert().dims.items():
+    for d, m in sl.total_dims().items():
         char = char + CycElem.q_power(p, d - shift, m)
     result = char * CycElem.q_power(p, -shift)
     return result == CycElem.from_int(p, comb(a + b, a))

@@ -16,13 +16,13 @@ degree of π_λ is 2|λ|.
 
 `sym_hilbert` is the Hilbert series of Sym_m with degrees dilated, times
 a Laurent polynomial of shifts: the graded dims that the slash checks
-expect.  `twist_stats` gives the string statistics of every content
-complex from bead segments, without building a partition: truncated Sym_n
-and S_n(a), and the box complexes on P(r, c) with contents shifted by a
-twist (V_{a,b} on P(bp, ap), V_i on P(i, kp−i), the blocks of END's
-V).  Builders assemble the associated p-complexes where vectors are
-needed: truncated Sym_n and S_n(a), and V_{a,b} with the plain content
-differential.
+expect.  Every content complex is read off bead segments, and no complex
+on partition labels is built: `twist_stats` gives the string statistics
+of truncated Sym_n and S_n(a), and of the box complexes on P(r, c) with
+contents shifted by a twist (V_{a,b} on P(bp, ap), V_i on P(i, kp−i), the
+blocks of END's V); `fills_segments` decides coboundaries in the
+untwisted complexes, Sym_n and V_{a,b}, which are free summands plus one
+line per partition that fills its segments.
 """
 
 from __future__ import annotations
@@ -42,10 +42,8 @@ __all__ = [
     "theta0_gen",
     "lima_partitions",
     "sym_hilbert",
-    "sym_pcomplex",
-    "twist_pcomplex",
     "twist_stats",
-    "vab_pcomplex",
+    "fills_segments",
 ]
 
 lima_partitions = pt.lima_partitions
@@ -80,12 +78,6 @@ class SchurPoly:
 
     def is_zero(self):
         return not self.terms
-
-    def degree(self):
-        """Top degree 2|λ| over the support, or None when zero."""
-        if not self.terms:
-            return None
-        return max(2 * sum(lam) for lam in self.terms)
 
     def homogeneous_degree(self):
         degs = {2 * sum(lam) for lam in self.terms}
@@ -279,9 +271,9 @@ def sym_hilbert(m: int, step: int, shifts: dict, lo: int, hi: int) -> dict:
 
 
 def twist_stats(n: int, a: int, p: int, cap, cols=None) -> StringStats:
-    """The string statistics of `twist_pcomplex(n, a, p, cap)`, or with
-    cols of the box complex on P(n, cols) with contents shifted by a, read
-    off bead segments: no partition is built.
+    """The string statistics of the rank-one twist S_n(a) truncated above
+    degree cap, or with cols of the box complex on P(n, cols), with
+    contents shifted by a, read off bead segments: no partition is built.
 
     Beads.  A partition λ with at most n rows is the set of n bead
     positions β_r = λ_r + n−1−r, r = 0..n−1, and 2|λ| = 2Σβ − n(n−1).
@@ -298,11 +290,11 @@ def twist_stats(n: int, a: int, p: int, cap, cols=None) -> StringStats:
 
     Box.  With at most cols columns the beads lie on the positions
     0..n+cols−1, and the only box leaving P(n, cols) moves the top bead
-    from n+cols−1.  Its builders require that box to carry 0
-    (`_content_complex`, `EndAlgebra`), that is cols + a ≡ 0 (mod p): the
-    top position is a wall, and the line of positions ends after its last
-    full segment.  Otherwise AssertionError is raised.  A box complex is
-    finite and taken whole, with cap INF.
+    from n+cols−1.  Every box complex read so (V_{a,b}, V_i, and the
+    blocks of `EndAlgebra`, which checks it) has that box carry 0, that is
+    cols + a ≡ 0 (mod p): the top position is a wall, and the line of
+    positions ends after its last full segment.  Otherwise AssertionError
+    is raised.  A box complex is finite and taken whole, with cap INF.
 
     Tensor.  The bead counts (m_0, m_1, ...) per segment therefore never
     change under ∂, and ∂ is the sum of commuting moves, one per segment.
@@ -398,57 +390,41 @@ def _segment_stats(size, m, p):
     return PComplex(p, labels, [2 * sum(s) for s in labels], diff).string_stats()
 
 
-# ---------- p-complex builders ----------
+# ---------- coboundaries of the untwisted content complex ----------
 
 
-def _content_complex(p, labels, twist, cap, max_rows):
-    """Assemble the box-adding complex on the given partition labels, a
-    box of content C carrying coefficient C + twist.
+def fills_segments(lam, n: int, p: int) -> bool:
+    """Whether the beads of λ (at most n rows) fill or empty each segment of
+    the untwisted content complex: then π_λ spans a line of its own, and
+    otherwise it lies in a free summand.
 
-    Boxes leaving the label set other than through the degree cap must
-    carry coefficient 0 mod p; a violation means the label set is not
-    ∂-stable and is reported as a bug.
+    Lines.  Take the untwisted content complex (a = 0) on partitions with
+    at most n rows: all of Sym_n, with no cap, or a box P(n, c) with
+    c ≡ 0 (mod p), such as V_{a,b} = P(bp, ap).  By `twist_stats` it is the
+    direct sum, over the bead distributions, of tensors of segment
+    complexes, the first segment 0..w with w = (n−1) mod p and then full
+    segments of p positions.
+    (1) A full segment holding 0 < m < p beads is Λ^m(J_p): a move from
+    local position j carries j + 1, and it keeps the order of the beads, so
+    no sign appears.  Since m! is a unit, Λ^m(J_p) is a direct summand of
+    J_p^{⊗m}, which is free.  So every distribution with a partly filled
+    full segment is free, and so is its tensor with any complex.
+    (2) Suppose every full segment is full or empty.  The first segment
+    has w + 1 ≡ n (mod p) positions, with w + 1 ≤ p, and it holds
+    m₀ ≡ n (mod p) beads.  So it is full or empty as well, and the summand
+    is one basis vector π_λ with ∂ = 0, a line J_1.
+    (3) Each summand is spanned by a subset of the basis.  Hence projecting
+    onto a summand means reading coefficients, and no truncation is needed.
+    In a free complex Im ∂^{p−1} = Ker ∂, and a line has Im ∂^{p−1} = 0.
+    So a vector lies in Im ∂^{p−1} exactly when it is a cocycle and has
+    coefficient 0 on every λ that fills its segments; distinct such λ span
+    distinct lines.
     """
-    labels = sorted(labels, key=pt.sort_key)
-    pos = {lam: i for i, lam in enumerate(labels)}
-    diff: dict[int, dict[int, int]] = {}
-    for j, lam in enumerate(labels):
-        row: dict[int, int] = {}
-        for mu, c in pt.add_box(lam, twist, max_rows=max_rows):
-            c %= p
-            if not c:
-                continue
-            if mu in pos:
-                row[pos[mu]] = c
-            elif 2 * sum(mu) <= cap:
-                raise AssertionError(
-                    f"nonzero coefficient {c} on a box leaving the index set at {mu}"
-                )
-        if row:
-            diff[j] = row
-    degrees = [2 * sum(lam) for lam in labels]
-    return PComplex(p, labels, degrees, diff, cap=cap)
-
-
-def sym_pcomplex(n: int, p: int, cap: int) -> PComplex:
-    """Sym_n truncated above degree cap, with the content differential: the
-    twist S_n(0)."""
-    return twist_pcomplex(n, 0, p, cap)
-
-
-def twist_pcomplex(n: int, a: int, p: int, cap: int) -> PComplex:
-    """The rank-one twist S_n(a), truncated above degree cap: contents
-    shifted by a.  Built for its vectors; `twist_stats` gives its string
-    statistics without building it."""
-    labels = [
-        lam
-        for m in range(0, cap // 2 + 1)
-        for lam in pt.partitions_of(m, max_rows=n)
-    ]
-    return _content_complex(p, labels, a, cap, max_rows=n)
-
-
-def vab_pcomplex(a: int, b: int, p: int) -> PComplex:
-    """The finite box complex on P(bp, ap) with the content differential."""
-    labels = pt.partitions_in_box(b * p, a * p)
-    return _content_complex(p, labels, 0, INF, max_rows=b * p)
+    w = (n - 1) % p
+    counts: dict[int, int] = {}  # beads per full segment; by (2) the first follows
+    for r in range(n):
+        beta = (lam[r] if r < len(lam) else 0) + n - 1 - r
+        if beta > w:
+            seg = (beta - w - 1) // p
+            counts[seg] = counts.get(seg, 0) + 1
+    return all(m == p for m in counts.values())

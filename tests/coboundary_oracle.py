@@ -1,20 +1,23 @@
-"""Reference coboundary test over explicit strings of V ⊗ V^*.
+"""Reference coboundary test over explicit strings of a truncated Sym_N and
+of V ⊗ V^*.
 
 The route `qfrob.pdgmod.EndAlgebra.is_slash_coboundary` took before it read
-V and V^* as separate tensor factors: every string of V ⊗ V^* is built from
-the strings of V and V^* (`tensor_strings`), END = Sym_N^{trunc} ⊗ (V ⊗ V^*)
-splits into pairs J_{l1} ⊗ J_{l2}, and each pair component of x is tested
-against the image of ∂^{p−1} in its abstract pair.  Kept here unchanged, as
-functions of an `EndAlgebra`, as the independent oracle for the triple
-route; the tests require the two to agree.
+V and V^* as separate tensor factors, and before it read Sym_N off bead
+segments: Sym_N is built up to a cap above the entries of x and split into
+strings, every string of V ⊗ V^* is built from the strings of V and of the
+built dual V^* (`tensor_strings`), END = Sym_N^{trunc} ⊗ (V ⊗ V^*) splits
+into pairs J_{l1} ⊗ J_{l2}, and each pair component of x is tested against
+the image of ∂^{p−1} in its abstract pair.  Kept here, as functions of an
+`EndAlgebra`, as the independent oracle for the bead route; the tests
+require the two to agree.
 """
 
 import functools
 
+from library_extras import dual, sym_pcomplex
 from qfrob import linalg
 from qfrob.pcomplex import INF, PComplex, StringBasis
 from qfrob.pdgmod import _Coordinates, _slot_basis
-from qfrob.symfunc import sym_pcomplex
 
 
 def jj_complex(l1, l2, p):
@@ -83,7 +86,7 @@ def u_strings(alg):
     """The strings of V ⊗ V^*, basis keys (i, j) for e_i ⊗ e_j^*."""
     v = alg.scalar_complex()
     return tensor_strings(
-        v.string_decompose(), v.dual().string_decompose(), alg.p, lambda i, j: (i, j)
+        v.string_decompose(), dual(v).string_decompose(), alg.p, lambda i, j: (i, j)
     )
 
 
@@ -140,7 +143,7 @@ def is_slash_coboundary(alg, x) -> bool:
             entries[(i, j)] = f
     if not entries:
         return True
-    maxpoly = max(f.degree() for f in entries.values())
+    maxpoly = max(2 * sum(lam) for f in entries.values() for lam in f.terms)
     cap = maxpoly + 2 * p
     r, rstrings, r_coords = _r_strings(alg, cap)
     r_index = {lam: i for i, lam in enumerate(r.labels)}

@@ -19,7 +19,7 @@ on monomials (`demazure`), the window of monomials that `BlockOp`s act on
 
 import functools
 
-from qfrob.partitions import partitions_of
+from library_extras import partitions_of
 from qfrob.pdgmod import BlockOp, nilhecke_least_window
 
 Partition = tuple

@@ -9,6 +9,7 @@ independent oracle for the tower; the tests require the two to agree.
 
 import functools
 
+from library_extras import partitions_of
 from qfrob import partitions as pt
 from qfrob.pdgmod import _Coordinates
 from qfrob.symfunc import SchurPoly, split_blocks
@@ -25,7 +26,7 @@ def poly_degree_tuples(alg, pd):
                 out.append(tuple(prefix))
             return
         for m in range(left + 1):
-            for lam in pt.partitions_of(m, max_rows=alg.blocks[bi]):
+            for lam in partitions_of(m, max_rows=alg.blocks[bi]):
                 prefix.append(lam)
                 rec(bi + 1, left - m, prefix)
                 prefix.pop()
@@ -44,7 +45,7 @@ def expansion_basis(alg, pd):
         rest = pd - 2 * sum(sum(l) for l in t)
         if rest < 0 or rest % 2:
             continue
-        for nu in pt.partitions_of(rest // 2, max_rows=alg.nvars):
+        for nu in partitions_of(rest // 2, max_rows=alg.nvars):
             cols.append((j, nu))
             col_vecs.append(basis_times_sym(alg, j, nu))
     return cols, col_vecs, len(poly_degree_tuples(alg, pd))

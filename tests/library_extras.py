@@ -2,10 +2,19 @@
 `qfrob` check runs.
 
 * `tensor`, the whole tensor product of two complexes, the reference that
-  `pcomplex.tensor_stats` decomposes without forming it;
-* `slash_cohomology`, the slash dims of a built complex, and `slash_reps`,
-  homogeneous representatives read off its explicit strings;
-* `vi_pcomplex` and `staircase_complex`, built complexes whose statistics
+  `pcomplex.tensor_stats` decomposes without forming it, and `dual`, the
+  linear dual of a complete complex;
+* `slash_cohomology`, the slash dims of a built complex, `hilbert`, their
+  totals as a `GradedDims` view that refuses degrees outside the valid
+  window, and `slash_reps`, homogeneous representatives read off its
+  explicit strings;
+* `independent_mod_coboundaries`, one basis extension against the images
+  of ∂^{p−1}: the linear-algebra oracle of `symfunc.fills_segments`;
+* the content complexes on partition labels (`_content_complex`):
+  truncated Sym_n and its twists S_n(a) (`sym_pcomplex`,
+  `twist_pcomplex`, on the partitions of `partitions_of`), the box
+  complexes V_{a,b} (`vab_pcomplex`) and V_i (`vi_pcomplex`), and
+  `staircase_complex`, built complexes whose statistics and coboundaries
   the checks read off bead segments;
 * `schur` and `complete`, single Schur polynomials, and `omega`, the
   involution π_λ ↦ (−1)^{|λ|} π_{λᵗ};
@@ -13,12 +22,16 @@
 * `udot`, a canonical basis element of Udot given by its shape.
 """
 
+from dataclasses import dataclass
+
+from qfrob import linalg
 from qfrob import partitions as pt
 from qfrob.cyclotomic import LaurentPoly
-from qfrob.pcomplex import INF, PComplex, SlashCohomology, _string_classes
+from qfrob.partitions import sort_key
+from qfrob.pcomplex import INF, PComplex, SlashCohomology, _Powers, _string_classes
 from qfrob.pdgmod import end_algebra
 from qfrob.qgroup import CoeffRing, UdotElem, _canonical
-from qfrob.symfunc import SchurPoly, _content_complex
+from qfrob.symfunc import SchurPoly
 
 
 # ---------- p-complexes ----------
@@ -56,9 +69,52 @@ def tensor(a: PComplex, b: PComplex) -> PComplex:
     return PComplex(p, labels, degrees, diff, cap=cap)
 
 
+def dual(c: PComplex) -> PComplex:
+    """Linear dual with ∂*(ξ) = −ξ∘∂; only for complete complexes."""
+    if c.cap != INF:
+        raise ValueError("dual of a truncated complex is not defined here")
+    dual_diff: dict[int, dict[int, int]] = {}
+    for j, cols in c.diff.items():
+        for i, x in cols.items():
+            dual_diff.setdefault(i, {})[j] = (-x) % c.p
+    return PComplex(
+        c.p,
+        [("dual", l) for l in c.labels],
+        [-d for d in c.degrees],
+        dual_diff,
+        cap=INF,
+    )
+
+
+def independent_mod_coboundaries(c: PComplex, d, vecs) -> bool:
+    """Whether the vectors of degree d are linearly independent modulo
+    Im ∂^{p−1}, the span of the images ∂^{p−1}(e_i) of the basis of
+    degree d − 2(p−1)."""
+    j = c.p - 1
+    im = _Powers(c).images(d - 2 * j, j)
+    return len(linalg.sparse_extend_basis(im, vecs, c.p)) == len(vecs)
+
+
 def slash_cohomology(c: PComplex) -> SlashCohomology:
     """Slash dims from the ranks behind `c.string_stats()`."""
     return c.string_stats().slash()
+
+
+@dataclass(frozen=True)
+class GradedDims:
+    """Dimensions per degree, known on [window[0], window[1]] only."""
+
+    dims: dict
+    window: tuple
+
+    def __getitem__(self, d):
+        if not self.window[0] <= d <= self.window[1]:
+            raise KeyError(f"degree {d} outside the known window {self.window}")
+        return self.dims.get(d, 0)
+
+
+def hilbert(sl: SlashCohomology) -> GradedDims:
+    return GradedDims(dims=sl.total_dims(), window=sl.valid_window)
 
 
 def slash_reps(c: PComplex) -> dict:
@@ -72,6 +128,59 @@ def slash_reps(c: PComplex) -> dict:
         ):
             found[k].setdefault(d, []).append(dict(sorted(s.slots[slot].items())))
     return {k: dict(sorted(per.items())) for k, per in found.items()}
+
+
+def _content_complex(p, labels, twist, cap, max_rows):
+    """Assemble the box-adding complex on the given partition labels, a
+    box of content C carrying coefficient C + twist.
+
+    Boxes leaving the label set other than through the degree cap must
+    carry coefficient 0 mod p; a violation means the label set is not
+    ∂-stable and is reported as a bug.
+    """
+    labels = sorted(labels, key=sort_key)
+    pos = {lam: i for i, lam in enumerate(labels)}
+    diff: dict[int, dict[int, int]] = {}
+    for j, lam in enumerate(labels):
+        row: dict[int, int] = {}
+        for mu, c in pt.add_box(lam, twist, max_rows=max_rows):
+            c %= p
+            if not c:
+                continue
+            if mu in pos:
+                row[pos[mu]] = c
+            elif 2 * sum(mu) <= cap:
+                raise AssertionError(
+                    f"nonzero coefficient {c} on a box leaving the index set at {mu}"
+                )
+        if row:
+            diff[j] = row
+    degrees = [2 * sum(lam) for lam in labels]
+    return PComplex(p, labels, degrees, diff, cap=cap)
+
+
+def sym_pcomplex(n: int, p: int, cap: int) -> PComplex:
+    """Sym_n truncated above degree cap, with the content differential: the
+    twist S_n(0)."""
+    return twist_pcomplex(n, 0, p, cap)
+
+
+def twist_pcomplex(n: int, a: int, p: int, cap: int) -> PComplex:
+    """The rank-one twist S_n(a), truncated above degree cap: contents
+    shifted by a.  `symfunc.twist_stats` gives its string statistics
+    without building it."""
+    labels = [
+        lam
+        for m in range(0, cap // 2 + 1)
+        for lam in partitions_of(m, max_rows=n)
+    ]
+    return _content_complex(p, labels, a, cap, max_rows=n)
+
+
+def vab_pcomplex(a: int, b: int, p: int) -> PComplex:
+    """The finite box complex on P(bp, ap) with the content differential."""
+    labels = pt.partitions_in_box(b * p, a * p)
+    return _content_complex(p, labels, 0, INF, max_rows=b * p)
 
 
 def vi_pcomplex(i: int, k: int, p: int) -> PComplex:
@@ -99,7 +208,33 @@ def staircase_complex(p: int) -> PComplex:
     return end_algebra((1,) * p, p).scalar_complex()
 
 
-# ---------- symmetric polynomials ----------
+# ---------- partitions and symmetric polynomials ----------
+
+
+def partitions_of(n: int, max_rows=None, max_part=None):
+    """Partitions of n, optionally bounded, graded-lex order within size n.
+
+    A prefix is dropped as soon as its remaining rows, each at most its
+    last part, cannot hold what is left of n.
+    """
+    res = []
+
+    def rec(remaining, maxp, prefix):
+        if remaining == 0:
+            res.append(tuple(prefix))
+            return
+        if max_rows is not None and remaining > maxp * (max_rows - len(prefix)):
+            return
+        for part in range(min(remaining, maxp), 0, -1):
+            prefix.append(part)
+            rec(remaining - part, part, prefix)
+            prefix.pop()
+
+    top = n if max_part is None else min(n, max_part)
+    rec(n, top, [])
+    return sorted(res, key=sort_key)
+
+
 
 
 def is_partition(lam) -> bool:

