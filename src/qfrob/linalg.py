@@ -2,16 +2,12 @@
 
 One elimination lives here: a sparse row kernel on vectors stored as
 ``{key: value}`` dicts.  A vector is reduced against pivot rows keyed by
-their leading key, and what is left becomes a new pivot row.  On it are
-built
-
-* `sparse_rank`, `sparse_nullspace` (through the reduced echelon form) and
-  `sparse_extend_basis`, which run every p-complex computation in
-  `pcomplex` (the matrices of ∂^j there are well under 1 % nonzero), and
-* `SparseSpan`, the only solve: coordinates of a vector over a fixed list
-  of vectors, or None when it is not in their span.  It serves the
-  string-slot coordinates of `pdgmod` and the string-triple coboundary
-  test of the thick check.
+their leading key, and what is left becomes a new pivot row.  It has three
+entry points, `sparse_rank`, `sparse_nullspace` (through the reduced
+echelon form) and `sparse_extend_basis`, which run every p-complex
+computation in `pcomplex` (the matrices of ∂^j there are well under 1 %
+nonzero).  Nothing in the package solves for coordinates: those of string
+slots are read off dual strings (`pdgmod`).
 
 The row operations take the first usable pivot scanning keys in increasing
 order, so kernels and chosen basis extensions are fully
@@ -27,7 +23,6 @@ __all__ = [
     "sparse_rank",
     "sparse_nullspace",
     "sparse_extend_basis",
-    "SparseSpan",
 ]
 
 
@@ -132,91 +127,3 @@ def sparse_extend_basis(span, candidates, p: int) -> list:
     """
     pivots = _echelon(span, p)
     return [i for i, v in enumerate(candidates) if _insert(pivots, v, p)]
-
-
-def _peel_order(vectors) -> dict:
-    """Number the keys of the vectors by row-singleton peeling.
-
-    A key held by exactly one remaining vector is numbered next, and that
-    vector is removed.  When no such key is left, the key held by the
-    fewest remaining vectors is numbered next and the shortest of those
-    vectors removed.  If every step finds a singleton, each vector's
-    lowest-numbered key is the key it was removed at, so the vectors are
-    already in echelon form and eliminating them makes no fill.
-    """
-    holders: dict = {}  # key -> indices of the vectors holding it
-    for i, v in enumerate(vectors):
-        for k in v:
-            holders.setdefault(k, []).append(i)
-    count = {k: len(ix) for k, ix in holders.items()}
-    alive = [True] * len(vectors)
-    order: dict = {}
-    singles = [k for k, n in count.items() if n == 1]
-    while len(order) < len(holders):
-        key = None
-        while singles:
-            k = singles.pop()
-            if k not in order and count[k] == 1:
-                key = k
-                break
-        if key is None:  # stalled
-            key = min((k for k in holders if k not in order), key=count.__getitem__)
-        order[key] = len(order)
-        live = [i for i in holders[key] if alive[i]]
-        if not live:
-            continue
-        i = min(live, key=lambda i: len(vectors[i]))
-        alive[i] = False
-        for k in vectors[i]:
-            count[k] -= 1
-            if count[k] == 1 and k not in order:
-                singles.append(k)
-    return order
-
-
-class SparseSpan:
-    """The span of a fixed list of sparse vectors mod p, for coordinates.
-
-    The vectors are eliminated once, each tagged with its index: vector i
-    is inserted as its own entries plus 1 at tag key i, tags numbered after
-    every real key.  Reducing a vector of the span then clears its real
-    keys, and what is left on the tags is minus its coordinates.  Keys are
-    numbered by `_peel_order` first; any numbering gives the same span and
-    coordinates, and this one eliminates inputs that are triangular up to a
-    permutation without fill.
-    """
-
-    def __init__(self, vectors, p: int):
-        self.p = p
-        vectors = [{k: x % p for k, x in v.items() if x % p} for v in vectors]
-        self._number = _peel_order(vectors)
-        tag0 = len(self._number)
-        self._pivots: dict = {}
-        number = self._number
-        for i, v in enumerate(vectors):
-            row = {number[k]: x for k, x in v.items()}
-            row[tag0 + i] = 1
-            _insert(self._pivots, row, p)
-        self._tag0 = tag0
-        self.rank = sum(1 for lead in self._pivots if lead < tag0)
-
-    def coords(self, vec: dict):
-        """{index: coefficient} with vec = Σ coefficient · vectors[index],
-        in increasing index order and without zeros, or None when vec is not
-        in the span.  For dependent vectors one solution is returned."""
-        p, number, tag0 = self.p, self._number, self._tag0
-        row = {}
-        for k, x in vec.items():
-            x %= p
-            if x:
-                n = number.get(k)
-                if n is None:
-                    return None
-                row[n] = x
-        lead = _reduce(self._pivots, row, p)
-        if lead is not None and lead < tag0:
-            return None
-        return {n - tag0: -row[n] % p for n in sorted(row)}
-
-    def __contains__(self, vec: dict) -> bool:
-        return self.coords(vec) is not None

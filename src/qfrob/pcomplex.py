@@ -25,8 +25,9 @@ A p-complex here is a graded F_p-vector space U with a homogeneous operator
 Truncation: a complex, or its statistics, may be cut above a degree cap,
 in which case graded data is only trusted on degrees d with
 d + 2(p−1) ≤ cap; nothing is cut from below, so no lower margin is needed.
-The package builds only complete complexes (bead segments, abstract
-strings and END's V); truncated ones are read off bead segments.
+The package builds only complete complexes: bead segments, abstract
+strings, END's V and V^* (`dual`); truncated ones are read off bead
+segments.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ __all__ = [
     "StringStats",
     "tensor_stats",
     "j_tensor",
+    "dual",
 ]
 
 INF = math.inf
@@ -320,6 +322,23 @@ def j_tensor(lengths, p: int) -> PComplex:
         if row:
             diff[k] = row
     return PComplex(p, labels, [2 * sum(s) for s in labels], diff, cap=INF)
+
+
+def dual(c: PComplex) -> PComplex:
+    """Linear dual with ∂*(ξ) = −ξ∘∂; only for complete complexes."""
+    if c.cap != INF:
+        raise ValueError("dual of a truncated complex is not defined here")
+    dual_diff: dict[int, dict[int, int]] = {}
+    for j, cols in c.diff.items():
+        for i, x in cols.items():
+            dual_diff.setdefault(i, {})[j] = (-x) % c.p
+    return PComplex(
+        c.p,
+        [("dual", l) for l in c.labels],
+        [-d for d in c.degrees],
+        dual_diff,
+        cap=INF,
+    )
 
 
 def tensor_stats(s1: StringStats, s2: StringStats, p: int) -> StringStats:

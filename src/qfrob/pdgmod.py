@@ -43,8 +43,10 @@ The module has three layers.
     truncation: Sym_N is free summands plus one line per partition that
     fills its bead segments (`symfunc.fills_segments`), so a cocycle is a
     coboundary exactly when each line's component in V ⊗ V^* is one.  That
-    is decided one string pair J ⊗ J at a time, through coordinates over
-    the slots of V's strings; those of V^* are read off V's.
+    is decided one string pair J ⊗ J at a time, where Im(∂^{p−1}) is one
+    alternating vector per level; the coordinates of V's basis over the
+    slots of its strings are read off the strings of V^*, and those of
+    V^*'s basis off the strings of V, so nothing is solved.
 
 Thick crossings are the Demazure composites ∂_w of the minimal-length
 block-interchange permutation w.  On a product of Schur polynomials of the
@@ -62,10 +64,9 @@ import functools
 import itertools
 import math
 
-from . import linalg
 from . import partitions as pt
 from .cyclotomic import LaurentPoly, qbinom, qfact
-from .pcomplex import INF, PComplex, SlashCohomology, StringStats, j_tensor, tensor_stats
+from .pcomplex import INF, PComplex, SlashCohomology, StringStats, dual, tensor_stats
 from .symfunc import SchurPoly, fills_segments, split_blocks, sym_hilbert, twist_stats
 
 __all__ = [
@@ -436,8 +437,8 @@ class EndAlgebra(BlockRules):
         v = StringStats(counts={(min(self.degrees), 1): 1}, cap=INF, p=p)
         for b, pre in zip(self.blocks, itertools.accumulate((0,) + self.blocks)):
             v = tensor_stats(v, twist_stats(b, -pre, p, INF, cols=pre), p)
-        dual = {(-h - 2 * (l - 1), l): m for (h, l), m in v.counts.items()}
-        u_stats = tensor_stats(v, StringStats(counts=dual, cap=INF, p=p), p)
+        v_dual = {(-h - 2 * (l - 1), l): m for (h, l), m in v.counts.items()}
+        u_stats = tensor_stats(v, StringStats(counts=v_dual, cap=INF, p=p), p)
         r_stats = twist_stats(self.nvars, 0, p, cap)
         return tensor_stats(r_stats, u_stats, p).slash()
 
@@ -454,25 +455,15 @@ class EndAlgebra(BlockRules):
 
     @functools.cached_property
     def _strings(self):
-        """V's explicit strings, the coordinates of each e_i over their
-        slots, and the coordinates of each dual basis vector e_j^* over the
-        slots of the dual strings, {j: {(string, slot): coeff}}.
-
-        With b_{s,t} = ∂^t(head_s) the slots of V's strings and b^*_{s,t}
-        their dual basis, ∂^*(b^*_{s,t}) = −b^*_{s,t−1}.  So V-string s of
-        length ℓ gives a dual string whose slot u is (−1)^u·b^*_{s,ℓ−1−u},
-        and e_j^* = Σ (b_{s,t})_j·b^*_{s,t} is read off the j-entries of V's
-        slots: no solve is needed."""
-        p = self.p
-        strings = self.scalar_complex().string_decompose()
-        coords = _Coordinates(p, lambda d: _slot_basis(strings, d), "V string slots")
-        dual: dict[int, dict] = {}
-        for s, string in enumerate(strings):
-            for t, slot in enumerate(string.slots):
-                u = string.length - 1 - t
-                for j, c in slot.items():
-                    dual.setdefault(j, {})[(s, u)] = (-1) ** u * c % p
-        return strings, coords, dual
+        """The coordinates of V's basis e_i and of V^*'s basis e_j^* over the
+        slots of strings of V and of V^*, each with the lengths of those
+        strings: ((lengths, {i: coords}), (lengths, {j: coords})).  Each is
+        read off the strings of the other complex (`_dual_strings`)."""
+        v = self.scalar_complex()
+        return (
+            _dual_strings(dual(v).string_decompose(), self.p),
+            _dual_strings(v.string_decompose(), self.p),
+        )
 
     def is_slash_coboundary(self, x: BlockOp) -> bool:
         """Membership of x in Im(∂^{p−1}) of the END p-complex.
@@ -487,8 +478,9 @@ class EndAlgebra(BlockRules):
         u_λ = Σ [π_λ]f_ij · e_i ⊗ e_j^* is a coboundary of V ⊗ V^*.  The
         strings of V and V^* split V ⊗ V^* into pairs J_{l1} ⊗ J_{l2}, and
         each pair component of u_λ is tested against the image of ∂^{p−1}
-        in its abstract pair (`_string_image`).  Raises ValueError unless
-        every entry f at (i, j) has degree deg f + deg_i − deg_j = x.shift.
+        in its abstract pair, one alternating vector per level
+        (`_in_top_image`).  Raises ValueError unless every entry f at
+        (i, j) has degree deg f + deg_i − deg_j = x.shift.
         """
         if x.alg is not self:
             raise ValueError("operator over a different module")
@@ -504,15 +496,12 @@ class EndAlgebra(BlockRules):
                         lines.setdefault(lam, {})[(i, j)] = c
         if not x.commutator_with_diff().is_zero():
             return False
-        strings, v_coords, dual = self._strings
-        v_at: dict[int, dict] = {}
+        (v_lengths, v_at), (w_lengths, w_at) = self._strings
         for u in lines.values():
             pairs: dict[tuple, dict] = {}
             for (i, j), c1 in u.items():
-                if i not in v_at:
-                    v_at[i] = v_coords(self.degrees[i], {i: 1})
                 for (vs, vslot), c2 in v_at[i].items():
-                    for (ws, wslot), c3 in dual[j].items():
+                    for (ws, wslot), c3 in w_at[j].items():
                         vec = pairs.setdefault((vs, ws), {})
                         slot = (vslot, wslot)
                         val = (vec.get(slot, 0) + c1 * c2 * c3) % p
@@ -521,38 +510,55 @@ class EndAlgebra(BlockRules):
                         elif slot in vec:
                             del vec[slot]
             for (vs, ws), vec in pairs.items():
-                lengths = (strings[vs].length, strings[ws].length)
-                if vec and vec not in _string_image(lengths, p):
+                if not _in_top_image(vec, v_lengths[vs], w_lengths[ws], p):
                     return False
         return True
 
 
-@functools.cache
-def _string_image(lengths, p):
-    """Im(∂^{p−1}) in the tensor of abstract strings of these lengths, over
-    slot-tuple keys."""
-    c = j_tensor(lengths, p)
-    images = []
-    for j in range(c.dim):
-        vec = {j: 1}
-        for _ in range(p - 1):
-            vec = c.apply(vec)
-        if vec:
-            images.append({c.labels[i]: v for i, v in vec.items()})
-    return linalg.SparseSpan(images, p)
+def _dual_strings(strings, p):
+    """(lengths, coords) of the strings dual to the strings of a complete
+    p-complex W, whose slots are b_{s,t} = ∂^t(head_s).
+
+    With b^*_{s,t} the basis of W^* dual to the slots,
+    ∂^*(b^*_{s,t}) = −b^*_{s,t−1} (∂^* = −∂^T).  So W-string s of length ℓ
+    gives a W^*-string of length ℓ whose slot u is (−1)^u·b^*_{s,ℓ−1−u},
+    and the basis dual to W's, e_j^* = Σ (b_{s,t})_j·b^*_{s,t}, has the
+    coordinates {(s, u): (−1)^u·(b_{s,ℓ−1−u})_j} over those slots: the
+    j-entries of W's slots, with no solve.  As W^** = W, the strings of V^*
+    give V's basis the same way."""
+    coords: dict[int, dict] = {}
+    for s, string in enumerate(strings):
+        for t, slot in enumerate(string.slots):
+            u = string.length - 1 - t
+            for j, c in slot.items():
+                coords.setdefault(j, {})[(s, u)] = (-1) ** u * c % p
+    return [string.length for string in strings], coords
 
 
-def _slot_basis(strings, d):
-    """The string slots in degree d, labelled (string index, slot), for
-    `_Coordinates`: they must form a basis of the keys they touch."""
-    labels = []
-    vectors = []
-    for si, s in enumerate(strings):
-        for t, vec in enumerate(s.slots):
-            if s.head_degree + 2 * t == d:
-                labels.append((si, t))
-                vectors.append(vec)
-    return labels, vectors, len(set().union(*vectors))
+def _in_top_image(vec, a, b, p):
+    """Whether vec, over the slot keys (s, t) of J_a ⊗ J_b with a, b ≤ p,
+    lies in Im(∂^{p−1}).
+
+    ∂^{p−1}(s, t) = Σ_k C(p−1, k)·(s+k, t+p−1−k), and C(p−1, k) ≡ (−1)^k
+    (mod p).  On the level L = s+t+p−1 the slots (i, L−i) have
+    i ∈ [max(0, L−b+1), min(a−1, L)], a range inside [s, s+p−1] since
+    t ≥ b−p and s ≥ a−p.  So ∂^{p−1}(s, t) = (−1)^s·w_L with
+    w_L = Σ_i (−1)^i·(i, L−i), and Im(∂^{p−1}) is spanned by the w_L with
+    p−1 ≤ L ≤ a+b−2, max(0, a+b−p) of them.  A vector lies in it exactly
+    when it is 0 on every level below p−1 and its coefficients alternate in
+    sign along i on every other level.
+    """
+    levels: dict[int, dict] = {}
+    for (s, t), c in vec.items():
+        levels.setdefault(s + t, {})[s] = c
+    for level, row in levels.items():
+        if level < p - 1:
+            return False
+        lo, hi = max(0, level - b + 1), min(a - 1, level)
+        c0 = row.get(lo, 0)
+        if any((row.get(i, 0) - (-1) ** (i - lo) * c0) % p for i in range(lo, hi + 1)):
+            return False
+    return True
 
 
 @functools.cache
@@ -588,40 +594,6 @@ def _merge_term(nu, beta, a, b, p):
                 key = (t, hit[1])
                 out[key] = (out.get(key, 0) + pow(eps, -1, p) * k * hit[0]) % p
     return {key: c for key, c in out.items() if c}
-
-
-class _Coordinates:
-    """Coordinates over a basis given degree by degree, one
-    `linalg.SparseSpan` per degree, built on first use.
-
-    basis_at(d) returns (labels, vectors, dim): the basis vectors of degree
-    d as sparse dicts with a label each, and the dimension of the space
-    they must be a basis of; `what` names them in errors.
-    """
-
-    def __init__(self, p, basis_at, what):
-        self.p = p
-        self.basis_at = basis_at
-        self.what = what
-        self._spans: dict = {}
-
-    def __call__(self, d, vec: dict) -> dict:
-        """{label: coefficient} of vec, nonzero ones in basis order."""
-        hit = self._spans.get(d)
-        if hit is None:
-            labels, vectors, dim = self.basis_at(d)
-            span = linalg.SparseSpan(vectors, self.p)
-            if len(labels) != dim or span.rank != dim:
-                raise AssertionError(
-                    f"{self.what} at degree {d}: {len(labels)} vectors of rank "
-                    f"{span.rank} are no basis of dimension {dim}"
-                )
-            hit = self._spans[d] = (labels, span)
-        labels, span = hit
-        x = span.coords(vec)
-        if x is None:
-            raise AssertionError(f"{self.what} at degree {d} do not span {vec}")
-        return {labels[i]: c for i, c in x.items()}
 
 
 @functools.cache

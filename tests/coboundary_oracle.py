@@ -14,10 +14,8 @@ require the two to agree.
 
 import functools
 
-from library_extras import dual, sym_pcomplex
-from qfrob import linalg
-from qfrob.pcomplex import INF, PComplex, StringBasis
-from qfrob.pdgmod import _Coordinates, _slot_basis
+from library_extras import SparseSpan, _Coordinates, _slot_basis, sym_pcomplex
+from qfrob.pcomplex import INF, PComplex, StringBasis, dual
 
 
 def jj_complex(l1, l2, p):
@@ -118,7 +116,7 @@ def jj_image(l1, l2, p):
             vec = c.apply(vec)
         if vec:
             images.append({c.labels[i]: v for i, v in vec.items()})
-    return linalg.SparseSpan(images, p)
+    return SparseSpan(images, p)
 
 
 def is_slash_coboundary(alg, x) -> bool:

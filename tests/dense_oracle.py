@@ -129,12 +129,9 @@ def _vector(local, col):
     return {local[r]: int(col[r]) for r in range(len(local)) if col[r]}
 
 
-def slash_cohomology(c):
-    """(dims, reps) as `PComplex.slash_cohomology` reports them: dims from
-    kernels of ∂^j and `extend_basis`, degree by degree on the valid window,
-    and reps read off the strings of `string_decompose`, the class of
-    H_{/k} at degree h + 2(ℓ−1−k) being slot ℓ−1−k of a string of length
-    ℓ < p with head degree h."""
+def slash_dims(c):
+    """{k: {degree: dim}} of H_{/k}, from kernels of ∂^j and
+    `extend_basis`, degree by degree on the valid window."""
     p = c.p
     hi = c.cap - 2 * (p - 1)
     dims = {k: {} for k in range(p - 1)}
@@ -154,6 +151,16 @@ def slash_cohomology(c):
             chosen = extend_basis(span, kers[k + 1], p)
             if chosen:
                 dims[k][d] = len(chosen)
+    return dims
+
+
+def slash_cohomology(c):
+    """(dims, reps) as `PComplex.slash_cohomology` reports them: dims from
+    `slash_dims`, and reps read off the strings of `string_decompose`, the
+    class of H_{/k} at degree h + 2(ℓ−1−k) being slot ℓ−1−k of a string of
+    length ℓ < p with head degree h."""
+    p = c.p
+    hi = c.cap - 2 * (p - 1)
     reps = {k: {} for k in range(p - 1)}
     for s in string_decompose(c):
         if s.length >= p:
@@ -164,7 +171,7 @@ def slash_cohomology(c):
             if d <= hi:
                 reps[k].setdefault(d, []).append(dict(sorted(s.slots[slot].items())))
     reps = {k: dict(sorted(per.items())) for k, per in reps.items()}
-    return dims, reps
+    return slash_dims(c), reps
 
 
 def string_decompose(c):

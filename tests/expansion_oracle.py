@@ -9,9 +9,8 @@ independent oracle for the tower; the tests require the two to agree.
 
 import functools
 
-from library_extras import partitions_of
+from library_extras import _Coordinates, partitions_of
 from qfrob import partitions as pt
-from qfrob.pdgmod import _Coordinates
 from qfrob.symfunc import SchurPoly, split_blocks
 
 

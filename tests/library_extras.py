@@ -2,8 +2,7 @@
 `qfrob` check runs.
 
 * `tensor`, the whole tensor product of two complexes, the reference that
-  `pcomplex.tensor_stats` decomposes without forming it, and `dual`, the
-  linear dual of a complete complex;
+  `pcomplex.tensor_stats` decomposes without forming it;
 * `slash_cohomology`, the slash dims of a built complex, `hilbert`, their
   totals as a `GradedDims` view that refuses degrees outside the valid
   window, and `slash_reps`, homogeneous representatives read off its
@@ -19,7 +18,13 @@
 * `schur` and `complete`, single Schur polynomials, and `omega`, the
   involution π_λ ↦ (−1)^{|λ|} π_{λᵗ};
 * `bar`, the bar involution of Laurent polynomials;
-* `udot`, a canonical basis element of Udot given by its shape.
+* `udot`, a canonical basis element of Udot given by its shape;
+* `SparseSpan`, coordinates over (and membership in) the span of a fixed
+  list of vectors on the elimination of `linalg`, its keys numbered by
+  row-singleton peeling (`_peel_order`), and `_Coordinates`, one span per
+  degree over a basis given degree by degree (`_slot_basis`: string
+  slots): the solve behind the coboundary and expansion oracles, where
+  `qfrob` reads coordinates off dual strings.
 """
 
 from dataclasses import dataclass
@@ -67,23 +72,6 @@ def tensor(a: PComplex, b: PComplex) -> PComplex:
     else:
         cap = min(a.cap + min(b.degrees, default=0), b.cap + min(a.degrees, default=0))
     return PComplex(p, labels, degrees, diff, cap=cap)
-
-
-def dual(c: PComplex) -> PComplex:
-    """Linear dual with ∂*(ξ) = −ξ∘∂; only for complete complexes."""
-    if c.cap != INF:
-        raise ValueError("dual of a truncated complex is not defined here")
-    dual_diff: dict[int, dict[int, int]] = {}
-    for j, cols in c.diff.items():
-        for i, x in cols.items():
-            dual_diff.setdefault(i, {})[j] = (-x) % c.p
-    return PComplex(
-        c.p,
-        [("dual", l) for l in c.labels],
-        [-d for d in c.degrees],
-        dual_diff,
-        cap=INF,
-    )
 
 
 def independent_mod_coboundaries(c: PComplex, d, vecs) -> bool:
@@ -285,3 +273,141 @@ def udot(ring: CoeffRing, shape: str, a: int, b: int, n: int, coeff=None) -> Udo
     if shape == "EF" and n > b - a:
         raise ValueError("E F word with n > b−a is not a basis element")
     return UdotElem(ring, {w: coeff if coeff is not None else ring.one()})
+
+
+# ---------- coordinates over a fixed list of vectors ----------
+
+
+def _peel_order(vectors) -> dict:
+    """Number the keys of the vectors by row-singleton peeling.
+
+    A key held by exactly one remaining vector is numbered next, and that
+    vector is removed.  When no such key is left, the key held by the
+    fewest remaining vectors is numbered next and the shortest of those
+    vectors removed.  If every step finds a singleton, each vector's
+    lowest-numbered key is the key it was removed at, so the vectors are
+    already in echelon form and eliminating them makes no fill.
+    """
+    holders: dict = {}  # key -> indices of the vectors holding it
+    for i, v in enumerate(vectors):
+        for k in v:
+            holders.setdefault(k, []).append(i)
+    count = {k: len(ix) for k, ix in holders.items()}
+    alive = [True] * len(vectors)
+    order: dict = {}
+    singles = [k for k, n in count.items() if n == 1]
+    while len(order) < len(holders):
+        key = None
+        while singles:
+            k = singles.pop()
+            if k not in order and count[k] == 1:
+                key = k
+                break
+        if key is None:  # stalled
+            key = min((k for k in holders if k not in order), key=count.__getitem__)
+        order[key] = len(order)
+        live = [i for i in holders[key] if alive[i]]
+        if not live:
+            continue
+        i = min(live, key=lambda i: len(vectors[i]))
+        alive[i] = False
+        for k in vectors[i]:
+            count[k] -= 1
+            if count[k] == 1 and k not in order:
+                singles.append(k)
+    return order
+
+
+class SparseSpan:
+    """The span of a fixed list of sparse vectors mod p, for coordinates.
+
+    The vectors are eliminated once, each tagged with its index: vector i
+    is inserted as its own entries plus 1 at tag key i, tags numbered after
+    every real key.  Reducing a vector of the span then clears its real
+    keys, and what is left on the tags is minus its coordinates.  Keys are
+    numbered by `_peel_order` first; any numbering gives the same span and
+    coordinates, and this one eliminates inputs that are triangular up to a
+    permutation without fill.
+    """
+
+    def __init__(self, vectors, p: int):
+        self.p = p
+        vectors = [{k: x % p for k, x in v.items() if x % p} for v in vectors]
+        self._number = _peel_order(vectors)
+        tag0 = len(self._number)
+        self._pivots: dict = {}
+        number = self._number
+        for i, v in enumerate(vectors):
+            row = {number[k]: x for k, x in v.items()}
+            row[tag0 + i] = 1
+            linalg._insert(self._pivots, row, p)
+        self._tag0 = tag0
+        self.rank = sum(1 for lead in self._pivots if lead < tag0)
+
+    def coords(self, vec: dict):
+        """{index: coefficient} with vec = Σ coefficient · vectors[index],
+        in increasing index order and without zeros, or None when vec is not
+        in the span.  For dependent vectors one solution is returned."""
+        p, number, tag0 = self.p, self._number, self._tag0
+        row = {}
+        for k, x in vec.items():
+            x %= p
+            if x:
+                n = number.get(k)
+                if n is None:
+                    return None
+                row[n] = x
+        lead = linalg._reduce(self._pivots, row, p)
+        if lead is not None and lead < tag0:
+            return None
+        return {n - tag0: -row[n] % p for n in sorted(row)}
+
+    def __contains__(self, vec: dict) -> bool:
+        return self.coords(vec) is not None
+
+
+def _slot_basis(strings, d):
+    """The string slots in degree d, labelled (string index, slot), for
+    `_Coordinates`: they must form a basis of the keys they touch."""
+    labels = []
+    vectors = []
+    for si, s in enumerate(strings):
+        for t, vec in enumerate(s.slots):
+            if s.head_degree + 2 * t == d:
+                labels.append((si, t))
+                vectors.append(vec)
+    return labels, vectors, len(set().union(*vectors))
+
+
+class _Coordinates:
+    """Coordinates over a basis given degree by degree, one
+    `SparseSpan` per degree, built on first use.
+
+    basis_at(d) returns (labels, vectors, dim): the basis vectors of degree
+    d as sparse dicts with a label each, and the dimension of the space
+    they must be a basis of; `what` names them in errors.
+    """
+
+    def __init__(self, p, basis_at, what):
+        self.p = p
+        self.basis_at = basis_at
+        self.what = what
+        self._spans: dict = {}
+
+    def __call__(self, d, vec: dict) -> dict:
+        """{label: coefficient} of vec, nonzero ones in basis order."""
+        hit = self._spans.get(d)
+        if hit is None:
+            labels, vectors, dim = self.basis_at(d)
+            span = SparseSpan(vectors, self.p)
+            if len(labels) != dim or span.rank != dim:
+                raise AssertionError(
+                    f"{self.what} at degree {d}: {len(labels)} vectors of rank "
+                    f"{span.rank} are no basis of dimension {dim}"
+                )
+            hit = self._spans[d] = (labels, span)
+        labels, span = hit
+        x = span.coords(vec)
+        if x is None:
+            raise AssertionError(f"{self.what} at degree {d} do not span {vec}")
+        return {labels[i]: c for i, c in x.items()}

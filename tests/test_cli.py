@@ -117,7 +117,8 @@ class TestOracleBoxOnce:
 
 class TestRankOnlySlash:
     def test_dims_callers_build_no_strings(self, monkeypatch):
-        # slash dims come from ranks; explicit strings are only for reps
+        # slash dims come from ranks; explicit strings serve only END's
+        # coboundaries
         def refuse(self):
             raise AssertionError("string_decompose called")
 
@@ -428,6 +429,11 @@ def test_cli_runs_no_elimination_of_its_own():
     assert not hasattr(cli, "SparseSpan")
 
 
+def test_pdgmod_runs_no_elimination_of_its_own():
+    # END's coboundaries read string coordinates off dual strings
+    assert not hasattr(pdgmod, "linalg")
+
+
 class TestFillsSegmentsTeeth:
     """lima and END decide coboundaries through `symfunc.fills_segments`:
     forced to False it makes every line free, forced to True it makes every
@@ -456,8 +462,8 @@ class TestFillsSegmentsTeeth:
 
 
 def test_src_builds_no_partition_complex():
-    # the complexes on partition labels, truncated complexes and duals are
-    # built only by the tests (library_extras); src reads them off beads
+    # the complexes on partition labels and truncated complexes are built
+    # only by the tests (library_extras); src reads them off beads
     moved = {
         symfunc: ("_content_complex", "sym_pcomplex", "twist_pcomplex", "vab_pcomplex"),
         symfunc.SchurPoly: ("degree",),

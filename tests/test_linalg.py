@@ -2,6 +2,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 import dense_oracle
+from library_extras import SparseSpan
 from qfrob import linalg
 
 
@@ -113,7 +114,7 @@ def keyed(col):
 def test_sparse_span_matches_dense(case):
     p, basis, queries = case
     n, k = basis.shape
-    span = linalg.SparseSpan([keyed(basis[:, i]) for i in range(k)], p)
+    span = SparseSpan([keyed(basis[:, i]) for i in range(k)], p)
     assert span.rank == dense_oracle.rank(basis, p)
     for v in queries:
         got = span.coords(keyed(v))

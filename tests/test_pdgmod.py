@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,8 +15,8 @@ from demazure_oracle import (
     monomial,
 )
 from library_extras import (
+    SparseSpan,
     bar,
-    dual,
     partitions_of,
     slash_cohomology,
     staircase_complex,
@@ -29,7 +30,7 @@ from qfrob import linalg
 from qfrob import partitions as pt
 from qfrob import pdgmod
 from qfrob.cyclotomic import qbinom
-from qfrob.pcomplex import SlashCohomology, tensor_stats
+from qfrob.pcomplex import SlashCohomology, dual, tensor_stats
 from qfrob.pdgmod import (
     BlockOp,
     BlockRules,
@@ -277,36 +278,39 @@ class TestNhAcyclicity:
 
     @pytest.mark.parametrize("blocks, p", BUILT_V_SHAPES)
     def test_dual_coordinates_rebuild_the_dual_basis(self, blocks, p):
-        # the dual basis b^*_{s,t} of V's string slots, solved for, spans
-        # strings of the built V^* with slot u = (−1)^u b^*_{s,ℓ−1−u}; over
-        # those slots the coordinates of `_strings` rebuild each e_j^*
+        # each reading of `_strings` is over the basis b^*_{s,t} dual to the
+        # slots of the other complex's strings: solved for here, it spans
+        # strings of the built complex with slot u = (−1)^u b^*_{s,ℓ−1−u},
+        # and over those slots the read coordinates rebuild its basis
         alg = end_algebra(blocks, p)
         v = alg.scalar_complex()
         vd = dual(v)
-        strings, _, coords = alg._strings
-        keys = [(s, t) for s, string in enumerate(strings) for t in range(string.length)]
-        span = linalg.SparseSpan([strings[s].slots[t] for s, t in keys], p)
-        # b^*_k(e_i) is the k-th coordinate of e_i over the slots
-        b_star = {k: {} for k in range(len(keys))}
-        for i in range(v.dim):
-            for k, c in span.coords({i: 1}).items():
-                b_star[k][i] = c
-        pos = {key: k for k, key in enumerate(keys)}
-        slots = {}
-        for s, string in enumerate(strings):
-            vec = b_star[pos[(s, string.length - 1)]]
-            for u in range(string.length):
-                expect = {i: (-1) ** u * c % p for i, c in b_star[pos[(s, string.length - 1 - u)]].items()}
-                assert vec == expect, (s, u)
-                slots[(s, u)] = vec
-                vec = vd.apply(vec)
-            assert not vec
-        for j in range(v.dim):
-            got = {}
-            for key, c in coords[j].items():
-                for i, x in slots[key].items():
-                    got[i] = (got.get(i, 0) + c * x) % p
-            assert {i: c for i, c in got.items() if c} == {j: 1}, j
+        for built, other, (lengths, coords) in zip((v, vd), (vd, v), alg._strings):
+            strings = other.string_decompose()
+            assert lengths == [string.length for string in strings]
+            keys = [(s, t) for s, string in enumerate(strings) for t in range(string.length)]
+            span = SparseSpan([strings[s].slots[t] for s, t in keys], p)
+            # b^*_k(e_i) is the k-th coordinate of e_i over the slots
+            b_star = {k: {} for k in range(len(keys))}
+            for i in range(other.dim):
+                for k, c in span.coords({i: 1}).items():
+                    b_star[k][i] = c
+            pos = {key: k for k, key in enumerate(keys)}
+            slots = {}
+            for s, string in enumerate(strings):
+                vec = b_star[pos[(s, string.length - 1)]]
+                for u in range(string.length):
+                    expect = {i: (-1) ** u * c % p for i, c in b_star[pos[(s, string.length - 1 - u)]].items()}
+                    assert vec == expect, (s, u)
+                    slots[(s, u)] = vec
+                    vec = built.apply(vec)
+                assert not vec
+            for j in range(built.dim):
+                got = {}
+                for key, c in coords[j].items():
+                    for i, x in slots[key].items():
+                        got[i] = (got.get(i, 0) + c * x) % p
+                assert {i: c for i, c in got.items() if c} == {j: 1}, j
 
     @pytest.mark.parametrize("blocks, p", [((1, 1), 2), ((1, 1, 1), 3), ((3, 3), 3)])
     def test_empty_window_decides_nothing(self, blocks, p):
@@ -615,25 +619,65 @@ class TestExpansionTower:
             assert alg.expand(elem) == expansion_oracle.expand(alg, elem), elem
 
     def test_builds_few_columns(self, monkeypatch):
-        # every slide defect at blocks (2, 2, 2), p = 2, expands without a
-        # solve
-        built = []
-        real = pdgmod._Coordinates.__init__
+        # every slide defect at blocks (2, 2, 2), p = 2, expands without an
+        # elimination
+        reduced = []
+        real = linalg._reduce
 
-        def spy(self, p, basis_at, what):
-            def counted(d):
-                labels, vectors, dim = basis_at(d)
-                built.append(len(labels))
-                return labels, vectors, dim
+        def spy(pivots, vec, p):
+            reduced.append(len(vec))
+            return real(pivots, vec, p)
 
-            real(self, p, counted, what)
-
-        monkeypatch.setattr(pdgmod._Coordinates, "__init__", spy)
+        monkeypatch.setattr(linalg, "_reduce", spy)
         alg = EndAlgebra((2, 2, 2), 2)
         for x in _slide_defects(alg, 3):
             for img in x.images():
                 alg.expand(img)
-        assert built == []
+        assert reduced == []
+
+
+class TestInTopImage:
+    """`pdgmod._in_top_image`, Im(∂^{p−1}) of J_a ⊗ J_b as one alternating
+    vector per level, against the solve over the images of ∂^{p−1}
+    (`coboundary_oracle.jj_image`)."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_every_vector_on_every_level(self, p):
+        verdicts = {False: 0, True: 0}
+        for a in range(1, p + 1):
+            for b in range(1, p + 1):
+                image = coboundary_oracle.jj_image(a, b, p)
+                for level in range(a + b - 1):
+                    slots = [(i, level - i) for i in range(a) if 0 <= level - i < b]
+                    for coeffs in itertools.product(range(p), repeat=len(slots)):
+                        vec = {st: c for st, c in zip(slots, coeffs) if c}
+                        got = pdgmod._in_top_image(vec, a, b, p)
+                        assert got == (vec in image), (a, b, vec)
+                        verdicts[got] += 1
+        assert min(verdicts.values()) > 0
+
+    def test_random_vectors_p7(self):
+        p = 7
+        rng = random.Random(7)
+        verdicts = {False: 0, True: 0}
+        for a in range(1, p + 1):
+            for b in range(1, p + 1):
+                c = coboundary_oracle.jj_complex(a, b, p)
+                image = coboundary_oracle.jj_image(a, b, p)
+                for _ in range(80):
+                    # ∂^{p−1} of a random vector, sometimes changed at a slot
+                    vec = {k: rng.randrange(p) for k in range(c.dim)}
+                    for _ in range(p - 1):
+                        vec = c.apply(vec)
+                    vec = {c.labels[k]: x for k, x in vec.items()}
+                    if rng.random() < 0.5:
+                        slot = c.labels[rng.randrange(c.dim)]
+                        x = (vec.get(slot, 0) + rng.randrange(1, p)) % p
+                        vec = {**vec, slot: x} if x else {k: y for k, y in vec.items() if k != slot}
+                    got = pdgmod._in_top_image(vec, a, b, p)
+                    assert got == (vec in image), (a, b, vec)
+                    verdicts[got] += 1
+        assert min(verdicts.values()) > 0
 
 
 class TestCoboundaryOracle:
