@@ -17,19 +17,16 @@ and its mirror F^{(B)}E^{(A)}1_n = Σ_j [B−A−n, j]·E^{(A−j)}F^{(B−j)}1_
 where [m, j] is the Gaussian binomial extended to integer m.  The two
 differ only in the top of the binomial, and one rule (`_commute`) serves
 both.  The commutation formula is not an axiom: this module also contains
-a brute-force rational-field oracle that expands products of divided
-powers over Z[v^{±1}] in the monomial basis θ^i ϑ^j 1_n using only the
-defining relations.  `oracle_box_check`, part of verify-frobenius, compares
-every product of a box of canonical words with it, and the test suite also
-compares the formula itself (`commutation_formula_agrees`).
-The oracle writes both sides as numerators over θ^i ϑ^j 1_n divided by
-products of quantum factorials and compares them over one common
-denominator D = [A]!·[B]!, A and B the total numbers of θ and ϑ: every
-denominator that occurs divides D, each cofactor is an exact quotient
-computed once, and Z[v^{±1}] has no zero divisors, so equal scaled
-numerators are exactly equal fractions in Q(v).
+a rational-field oracle that uses only the defining relations.
+`oracle_box_check`, part of verify-frobenius, compares every product of a
+box of canonical words with it, and the test suite also compares the
+formula itself (`commutation_formula_agrees`).
+The oracle writes both sides in the divided basis E^{(i)}F^{(j)}1_n, a
+basis of Udot over Q(v) (Lusztig, §23), so it needs no common denominator:
+an EF word is a basis element, and F^{(b)}E^{(a)}1_n is brought to the
+basis one F at a time from the defining commutator (`_divided_chain`).
 
-The oracle compares those numerators by Kronecker substitution v ↦ 2^K:
+The oracle compares coefficients by Kronecker substitution v ↦ 2^K:
 each Laurent polynomial f on either side is held as (P, lo, bound) with
 P·2^{K·lo} = f(2^K) and bound ≥ ‖f‖₁, products and sums act on these
 integers, and nothing is unpacked.  f ↦ f(2^K) is a ring homomorphism, so
@@ -37,7 +34,7 @@ unequal values prove unequal polynomials; equal values prove L = R only
 when bound(L) + bound(R) < 2^{K−1}, since then every coefficient of L − R
 lies below 2^{K−1} in absolute value, where the substitution is
 injective.  A comparison that misses the bound is redone at the least
-width 64·2^m that fits it (packed expansions are cached per width), so no
+width 32·2^m that fits it (packed normal forms are kept per width), so no
 fixed width can alias.  `udot_mult`, the code under test, runs unchanged
 over the packed ring, Z[v^{±1}] through v ↦ 2^K with the generic
 binomials packed: `_word_mult` uses only sums, products and binomials,
@@ -71,6 +68,7 @@ all parameters by p, and `frobenius_section_check` checks that Fr undoes it.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
@@ -508,12 +506,13 @@ def oracle_box_check(amax: int, nmax: int) -> tuple[int, bool]:
     packed ring per width, and with it its packed binomials.
     """
     words = canonical_words(amax, amax, -nmax, nmax)
+    by_left: dict[int, list] = {}
+    for w in words:
+        by_left.setdefault(w.left_weight(), []).append(w)
     packed_ring = functools.cache(_PackedRing)
     pairs = 0
     for w1 in words:
-        for w2 in words:
-            if w1.n != w2.left_weight():
-                continue
+        for w2 in by_left.get(w1.n, []):
             pairs += 1
             if not oracle_product_agrees(w1, w2, packed_ring):
                 return pairs, False
@@ -556,12 +555,38 @@ def _move_v_past_powers(i: int, n: int):
     return c_prev - qint(n + 2 * (i - 1))
 
 
+def _divided_chain(a: int, n: int):
+    """Yield F^{(s)}E^{(a)}1_n for s = 0, 1, … as {(i, j): coefficient}
+    over the divided basis E^{(i)}F^{(j)}1_n, one F at a time by the
+    defining commutator: with μ = `_move_v_past_powers`,
+
+        F·E^{(i)}F^{(j)}1_n = [j+1]·E^{(i)}F^{(j+1)}1_n
+                              + (μ(i, n − 2j)/[i])·E^{(i−1)}F^{(j)}1_n,
+
+    and F^{(s)} = F·F^{(s−1)}/[s].  Both divisions are exact, since the
+    E^{(i)}F^{(j)}1_n span the integral form, and `divexact` raises on one
+    that is not, so a wrong μ fails the oracle.  Between steps only the
+    last form is held."""
+    form = {(a, 0): LaurentPoly.one()}
+    for s in itertools.count(1):
+        yield form
+        step: dict[tuple, LaurentPoly] = {}
+        for (i, j), c in form.items():
+            terms = [((i, j + 1), c * qint(j + 1))]
+            mu = _move_v_past_powers(i, n - 2 * j)
+            if mu:
+                terms.append(((i - 1, j), c * mu.divexact(qint(i))))
+            for key, t in terms:
+                step[key] = step[key] + t if key in step else t
+        form = {key: c.divexact(qint(s)) for key, c in step.items() if c}
+
+
 # Packed view: at width K a Laurent polynomial f is the triple
 # (P, lo, bound) with P·2^{K·lo} = f(2^K) and bound ≥ ‖f‖₁; see
 # `_packed_agree` for why comparisons on it are exact.
 _ZERO = (0, 0, 0)
 _ONE = (1, 0, 1)
-_START_WIDTH = 64
+_START_WIDTH = 32
 
 
 def _pack(f: LaurentPoly, K: int) -> tuple:
@@ -619,13 +644,15 @@ class _PackedRing:
     P = 0; it is dropped unless its bound reaches 2^{K−1}, and then it
     stays as a word with value 0, which can only widen a comparison.
     Nothing outside the ring keeps its binomials, so a new ring reads
-    `_ring_binom` afresh.
+    `_ring_binom` afresh.  The ring also keeps the oracle's packed normal
+    forms (`divided`), so a box builds each once per width.
     """
 
     def __init__(self, K: int):
         self.K = K
         self.elem = type("_Packed", (_Packed,), {"__slots__": (), "K": K})
         self._binoms: dict[tuple, _Packed] = {}
+        self._chains: dict[tuple, tuple] = {}
 
     def one(self):
         return self.elem(_ONE)
@@ -636,6 +663,17 @@ class _PackedRing:
             c = self.elem(_pack(_ring_binom("generic", None, m, k), self.K))
             self._binoms[m, k] = c
         return c
+
+    def divided(self, b: int, a: int, n: int) -> dict:
+        """F^{(b)}E^{(a)}1_n packed: step b of `_divided_chain(a, n)`,
+        which runs once per ring, as far as it is read."""
+        chain = self._chains.get((a, n))
+        if chain is None:
+            chain = self._chains[a, n] = _divided_chain(a, n), []
+        steps, forms = chain
+        while len(forms) <= b:
+            forms.append({key: _pack(c, self.K) for key, c in next(steps).items()})
+        return forms[b]
 
 
 def _packed_agree(sides) -> bool:
@@ -667,133 +705,96 @@ def _packed_agree(sides) -> bool:
 
 
 @functools.cache
-def _packed_monomials(b: int, a: int, n: int, K: int) -> dict:
-    """Normal form of ϑ^b θ^a 1_n as {(i, j): coefficient} over the
-    monomial basis θ^i ϑ^j 1_n, packed at width K, via the defining
-    relations alone: ϑ times the cached form of ϑ^{b−1} θ^a 1_n.  A
-    coefficient that is certainly 0 is dropped."""
-    if b == 0:
-        return {(a, 0): _ONE}
-    out: dict[tuple, tuple] = {}
-    for (i, j), c in _packed_monomials(b - 1, a, n, K).items():
-        # ϑ θ^i ϑ^j 1_n; the idempotent to the right of θ^i is 1_{n − 2j}
-        terms = [((i, j + 1), c)]
-        coeff = _move_v_past_powers(i, n - 2 * j)
-        if coeff:
-            terms.append(((i - 1, j), _pmul(c, _pack(coeff, K))))
-        for key, t in terms:
-            out[key] = _padd(out[key], t, K) if key in out else t
-    return {key: c for key, c in out.items() if not _packed_zero(c, K)}
+def _packed_merge(i: int, k: int, K: int) -> tuple:
+    """[i+k, i] packed at width K, for E^{(i)}E^{(k)} = [i+k, i]·E^{(i+k)}
+    and its F mirror: [i+k]!/([i]!·[k]!), not the binomials of udot_mult."""
+    return _pack(qfact(i + k).divexact(qfact(i) * qfact(k)), K)
 
 
-def _packed_expansion(w: CBWord, K: int) -> dict:
-    """Numerator of a word over the monomials θ^i ϑ^j 1_n, packed at width
-    K; the word is that numerator divided by [a]!·[b]!."""
+def _packed_expansion(w: CBWord, ring: _PackedRing) -> dict:
+    """A word over the divided basis, packed in ring."""
     if w.shape == "EF":
         return {(w.a, w.b): _ONE}
-    return _packed_monomials(w.b, w.a, w.n, K)
+    return ring.divided(w.b, w.a, w.n)
 
 
-@functools.cache
-def _cofactor(top: tuple, bottom: tuple, K: int) -> tuple:
-    """Π_{t ∈ top} [t]! divided exactly by Π_{s ∈ bottom} [s]!, packed at
-    width K."""
-    num, den = LaurentPoly.one(), LaurentPoly.one()
-    for t in top:
-        num = num * qfact(t)
-    for s in bottom:
-        den = den * qfact(s)
-    return _pack(num.divexact(den), K)
-
-
-def _fractions_agree(A, B, lhs, lhs_bottom, rhs) -> bool:
-    """Whether lhs/Π_{s ∈ lhs_bottom}[s]! equals Σ coeff·w over the terms
-    (coeff, w) of the right side, w a word read as its numerator over
-    [a]!·[b]!, monomial by monomial, with both sides scaled to
-    D = [A]!·[B]! (exact: see the module docstring).  lhs(K) is the left
-    numerator and rhs(K) the right terms, both packed at width K.  The
-    caller picks A, B so that D is a multiple of the left denominator; a
-    right-hand word with a > A or b > B raises.
-    """
-    bottom = tuple(sorted(lhs_bottom))
+def _divided_agree(A, B, lhs, rhs, packed_ring=_PackedRing) -> bool:
+    """Whether lhs(ring) = Σ coeff·w over the terms (coeff, w) of
+    rhs(ring), all over the divided basis E^{(i)}F^{(j)}1_n and packed in
+    ring = packed_ring(K).  A right-hand word with a > A or b > B, beyond
+    every left term, raises."""
 
     def sides(K):
+        ring = packed_ring(K)
         right: dict[tuple, tuple] = {}
-        for coeff, w in rhs(K):
+        for coeff, w in rhs(ring):
             if w.a > A or w.b > B:
-                raise ValueError(f"word ({w.a}, {w.b}) lies outside D = [{A}]!·[{B}]!")
-            scale = _pmul(coeff, _cofactor((A, B), (w.a, w.b), K))
-            for key, c in _packed_expansion(w, K).items():
-                t = _pmul(scale, c)
+                raise ValueError(f"word ({w.a}, {w.b}) lies outside a ≤ {A}, b ≤ {B}")
+            for key, c in _packed_expansion(w, ring).items():
+                t = _pmul(coeff, c)
                 right[key] = _padd(right[key], t, K) if key in right else t
-        left = lhs(K)
-        scale = _cofactor((A, B), bottom, K)
+        left = lhs(ring)
         for key in left.keys() | right.keys():
-            L = _pmul(left[key], scale) if key in left else _ZERO
-            yield L, right.get(key, _ZERO)
+            yield left.get(key, _ZERO), right.get(key, _ZERO)
 
     return _packed_agree(sides)
 
 
-def _monomial_product(w1: CBWord, w2: CBWord, K: int) -> dict:
-    """Numerator of w1·w2 over the monomials θ^i ϑ^j 1_n, packed at
-    width K; the weights must match."""
+def _divided_product(w1: CBWord, w2: CBWord, ring: _PackedRing) -> dict:
+    """w1·w2 over the divided basis, packed in ring (weights must match):
+    each middle F^{(j1)}E^{(i2)}1_{n2−2j2} takes its normal form, and
+    neighbouring divided powers merge."""
     out: dict[tuple, tuple] = {}
-    n2 = w2.n
-    for (i1, j1), c1 in _packed_expansion(w1, K).items():
-        for (i2, j2), c2 in _packed_expansion(w2, K).items():
+    K, n2 = ring.K, w2.n
+    for (i1, j1), c1 in _packed_expansion(w1, ring).items():
+        for (i2, j2), c2 in _packed_expansion(w2, ring).items():
             c12 = _pmul(c1, c2)
-            for (k, l), c in _packed_monomials(j1, i2, n2 - 2 * j2, K).items():
+            for (k, l), c in ring.divided(j1, i2, n2 - 2 * j2).items():
+                merge = _pmul(_packed_merge(i1, k, K), _packed_merge(l, j2, K))
+                t = _pmul(_pmul(c12, c), merge)
                 key = (i1 + k, l + j2)
-                t = _pmul(c12, c)
                 out[key] = _padd(out[key], t, K) if key in out else t
     return out
 
 
 def oracle_product_agrees(w1: CBWord, w2: CBWord, packed_ring=_PackedRing) -> bool:
     """Whether udot_mult over Z[v^{±1}] matches the rational-field
-    expansion of w1·w2 (zero when weights mismatch).
+    expansion of w1·w2 (zero when weights mismatch), both over the divided
+    basis; every word of the product has a ≤ a1+a2 and b ≤ b1+b2.
 
     udot_mult runs over `packed_ring(K)`, Z[v^{±1}] packed at the width K
     of the comparison, so its coefficients are read as they come (see
     `_PackedRing`).  `oracle_box_check` passes a cached constructor, one
-    ring per width for all the pairs of its box.
+    ring per width for all the pairs of its box."""
 
-    Compared over D = [a1+a2]!·[b1+b2]!: every word of the product has
-    a ≤ a1+a2 and b ≤ b1+b2, so D is a multiple of its [a]!·[b]!, and of
-    the left side's [a1]![b1]![a2]![b2]! by a product of two Gaussian
-    binomials."""
-
-    def product(K):
-        ring = packed_ring(K)
+    def product(ring):
         return udot_mult(
             UdotElem(ring, {w1: ring.one()}), UdotElem(ring, {w2: ring.one()})
         )
 
     if w1.n != w2.left_weight():
-        return product(_START_WIDTH).is_zero()
-    return _fractions_agree(
+        return product(packed_ring(_START_WIDTH)).is_zero()
+    return _divided_agree(
         w1.a + w2.a,
         w1.b + w2.b,
-        lambda K: _monomial_product(w1, w2, K),
-        (w1.a, w1.b, w2.a, w2.b),
-        lambda K: [(c, w) for w, c in product(K).terms.items()],
+        lambda ring: _divided_product(w1, w2, ring),
+        lambda ring: [(c, w) for w, c in product(ring).terms.items()],
+        packed_ring,
     )
 
 
 def commutation_formula_agrees(A: int, B: int, n: int) -> bool:
     """Direct oracle validation of the divided-power commutation:
     E^{(A)}F^{(B)}1_n = Σ_j [A−B+n, j]·F^{(B−j)}E^{(A−j)}1_n over Q(v),
-    compared over the common denominator [A]!·[B]! (left cofactor 1)."""
+    compared over the divided basis, where the left side is one element."""
     rhs_terms = []
     for j in range(min(A, B) + 1):
         c = qbinom_int(A - B + n, j)
         if not c.is_zero():
             rhs_terms.append((c, CBWord("FE", A - j, B - j, n)))
-    return _fractions_agree(
+    return _divided_agree(
         A,
         B,
-        lambda K: {(A, B): _ONE},
-        (A, B),
-        lambda K: [(_pack(c, K), w) for c, w in rhs_terms],
+        lambda ring: {(A, B): _ONE},
+        lambda ring: [(_pack(c, ring.K), w) for c, w in rhs_terms],
     )

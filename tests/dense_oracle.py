@@ -105,24 +105,52 @@ def matrix(c, d):
     return m
 
 
+class _Powers:
+    """The dense powers ∂^j of one complex and the kernels of ∂^j at each
+    degree, each built once for one oracle call: ∂^j at d is ∂ at
+    d+2(j−1) times ∂^{j−1} at d."""
+
+    def __init__(self, c):
+        self.c = c
+        self._powers = {}
+        self._kernels = {}
+
+    def power(self, d, j):
+        """∂^j as a dense matrix from degree d to degree d+2j."""
+        key = (d, j)
+        if key not in self._powers:
+            c = self.c
+            if j == 0:
+                out = np.eye(len(c.indices_at(d)))
+            else:
+                m = matrix(c, d + 2 * (j - 1))
+                # float64 products are exact while every dot product stays
+                # below 2^53
+                assert m.shape[1] * (c.p - 1) ** 2 < 2**53
+                out = np.mod(m.astype(np.float64) @ self.power(d, j - 1), c.p)
+            self._powers[key] = out
+        return self._powers[key].astype(np.int64)
+
+    def kernels(self, d):
+        """[ker ∂^0, …, ker ∂^p] at degree d, as column bases."""
+        if d not in self._kernels:
+            c = self.c
+            n = len(c.indices_at(d))
+            kers = [np.zeros((n, 0), dtype=np.int64)]
+            for j in range(1, c.p):
+                kers.append(nullspace(self.power(d, j), c.p))
+            kers.append(np.eye(n, dtype=np.int64))  # ∂^p = 0
+            self._kernels[d] = kers
+        return self._kernels[d]
+
+
 def power_matrix(c, d, j):
     """∂^j as a dense matrix from degree d to degree d+2j."""
-    out = np.eye(len(c.indices_at(d)))
-    for step in range(j):
-        m = matrix(c, d + 2 * step)
-        # float64 products are exact while every dot product stays below 2^53
-        assert m.shape[1] * (c.p - 1) ** 2 < 2**53
-        out = np.mod(m.astype(np.float64) @ out, c.p)
-    return out.astype(np.int64)
+    return _Powers(c).power(d, j)
 
 
 def _kernels(c, d):
-    n = len(c.indices_at(d))
-    kers = [np.zeros((n, 0), dtype=np.int64)]
-    for j in range(1, c.p):
-        kers.append(nullspace(power_matrix(c, d, j), c.p))
-    kers.append(np.eye(n, dtype=np.int64))  # ∂^p = 0
-    return kers
+    return _Powers(c).kernels(d)
 
 
 def _vector(local, col):
@@ -135,16 +163,17 @@ def slash_dims(c):
     p = c.p
     hi = c.cap - 2 * (p - 1)
     dims = {k: {} for k in range(p - 1)}
+    powers = _Powers(c)
     for d in c.support_degrees():
         if d > hi:
             continue
         n = len(c.indices_at(d))
-        kers = _kernels(c, d)
+        kers = powers.kernels(d)
         for k in range(p - 1):
             j = p - 1 - k
             src = d - 2 * j
             if c.indices_at(src):
-                img = power_matrix(c, src, j)
+                img = powers.power(src, j)
             else:
                 img = np.zeros((n, 0), dtype=np.int64)
             span = np.concatenate([img % p, kers[k]], axis=1)
@@ -178,19 +207,19 @@ def string_decompose(c):
     """The strings `PComplex.string_decompose` returns, in the same order."""
     p = c.p
     strings = []
+    powers = _Powers(c)
     for d in c.support_degrees():
         local = c.indices_at(d)
         n = len(local)
-        kers = _kernels(c, d)
+        kers = powers.kernels(d)
         prev = c.indices_at(d - 2)
         for length in range(p, 0, -1):
-            if prev:
-                kprev = (
-                    nullspace(power_matrix(c, d - 2, length + 1), p)
-                    if length + 1 < p
-                    else np.eye(len(prev), dtype=np.int64)
-                )
-                img = (matrix(c, d - 2) @ kprev) % p
+            if prev and length + 1 < p:
+                kprev = powers.kernels(d - 2)[length + 1]
+                img = (powers.power(d - 2, 1) @ kprev) % p
+            elif prev:
+                # ker ∂^{length+1} is everything, and its image is ∂'s
+                img = powers.power(d - 2, 1)
             else:
                 img = np.zeros((n, 0), dtype=np.int64)
             span = np.concatenate([kers[length - 1], img], axis=1)

@@ -8,8 +8,10 @@ the independent oracle for the pairs and triples that the fast checks
 decide without multiplying.
 
 `oracle_monomials` is the Laurent-polynomial normal form of ϑ^b θ^a 1_n
-that the product oracle once packed afresh for every b; it is the slow
-oracle of the packed recursion `qgroup._packed_monomials`.
+over the monomials θ^i ϑ^j 1_n, which the product oracle once compared
+in; it is the slow oracle of the packed divided normal forms
+`qgroup._PackedRing.divided`, whose coefficients are its own times
+[i]!·[j]!/([a]!·[b]!).
 """
 
 from qfrob.cyclotomic import LaurentPoly, qint

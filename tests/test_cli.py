@@ -8,7 +8,7 @@ import pytest
 
 from library_extras import schur
 from qfrob import cli, partitions, pcomplex, pdgmod, qgroup, symfunc
-from qfrob.cyclotomic import LaurentPoly
+from qfrob.cyclotomic import ExactDivisionError, LaurentPoly
 from qfrob.pcomplex import PComplex
 from qfrob.cli import CheckSpec, default_specs, main, run_check
 
@@ -113,6 +113,32 @@ class TestOracleBoxOnce:
         assert status == "fail"
         assert values["oracle_ok"] is False
         assert values["hom_ok"] and values["kernel_ok"]
+
+    def test_inexact_division_fails_the_check(self, monkeypatch):
+        # μ(2, m) = −[2]·[m+1] gains 1, so the oracle's normal form cannot
+        # divide it by [2]; the crashed check fails with its error, as a
+        # check that raises always does
+        real = qgroup._move_v_past_powers
+
+        def wrong(i, n):
+            c = real(i, n)
+            return c + 1 if i == 2 else c
+
+        qgroup.oracle_box_check.cache_clear()
+        monkeypatch.setattr(qgroup, "_move_v_past_powers", wrong)
+        try:
+            with pytest.raises(ExactDivisionError):
+                cli.check_verify_frobenius(2, 1, 2, 2, 4)
+            rep = run_check(
+                CheckSpec(
+                    "verify-frobenius",
+                    {"p": 2, "amax": 1, "nmax": 2, "oracle_amax": 2, "oracle_nmax": 4},
+                )
+            )
+        finally:
+            qgroup.oracle_box_check.cache_clear()
+        assert rep.status == "fail"
+        assert rep.values["error"].startswith("ExactDivisionError")
 
 
 class TestRankOnlySlash:

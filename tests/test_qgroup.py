@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 import frobenius_oracle
 from library_extras import udot
 from qfrob import qgroup
-from qfrob.cyclotomic import CycElem, LaurentPoly, qbinom, qint, rho, to_op
+from qfrob.cyclotomic import CycElem, LaurentPoly, qbinom, qfact, qint, rho, to_op
 from qfrob.qgroup import (
     CBWord,
     CoeffRing,
@@ -331,17 +331,17 @@ class TestPackedRing:
 @pytest.fixture(scope="class")
 def box_reads():
     """Run the (4, 8) oracle box once, recording every width at which it
-    compares and every (b, a, n) whose packed expansion it reads."""
+    compares and every (b, a, n) whose packed normal form it reads."""
     reads = set()
-    real = qgroup._packed_monomials
+    real = qgroup._PackedRing.divided
 
-    def monomials(b, a, n, K):
+    def divided(ring, b, a, n):
         reads.add((b, a, n))
-        return real(b, a, n, K)
+        return real(ring, b, a, n)
 
     with pytest.MonkeyPatch.context() as mp:
         widths = _widths_seen(mp)
-        mp.setattr(qgroup, "_packed_monomials", monomials)
+        mp.setattr(qgroup._PackedRing, "divided", divided)
         assert qgroup.oracle_box_check.__wrapped__(4, 8) == (8625, True)
     return set(widths), reads
 
@@ -349,20 +349,44 @@ def box_reads():
 class TestPackedOracleBox:
     def test_pinned_box_compares_at_the_start_width_only(self, box_reads):
         widths, _ = box_reads
-        assert widths == {64}
+        assert widths == {qgroup._START_WIDTH}
 
     def test_recursive_expansions_match_the_laurent_oracle(self, box_reads):
+        # F^{(b)}E^{(a)}1_n = Σ c·E^{(i)}F^{(j)}1_n and ϑ^b θ^a 1_n =
+        # Σ m·θ^i ϑ^j 1_n, so c·[a]!·[b]! = m·[i]!·[j]!
         _, reads = box_reads
         assert reads
-        for b, a, n in reads:
-            want = frobenius_oracle.oracle_monomials(b, a, n)
-            for K in (64, 8):
-                got = qgroup._packed_monomials(b, a, n, K)
-                for key, f in want.items():
-                    assert key in got, (b, a, n, K, key)
-                    assert _packed_image(got[key], f, K), (b, a, n, K, key)
-                for key in got.keys() - want.keys():
-                    assert _packed_zero_word(got[key], K), (b, a, n, K, key)
+        for K in (32, 8):
+            ring = qgroup._PackedRing(K)
+            for b, a, n in reads:
+                want = frobenius_oracle.oracle_monomials(b, a, n)
+                got = ring.divided(b, a, n)
+                assert got.keys() == want.keys(), (b, a, n, K)
+                scale = qgroup._pack(qfact(a) * qfact(b), K)
+                for (i, j), f in want.items():
+                    lhs = qgroup._pmul(got[i, j], scale)
+                    rhs = f * qfact(i) * qfact(j)
+                    assert _packed_image(lhs, rhs, K), (b, a, n, K, i, j)
+
+
+class TestOracleSide:
+    def test_reads_no_binomial_under_test(self, monkeypatch):
+        # the left side and the normal forms come from the defining
+        # relations and quantum factorials only
+        def refuse(*args):
+            raise AssertionError("the oracle side read a binomial under test")
+
+        monkeypatch.setattr(qgroup, "_ring_binom", refuse)
+        monkeypatch.setattr(qgroup, "qbinom_int", refuse)
+        qgroup._packed_merge.cache_clear()
+        ring = qgroup._PackedRing(32)
+        words = canonical_words(2, 2, -4, 4)
+        products = 0
+        for w1 in words:
+            for w2 in words:
+                if w1.n == w2.left_weight():
+                    products += bool(qgroup._divided_product(w1, w2, ring))
+        assert products == 585
 
 
 class TestAssociativity:
