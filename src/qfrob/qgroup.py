@@ -21,10 +21,10 @@ a rational-field oracle that uses only the defining relations.
 `oracle_box_check`, part of verify-frobenius, compares every product of a
 box of canonical words with it, and the test suite also compares the
 formula itself (`commutation_formula_agrees`).
-The oracle writes both sides in the divided basis E^{(i)}F^{(j)}1_n, a
-basis of Udot over Q(v) (Lusztig, §23), so it needs no common denominator:
-an EF word is a basis element, and F^{(b)}E^{(a)}1_n is brought to the
-basis one F at a time from the defining commutator (`_divided_chain`).
+It compares w1·w2 in the divided basis E^{(i)}F^{(j)}1_n of Udot over
+Q(v) (Lusztig, §23), whose elements its EF words are; ω (E ↔ F, 1_n ↦
+1_{−n}, §3.1.3) makes an FE product EF.  The left side brings
+F^{(b)}E^{(a)}1_n to the basis from the defining commutator.
 
 The oracle compares coefficients by Kronecker substitution v ↦ 2^K:
 each Laurent polynomial f on either side is held as (P, lo, bound) with
@@ -718,22 +718,13 @@ def _packed_expansion(w: CBWord, ring: _PackedRing) -> dict:
     return ring.divided(w.b, w.a, w.n)
 
 
-def _divided_agree(A, B, lhs, rhs, packed_ring=_PackedRing) -> bool:
-    """Whether lhs(ring) = Σ coeff·w over the terms (coeff, w) of
-    rhs(ring), all over the divided basis E^{(i)}F^{(j)}1_n and packed in
-    ring = packed_ring(K).  A right-hand word with a > A or b > B, beyond
-    every left term, raises."""
+def _divided_agree(lhs, rhs, packed_ring=_PackedRing) -> bool:
+    """Whether lhs(ring) = rhs(ring), two dicts over the divided basis
+    E^{(i)}F^{(j)}1_n packed in ring = packed_ring(K)."""
 
     def sides(K):
         ring = packed_ring(K)
-        right: dict[tuple, tuple] = {}
-        for coeff, w in rhs(ring):
-            if w.a > A or w.b > B:
-                raise ValueError(f"word ({w.a}, {w.b}) lies outside a ≤ {A}, b ≤ {B}")
-            for key, c in _packed_expansion(w, ring).items():
-                t = _pmul(coeff, c)
-                right[key] = _padd(right[key], t, K) if key in right else t
-        left = lhs(ring)
+        left, right = lhs(ring), rhs(ring)
         for key in left.keys() | right.keys():
             yield left.get(key, _ZERO), right.get(key, _ZERO)
 
@@ -757,15 +748,23 @@ def _divided_product(w1: CBWord, w2: CBWord, ring: _PackedRing) -> dict:
     return out
 
 
+def _omega(w: CBWord) -> CBWord:
+    """ω(w): E ↔ F, 1_n ↦ 1_{−n} and v fixed, an algebra automorphism
+    (Lusztig, §3.1.3), so E^{(a)}F^{(b)}1_n ↦ F^{(a)}E^{(b)}1_{−n}."""
+    return _canonical(w.b, w.a, -w.n)
+
+
 def oracle_product_agrees(w1: CBWord, w2: CBWord, packed_ring=_PackedRing) -> bool:
     """Whether udot_mult over Z[v^{±1}] matches the rational-field
-    expansion of w1·w2 (zero when weights mismatch), both over the divided
-    basis; every word of the product has a ≤ a1+a2 and b ≤ b1+b2.
+    expansion of w1·w2 (zero when weights mismatch) over the divided basis.
 
-    udot_mult runs over `packed_ring(K)`, Z[v^{±1}] packed at the width K
-    of the comparison, so its coefficients are read as they come (see
-    `_PackedRing`).  `oracle_box_check` passes a cached constructor, one
-    ring per width for all the pairs of its box."""
+    Every word of w1·w2 has weight n2 and a − b = A − B (A = a1+a2,
+    B = b1+b2), hence one shape: EF when n2 ≤ B − A, each word the basis
+    element (a, b); FE otherwise, each word read through ω as (b, a) and
+    the left side as ω(w1)·ω(w2).  So udot_mult's coefficients are compared
+    as they come, and a word off that n2 or a − b, or with a > A, raises.
+    udot_mult runs over `packed_ring(K)` (see `_PackedRing`);
+    `oracle_box_check` passes a cached constructor, one ring per width."""
 
     def product(ring):
         return udot_mult(
@@ -774,27 +773,28 @@ def oracle_product_agrees(w1: CBWord, w2: CBWord, packed_ring=_PackedRing) -> bo
 
     if w1.n != w2.left_weight():
         return product(packed_ring(_START_WIDTH)).is_zero()
-    return _divided_agree(
-        w1.a + w2.a,
-        w1.b + w2.b,
-        lambda ring: _divided_product(w1, w2, ring),
-        lambda ring: [(c, w) for w, c in product(ring).terms.items()],
-        packed_ring,
-    )
+    A, B, n2 = w1.a + w2.a, w1.b + w2.b, w2.n
+    ef = n2 <= B - A
+
+    def right(ring):
+        out = {}
+        for w, c in product(ring).terms.items():
+            if w.n != n2 or w.a - w.b != A - B or w.a > A:
+                raise ValueError(f"word {w} off n = {n2}, a − b = {A - B}, a ≤ {A}")
+            out[(w.a, w.b) if ef else (w.b, w.a)] = c
+        return out
+
+    x, y = (w1, w2) if ef else (_omega(w1), _omega(w2))
+    return _divided_agree(lambda ring: _divided_product(x, y, ring), right, packed_ring)
 
 
 def commutation_formula_agrees(A: int, B: int, n: int) -> bool:
-    """Direct oracle validation of the divided-power commutation:
+    """Direct oracle validation of the divided-power commutation
     E^{(A)}F^{(B)}1_n = Σ_j [A−B+n, j]·F^{(B−j)}E^{(A−j)}1_n over Q(v),
-    compared over the divided basis, where the left side is one element."""
-    rhs_terms = []
-    for j in range(min(A, B) + 1):
-        c = qbinom_int(A - B + n, j)
-        if not c.is_zero():
-            rhs_terms.append((c, CBWord("FE", A - j, B - j, n)))
+    read through ω: the normal form of F^{(A)}E^{(B)}1_{−n} against the
+    basis elements (B−j, A−j)."""
+    terms = [(j, qbinom_int(A - B + n, j)) for j in range(min(A, B) + 1)]
     return _divided_agree(
-        A,
-        B,
-        lambda ring: {(A, B): _ONE},
-        lambda ring: [(_pack(c, ring.K), w) for c, w in rhs_terms],
+        lambda ring: ring.divided(A, B, -n),
+        lambda ring: {(B - j, A - j): _pack(c, ring.K) for j, c in terms if c},
     )

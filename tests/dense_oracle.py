@@ -183,15 +183,15 @@ def slash_dims(c):
     return dims
 
 
-def slash_cohomology(c):
-    """(dims, reps) as `PComplex.slash_cohomology` reports them: dims from
-    `slash_dims`, and reps read off the strings of `string_decompose`, the
-    class of H_{/k} at degree h + 2(ℓ−1−k) being slot ℓ−1−k of a string of
-    length ℓ < p with head degree h."""
+def slash_reps(c, strings):
+    """reps as `PComplex.slash_cohomology` reports them, read off strings,
+    the result of `string_decompose(c)`: the class of H_{/k} at degree
+    h + 2(ℓ−1−k) is slot ℓ−1−k of a string of length ℓ < p with head
+    degree h."""
     p = c.p
     hi = c.cap - 2 * (p - 1)
     reps = {k: {} for k in range(p - 1)}
-    for s in string_decompose(c):
+    for s in strings:
         if s.length >= p:
             continue
         for k in range(s.length):
@@ -199,8 +199,7 @@ def slash_cohomology(c):
             d = s.head_degree + 2 * slot
             if d <= hi:
                 reps[k].setdefault(d, []).append(dict(sorted(s.slots[slot].items())))
-    reps = {k: dict(sorted(per.items())) for k, per in reps.items()}
-    return slash_dims(c), reps
+    return {k: dict(sorted(per.items())) for k, per in reps.items()}
 
 
 def string_decompose(c):

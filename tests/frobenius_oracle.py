@@ -12,8 +12,14 @@ over the monomials θ^i ϑ^j 1_n, which the product oracle once compared
 in; it is the slow oracle of the packed divided normal forms
 `qgroup._PackedRing.divided`, whose coefficients are its own times
 [i]!·[j]!/([a]!·[b]!).
+
+`ef_basis_product_agrees` is the product oracle before it read FE-shaped
+products through ω: both sides of w1·w2 over E^(i)F^(j)1_{n2}, each FE
+word of `udot_mult`'s product brought to that basis by its packed normal
+form.  It is the slow oracle of `qgroup.oracle_product_agrees`.
 """
 
+from qfrob import qgroup
 from qfrob.cyclotomic import LaurentPoly, qint
 from qfrob.qgroup import (
     CoeffRing,
@@ -115,3 +121,32 @@ def oracle_monomials(b: int, a: int, n: int):
             if not coeff.is_zero():
                 add((i - 1, j), c * coeff)
     return out
+
+
+def ef_basis_product_agrees(w1, w2, packed_ring=qgroup._PackedRing) -> bool:
+    """Whether udot_mult matches the divided expansion of w1·w2, every
+    word of the product expanded over the EF divided basis at weight n2;
+    a word with a > a1+a2 or b > b1+b2 raises."""
+
+    def product(ring):
+        return qgroup.udot_mult(
+            UdotElem(ring, {w1: ring.one()}), UdotElem(ring, {w2: ring.one()})
+        )
+
+    if w1.n != w2.left_weight():
+        return product(packed_ring(qgroup._START_WIDTH)).is_zero()
+    A, B = w1.a + w2.a, w1.b + w2.b
+
+    def right(ring):
+        out = {}
+        for w, coeff in product(ring).terms.items():
+            if w.a > A or w.b > B:
+                raise ValueError(f"word {w} lies outside a ≤ {A}, b ≤ {B}")
+            for key, c in qgroup._packed_expansion(w, ring).items():
+                t = qgroup._pmul(coeff, c)
+                out[key] = qgroup._padd(out[key], t, ring.K) if key in out else t
+        return out
+
+    return qgroup._divided_agree(
+        lambda ring: qgroup._divided_product(w1, w2, ring), right, packed_ring
+    )

@@ -140,6 +140,36 @@ class TestOracleBoxOnce:
         assert rep.status == "fail"
         assert rep.values["error"].startswith("ExactDivisionError")
 
+    def test_word_off_the_weight_fails_the_check(self, monkeypatch):
+        # udot_mult moves each EF word of a product to weight n2 − 2, still
+        # canonical; the oracle raises on the first such word, and the
+        # crashed check fails with its error
+        real = qgroup.udot_mult
+
+        def shifted(x, y):
+            out = real(x, y)
+            moved = {
+                qgroup.CBWord("EF", w.a, w.b, w.n - 2) if w.shape == "EF" else w: c
+                for w, c in out.terms.items()
+            }
+            return qgroup.UdotElem(out.ring, moved)
+
+        qgroup.oracle_box_check.cache_clear()
+        monkeypatch.setattr(qgroup, "udot_mult", shifted)
+        try:
+            with pytest.raises(ValueError):
+                qgroup.oracle_box_check(2, 4)
+            rep = run_check(
+                CheckSpec(
+                    "verify-frobenius",
+                    {"p": 2, "amax": 1, "nmax": 2, "oracle_amax": 2, "oracle_nmax": 4},
+                )
+            )
+        finally:
+            qgroup.oracle_box_check.cache_clear()
+        assert rep.status == "fail"
+        assert rep.values["error"].startswith("ValueError")
+
 
 class TestRankOnlySlash:
     def test_dims_callers_build_no_strings(self, monkeypatch):

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -26,6 +27,19 @@ from qfrob.qgroup import (
 G = CoeffRing("generic")
 
 
+def _wrong_generic_binomial(monkeypatch):
+    """The generic [2, 1] gains a v^5 term."""
+    real = qgroup._ring_binom
+
+    def wrong(tag, p, m, k):
+        c = real(tag, p, m, k)
+        return c + LaurentPoly({5: 1}) if (tag, m, k) == ("generic", 2, 1) else c
+
+    # nothing downstream caches ring binomials, so replacing the
+    # function is all it takes
+    monkeypatch.setattr(qgroup, "_ring_binom", wrong)
+
+
 def _wrong_binomial_rejections(monkeypatch) -> int:
     """How many pairs of canonical_words(2, 2, −4, 4)² the product oracle
     rejects once the generic [2, 1] gains a v^5 term; each rejection must
@@ -38,15 +52,7 @@ def _wrong_binomial_rejections(monkeypatch) -> int:
         for w1 in words
         for w2 in words
     }
-    real = qgroup._ring_binom
-
-    def wrong(tag, p, m, k):
-        c = real(tag, p, m, k)
-        return c + LaurentPoly({5: 1}) if (tag, m, k) == ("generic", 2, 1) else c
-
-    # nothing downstream caches ring binomials, so replacing the
-    # function is all it takes
-    monkeypatch.setattr(qgroup, "_ring_binom", wrong)
+    _wrong_generic_binomial(monkeypatch)
     assert not oracle_product_agrees(
         _canonical(1, 0, 0), _canonical(1, 0, -2)
     )
@@ -156,6 +162,53 @@ class TestCommutationOracle:
         )
         with pytest.raises(ValueError):
             oracle_product_agrees(_canonical(1, 0, 0), _canonical(1, 0, -2))
+
+    def test_product_word_off_the_weight_raises(self, monkeypatch):
+        # each EF word of a product moves to weight n2 − 2, still
+        # canonical; its (a, b) keys are unchanged, so only the weight
+        # check sees it
+        real = qgroup.udot_mult
+
+        def shifted(x, y):
+            out = real(x, y)
+            moved = {
+                CBWord("EF", w.a, w.b, w.n - 2) if w.shape == "EF" else w: c
+                for w, c in out.terms.items()
+            }
+            return UdotElem(out.ring, moved)
+
+        words = canonical_words(2, 2, -4, 4)
+        changed = []
+        for w1 in words:
+            for w2 in words:
+                x, y = UdotElem(G, {w1: G.one()}), UdotElem(G, {w2: G.one()})
+                if shifted(x, y) != real(x, y):
+                    changed.append((w1, w2))
+        assert len(changed) == 333
+        monkeypatch.setattr(qgroup, "udot_mult", shifted)
+        for w1, w2 in changed:
+            with pytest.raises(ValueError):
+                oracle_product_agrees(w1, w2)
+
+    @pytest.mark.parametrize("wrong", [False, True])
+    def test_omega_route_matches_the_ef_basis_route(self, monkeypatch, wrong):
+        # pair by pair, the same verdict as the route that expands every
+        # FE word of the product over the EF basis
+        if wrong:
+            _wrong_generic_binomial(monkeypatch)
+        fast = functools.cache(qgroup._PackedRing)
+        slow = functools.cache(qgroup._PackedRing)
+        words = canonical_words(3, 3, -6, 6)
+        pairs = rejected = 0
+        for w1 in words:
+            for w2 in words:
+                if w1.n != w2.left_weight():
+                    continue
+                pairs += 1
+                agrees = oracle_product_agrees(w1, w2, fast)
+                assert agrees == frobenius_oracle.ef_basis_product_agrees(w1, w2, slow)
+                rejected += not agrees
+        assert (pairs, rejected) == (2688, 778 if wrong else 0)
 
     def test_commutation_oracle_rejects_a_wrong_binomial(self, monkeypatch):
         # [1, 1] gains a v^5 term: exactly the formulas that use it fail
@@ -387,6 +440,47 @@ class TestOracleSide:
                 if w1.n == w2.left_weight():
                     products += bool(qgroup._divided_product(w1, w2, ring))
         assert products == 585
+
+
+class TestOmega:
+    """ω (E ↔ F, 1_n ↦ 1_{−n}, v fixed), through which the oracle reads
+    FE-shaped products."""
+
+    def test_an_involution(self):
+        for w in canonical_words(4, 4, -8, 8):
+            assert qgroup._omega(qgroup._omega(w)) == w, w
+
+    def test_canonical_words_to_canonical_words_and_ties_to_ties(self):
+        for w in canonical_words(4, 4, -8, 8):
+            img = qgroup._omega(w)
+            assert img.is_canonical(), w
+            tie = w.n == w.b - w.a
+            assert (img.n == img.b - img.a) == tie, w
+            # E^{(a)}F^{(b)}1_n ↦ F^{(a)}E^{(b)}1_{−n} as it stands, and a
+            # tie stays in EF shape
+            shape = "EF" if tie else {"EF": "FE", "FE": "EF"}[w.shape]
+            assert img == CBWord(shape, w.b, w.a, -w.n), w
+
+    def test_products_have_one_weight_and_one_shape(self):
+        # every word of w1·w2 has weight n2 and the shape the oracle reads
+        # it in, and udot_mult commutes with ω
+        def omega(x):
+            return UdotElem(G, {qgroup._omega(w): c for w, c in x.terms.items()})
+
+        words = canonical_words(3, 3, -6, 6)
+        pairs = 0
+        for w1 in words:
+            for w2 in words:
+                if w1.n != w2.left_weight():
+                    continue
+                pairs += 1
+                x, y = UdotElem(G, {w1: G.one()}), UdotElem(G, {w2: G.one()})
+                prod = udot_mult(x, y)
+                A, B, n2 = w1.a + w2.a, w1.b + w2.b, w2.n
+                shape = "EF" if n2 <= B - A else "FE"
+                assert all(w.n == n2 and w.shape == shape for w in prod.terms), (w1, w2)
+                assert udot_mult(omega(x), omega(y)) == omega(prod), (w1, w2)
+        assert pairs == 2688
 
 
 class TestAssociativity:
