@@ -20,11 +20,11 @@ import sys
 import time
 from dataclasses import dataclass, field
 from importlib import resources
-from math import comb, isqrt
+from math import comb
 from pathlib import Path
 
 from . import pdgmod, qgroup, symfunc
-from .cyclotomic import binom_reduction_check, qbinom, to_op, varrho
+from .cyclotomic import binom_reduction_check, is_prime, qbinom, to_op, varrho
 from .pcomplex import INF
 
 __all__ = ["main", "run_check", "Report", "CheckSpec"]
@@ -359,10 +359,6 @@ class UsageError(ValueError):
     """Parameters no check can decide on; the command exits 2."""
 
 
-def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
-
-
 def _add_check_flags(parser):
     for flag in _FLAGS:
         parser.add_argument(f"--{flag}", type=int, default=None)
@@ -409,7 +405,7 @@ def _make_spec(name, params) -> CheckSpec:
     if "p" not in params:
         raise UsageError("--p is required")
     p = params["p"]
-    if not _is_prime(p):
+    if not is_prime(p):
         raise UsageError(f"--p {p} is not a prime")
     argnames = CHECKS[name][1]
     unread = [k for k in params if k not in argnames]

@@ -28,7 +28,7 @@ provably zero and raise ExactDivisionError otherwise.
 from __future__ import annotations
 
 import functools
-from math import comb
+from math import comb, isqrt
 
 __all__ = [
     "ExactDivisionError",
@@ -42,6 +42,7 @@ __all__ = [
     "rho",
     "varrho",
     "binom_reduction_check",
+    "is_prime",
 ]
 
 
@@ -268,6 +269,11 @@ def qbinom_int(m: int, k: int) -> LaurentPoly:
         return qbinom(m, k)
     b = qbinom(k - m - 1, k)
     return -b if k % 2 else b
+
+
+@functools.cache
+def is_prime(p: int) -> bool:
+    return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
 
 
 class CycElem:

@@ -11,20 +11,20 @@ in EF shape so equality is syntactic).
 Multiplication rewrites words to canonical form using divided-power
 merging E^{(a)}E^{(b)} = [a+b, a]·E^{(a+b)} and the commutation
 
-    E^{(A)} F^{(B)} 1_n = Σ_j [A−B+n, j] · F^{(B−j)} E^{(A−j)} 1_n
+    E^{(A)} F^{(B)} 1_n = Σ_j [A−B+n, j] · F^{(B−j)} E^{(A−j)} 1_n,
 
-and its mirror F^{(B)}E^{(A)}1_n = Σ_j [B−A−n, j]·E^{(A−j)}F^{(B−j)}1_n,
-where [m, j] is the Gaussian binomial extended to integer m.  The two
-differ only in the top of the binomial, and one rule (`_commute`) serves
-both.  The commutation formula is not an axiom: this module also contains
-a rational-field oracle that uses only the defining relations.
+[m, j] the Gaussian binomial extended to integer m.  ω (E ↔ F, 1_n ↦
+1_{−n}, v fixed; Lusztig §3.1.3) fixes every binomial, so `_word_mult`
+reads an FE-first product as an EF-first one mirrored.  The formula is
+not an axiom: this module also contains a rational-field oracle that
+uses only the defining relations.
 `oracle_box_check`, part of verify-frobenius, compares every product of a
 box of canonical words with it, and the test suite also compares the
 formula itself (`commutation_formula_agrees`).
 It compares w1·w2 in the divided basis E^{(i)}F^{(j)}1_n of Udot over
-Q(v) (Lusztig, §23), whose elements its EF words are; ω (E ↔ F, 1_n ↦
-1_{−n}, §3.1.3) makes an FE product EF.  The left side brings
-F^{(b)}E^{(a)}1_n to the basis from the defining commutator.
+Q(v) (Lusztig, §23), whose elements its EF words are; ω makes an FE
+product EF.  The left side brings F^{(b)}E^{(a)}1_n to the basis from
+the defining commutator.
 
 The oracle compares coefficients by Kronecker substitution v ↦ 2^K:
 each Laurent polynomial f on either side is held as (P, lo, bound) with
@@ -48,8 +48,8 @@ The homomorphism and kernel checks multiply only where Fr can see the
 result, and Fr keeps a word only when p divides its a, b and n.  Every
 word of x·y and of z·u·z' has the weight n of the right factor, so a
 pair or triple with p ∤ n is counted and decided as 0 = 0 unmultiplied.
-Both commutation sums lower a and b together and a divided-power merge
-adds them, so every word of x·y has a − b = (a1 − b1) + (a2 − b2) (and
+Commutation lowers a and b together and a divided-power merge adds
+them, so every word of x·y has a − b = (a1 − b1) + (a2 − b2) (and
 z·u·z' that sum ± 1 for u = E, F): a pair or triple with p ∤ (a − b) is
 decided the same way.  The products that remain are read only through
 Fr, so they are formed by `_frobenius_of_product`, which runs the same
@@ -76,6 +76,7 @@ from typing import NamedTuple
 from .cyclotomic import (
     CycElem,
     LaurentPoly,
+    is_prime,
     qbinom,
     qbinom_int,
     qfact,
@@ -114,7 +115,7 @@ class CoeffRing:
     def __post_init__(self):
         if self.tag not in ("generic", "op", "rho"):
             raise ValueError(f"unknown ring tag {self.tag!r}")
-        if self.tag != "generic" and (self.p is None or self.p < 2):
+        if self.tag != "generic" and (self.p is None or not is_prime(self.p)):
             raise ValueError("op/rho rings need a prime p")
 
     def of(self, f: LaurentPoly):
@@ -170,6 +171,17 @@ def _canonical(a, b, n) -> CBWord:
     return CBWord("FE", a, b, n)
 
 
+def _mirrored(a, b, n) -> CBWord:
+    """ω(E^{(a)}F^{(b)}1_n) = F^{(a)}E^{(b)}1_{−n} as a stored word."""
+    return _canonical(b, a, -n)
+
+
+def _omega(w: CBWord) -> CBWord:
+    """ω(w): E ↔ F, 1_n ↦ 1_{−n} and v fixed, an algebra automorphism
+    (Lusztig, §3.1.3)."""
+    return _mirrored(w.a, w.b, w.n)
+
+
 class UdotElem:
     """Finite combination of canonical basis words with tagged coefficients."""
 
@@ -219,17 +231,11 @@ class UdotElem:
     __repr__ = __str__
 
 
-def _lands_canonical(shape, a, b, n) -> bool:
-    """Whether the word is canonical as it stands, the tie n = b − a
-    included (it is stored in EF shape)."""
-    return n <= b - a if shape == "EF" else n >= b - a
-
-
 def _commute(ring, A, B, top, start=0, step=1):
     """(A−j, B−j, [top, j]) for j = start, start + step, … ≤ min(A, B)
     with a nonzero binomial: the terms of E^{(A)}F^{(B)}1_n as F-first
-    words when top = A−B+n, and of F^{(B)}E^{(A)}1_n as E-first words
-    when top = B−A−n."""
+    words when top = A−B+n (a push), and of its ω-mirror F^{(B)}E^{(A)}1_n
+    as E-first words when top = B−A−n (the middle pair of a product)."""
     out = []
     for j in range(start, min(A, B) + 1, step):
         c = ring.binom(top, j)
@@ -238,9 +244,10 @@ def _commute(ring, A, B, top, start=0, step=1):
     return out
 
 
-def _push_canonical(ring, shape, a, b, n, coeff, acc, mod=None):
-    """Normalize one (possibly non-canonical) word into the accumulator;
-    a zero coefficient is dropped before it is multiplied or commuted.
+def _push_canonical(ring, a, b, n, coeff, acc, mod, word):
+    """Accumulate coeff·E^{(a)}F^{(b)}1_n, commuted to F-first words when
+    n > b − a, each word keyed as word(a, b, n); a zero coefficient is
+    dropped before it is multiplied or commuted.
 
     With a modulus p the caller has made sure that p divides a − b, and
     a as well when the word is canonical; a non-canonical word then
@@ -248,16 +255,13 @@ def _push_canonical(ring, shape, a, b, n, coeff, acc, mod=None):
     """
     if not coeff:
         return
-    if _lands_canonical(shape, a, b, n):
-        w = _canonical(a, b, n)
+    if n <= b - a:
+        w = word(a, b, n)
         acc[w] = acc[w] + coeff if w in acc else coeff
         return
-    # EF with n > b−a commutes to FE words, FE with n < b−a to EF words;
-    # every word it yields is canonical
-    top = a - b + n if shape == "EF" else b - a - n
     start, step = (a % mod, mod) if mod else (0, 1)
-    for a2, b2, c in _commute(ring, a, b, top, start, step):
-        w2 = _canonical(a2, b2, n)
+    for a2, b2, c in _commute(ring, a, b, a - b + n, start, step):
+        w2 = word(a2, b2, n)
         cc = coeff * c
         acc[w2] = acc[w2] + cc if w2 in acc else cc
 
@@ -265,57 +269,38 @@ def _push_canonical(ring, shape, a, b, n, coeff, acc, mod=None):
 def _word_mult(ring, w1: CBWord, w2: CBWord, acc, scale, mod=None):
     """Accumulate w1·w2 into acc (canonical words → coefficients).
 
-    Each case commutes a middle pair at some j and pushes the w1-shaped
-    word (a1 + a2 − j, b1 + b2 − j) at weight n2.  With a modulus p only
-    the canonical words whose a and b p divides are accumulated, the
-    only words Fr keeps: nothing unless p divides a1 − b1 + a2 − b2, and
-    when the pushed words are canonical already, only j ≡ a1 + a2
-    (mod p), before any coefficient is multiplied.
+    One rule: E^{(a1)}F^{(b1)}·E^{(a2)}F^{(b2)}1_{n2} commutes its middle
+    F^{(b1)}E^{(a2)} at each j and pushes E^{(a1+a2−j)}F^{(b1+b2−j)}1_{n2}.
+    An FE-first w1 is read through ω, which fixes every binomial: a and b
+    swap in both factors, n2 ↦ −n2, and each word is keyed back by
+    `_mirrored`.  A w2 stored in the other shape than w1 (a tie is EF,
+    whatever ω makes of it) reads as F^{(b2)}E^{(a2)}, and its F^{(b2)}
+    merges into F^{(b1)} first: [b1+b2, b1], and b1, b2 = b1+b2, 0.
+    With a modulus p only the canonical words whose a and b p divides
+    are accumulated, the only words Fr keeps: nothing unless p divides
+    a1 − b1 + a2 − b2, and when the pushed words are canonical already,
+    only j ≡ a1 + a2 (mod p), before any coefficient is multiplied.
     """
     if w1.n != w2.left_weight():
         return
-    a1, b1, n1 = w1.a, w1.b, w1.n
-    a2, b2, n2 = w2.a, w2.b, w2.n
+    a1, b1, a2, b2, n2, word = w1.a, w1.b, w2.a, w2.b, w2.n, _canonical
+    if w1.shape == "FE":
+        a1, b1, a2, b2, n2, word = b1, a1, b2, a2, -n2, _mirrored
     start, step = 0, 1
     if mod:
         if (a1 - b1 + a2 - b2) % mod:
             return
-        if _lands_canonical(w1.shape, a1 + a2, b1 + b2, n2):
+        if n2 <= b1 + b2 - a1 - a2:
+            # ≡ b1 + b2 as well, since p divides a − b
             start, step = (a1 + a2) % mod, mod
-    if w1.shape == "EF" and w2.shape == "EF":
-        # middle F^{(b1)} E^{(a2)} at weight n2 − 2 b2
-        top = b1 - a2 - n2 + 2 * b2
-        for ai, bi, c in _commute(ring, a2, b1, top, start, step):
-            coeff = (
-                scale
-                * c
-                * ring.binom(a1 + ai, a1)
-                * ring.binom(bi + b2, b2)
-            )
-            _push_canonical(ring, "EF", a1 + ai, bi + b2, n2, coeff, acc, mod)
-    elif w1.shape == "EF" and w2.shape == "FE":
-        B = b1 + b2
-        merge_f = ring.binom(B, b1)
-        for ai, bi, c in _commute(ring, a2, B, B - a2 - n2, start, step):
-            coeff = scale * merge_f * c * ring.binom(a1 + ai, a1)
-            _push_canonical(ring, "EF", a1 + ai, bi, n2, coeff, acc, mod)
-    elif w1.shape == "FE" and w2.shape == "EF":
-        A = a1 + a2
-        merge_e = ring.binom(A, a1)
-        for ai, bi, c in _commute(ring, A, b2, A - b2 + n2, start, step):
-            coeff = scale * merge_e * c * ring.binom(b1 + bi, b1)
-            _push_canonical(ring, "FE", ai, b1 + bi, n2, coeff, acc, mod)
-    else:
-        # middle E^{(a1)} F^{(b2)} at weight n2 + 2 a2
-        top = a1 - b2 + n2 + 2 * a2
-        for ai, bi, c in _commute(ring, a1, b2, top, start, step):
-            coeff = (
-                scale
-                * c
-                * ring.binom(b1 + bi, b1)
-                * ring.binom(ai + a2, a2)
-            )
-            _push_canonical(ring, "FE", ai + a2, b1 + bi, n2, coeff, acc, mod)
+    if w2.shape != w1.shape:
+        scale = scale * ring.binom(b1 + b2, b1)
+        b1, b2 = b1 + b2, 0
+    # middle F^{(b1)} E^{(a2)} at weight n2 − 2 b2
+    top = b1 - a2 - n2 + 2 * b2
+    for ai, bi, c in _commute(ring, a2, b1, top, start, step):
+        coeff = scale * c * ring.binom(a1 + ai, a1) * ring.binom(bi + b2, b2)
+        _push_canonical(ring, a1 + ai, bi + b2, n2, coeff, acc, mod, word)
 
 
 def _product(x: UdotElem, y: UdotElem, mod) -> UdotElem:
@@ -746,12 +731,6 @@ def _divided_product(w1: CBWord, w2: CBWord, ring: _PackedRing) -> dict:
                 key = (i1 + k, l + j2)
                 out[key] = _padd(out[key], t, K) if key in out else t
     return out
-
-
-def _omega(w: CBWord) -> CBWord:
-    """ω(w): E ↔ F, 1_n ↦ 1_{−n} and v fixed, an algebra automorphism
-    (Lusztig, §3.1.3), so E^{(a)}F^{(b)}1_n ↦ F^{(a)}E^{(b)}1_{−n}."""
-    return _canonical(w.b, w.a, -w.n)
 
 
 def oracle_product_agrees(w1: CBWord, w2: CBWord, packed_ring=_PackedRing) -> bool:

@@ -160,10 +160,26 @@ def _vector(local, col):
 def slash_dims(c):
     """{k: {degree: dim}} of H_{/k}, from kernels of ∂^j and
     `extend_basis`, degree by degree on the valid window."""
+    return _slash_dims(_Powers(c))
+
+
+def string_decompose(c):
+    """The strings `PComplex.string_decompose` returns, in the same order."""
+    return _string_decompose(_Powers(c))
+
+
+def slash_dims_and_strings(c):
+    """(slash_dims(c), string_decompose(c)), both read off one `_Powers`,
+    so each dense ∂^j and kernel is built once."""
+    powers = _Powers(c)
+    return _slash_dims(powers), _string_decompose(powers)
+
+
+def _slash_dims(powers):
+    c = powers.c
     p = c.p
     hi = c.cap - 2 * (p - 1)
     dims = {k: {} for k in range(p - 1)}
-    powers = _Powers(c)
     for d in c.support_degrees():
         if d > hi:
             continue
@@ -202,11 +218,10 @@ def slash_reps(c, strings):
     return {k: dict(sorted(per.items())) for k, per in reps.items()}
 
 
-def string_decompose(c):
-    """The strings `PComplex.string_decompose` returns, in the same order."""
+def _string_decompose(powers):
+    c = powers.c
     p = c.p
     strings = []
-    powers = _Powers(c)
     for d in c.support_degrees():
         local = c.indices_at(d)
         n = len(local)

@@ -1,3 +1,4 @@
+import collections
 import functools
 import random
 
@@ -481,6 +482,86 @@ class TestOmega:
                 assert all(w.n == n2 and w.shape == shape for w in prod.terms), (w1, w2)
                 assert udot_mult(omega(x), omega(y)) == omega(prod), (w1, w2)
         assert pairs == 2688
+
+
+class _ReadRecorder:
+    """The generic ring, recording every binomial read."""
+
+    def __init__(self):
+        self.reads = collections.Counter()
+
+    def binom(self, m, k):
+        self.reads[m, k] += 1
+        return G.binom(m, k)
+
+
+class TestOneProductRule:
+    """`_word_mult`, one rule through ω and a merged right factor, against
+    the four-case product it replaced (`frobenius_oracle._word_mult`)."""
+
+    @pytest.mark.parametrize("wrong", [None, "generic", "op"])
+    def test_matches_the_four_case_product(self, monkeypatch, wrong):
+        # word for word and coefficient for coefficient, and under each
+        # wrong binomial the products it changes change alike
+        words = canonical_words(3, 3, -6, 6)
+
+        def factors():
+            # a new packed ring reads `_ring_binom` afresh
+            rings = [G, CoeffRing("op", 2), CoeffRing("op", 3), CoeffRing("rho", 3)]
+            for ring in rings + [qgroup._PackedRing(32)]:
+                for w1 in words:
+                    for w2 in words:
+                        if w1.n == w2.left_weight():
+                            x = UdotElem(ring, {w1: ring.one()})
+                            yield (ring, w1, w2), x, UdotElem(ring, {w2: ring.one()})
+
+        right = [udot_mult(x, y) for _, x, y in factors()]
+        if wrong == "generic":
+            _wrong_generic_binomial(monkeypatch)
+        elif wrong == "op":
+            _wrong_op_binomial(monkeypatch)
+        pairs = changed = 0
+        for ((ring, w1, w2), x, y), right_product in zip(factors(), right):
+            got = udot_mult(x, y)
+            want = frobenius_oracle.four_case_udot_mult(x, y)
+            assert list(got.terms.items()) == list(want.terms.items()), (ring, w1, w2)
+            if isinstance(ring, CoeffRing) and ring.tag == "op":
+                fr = frobenius_oracle.four_case_frobenius_of_product(x, y)
+                assert qgroup._frobenius_of_product(x, y).terms == fr.terms, (ring, w1, w2)
+            changed += got.terms != right_product.terms
+            pairs += 1
+        assert pairs == 5 * 2688
+        # 778 pairs each over the generic and the packed ring
+        assert changed == {None: 0, "generic": 2 * 778, "op": 553}[wrong]
+
+    def test_reads_the_four_case_binomials(self):
+        # the same binomials with the same multiplicities, apart from the
+        # [m, 0] = 1 that a merged right factor reads as its second merge
+        words = canonical_words(3, 3, -6, 6)
+        extra = 0
+        for w1 in words:
+            for w2 in words:
+                for mod in (None, 2, 3):
+                    new, old = _ReadRecorder(), _ReadRecorder()
+                    qgroup._word_mult(new, w1, w2, {}, G.one(), mod)
+                    frobenius_oracle._word_mult(old, w1, w2, {}, G.one(), mod)
+                    assert not old.reads - new.reads, (w1, w2, mod)
+                    more = new.reads - old.reads
+                    assert all(k == 0 for _, k in more), (w1, w2, mod)
+                    extra += sum(more.values())
+        assert extra == 1008
+
+
+class TestCoeffRing:
+    @pytest.mark.parametrize("tag", ["op", "rho"])
+    @pytest.mark.parametrize("p", [4, 9])
+    def test_non_prime_p_is_refused(self, tag, p):
+        with pytest.raises(ValueError, match="prime"):
+            CoeffRing(tag, p)
+
+    def test_hom_check_refuses_a_non_prime_p(self):
+        with pytest.raises(ValueError, match="prime"):
+            frobenius_hom_check(4, 2, 4)
 
 
 class TestAssociativity:
