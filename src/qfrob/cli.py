@@ -219,8 +219,7 @@ def check_verify_grass(p: int, maxab: int) -> tuple[str, dict]:
 def check_verify_frobenius(
     p: int, amax: int, nmax: int, oracle_amax: int, oracle_nmax: int
 ) -> tuple[str, dict]:
-    hom = qgroup.frobenius_hom_check(p, amax, nmax)
-    ker = qgroup.kernel_check(p, amax, nmax)
+    hom, ker = qgroup.frobenius_checks(p, amax, nmax)
     section_ok = qgroup.frobenius_section_check(p)
     oracle_pairs, oracle_ok = qgroup.oracle_box_check(oracle_amax, oracle_nmax)
     values = {

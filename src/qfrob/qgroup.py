@@ -52,7 +52,7 @@ Commutation lowers a and b together and a divided-power merge adds
 them, so every word of x·y has a − b = (a1 − b1) + (a2 − b2) (and
 z·u·z' that sum ± 1 for u = E, F): a pair or triple with p ∤ (a − b) is
 decided the same way.  The products that remain are read only through
-Fr, so they are formed by `_frobenius_of_product`, which runs the same
+Fr, so `frobenius_checks` forms each Fr(w1·w) once, by the same
 `_word_mult` with the modulus p: it pushes a canonical word only when p
 divides its a and b, and commutes the others only at j ≡ a (mod p).
 `udot_mult` always forms the full product.
@@ -96,8 +96,7 @@ __all__ = [
     "frobenius_section",
     "frobenius_section_check",
     "canonical_words",
-    "frobenius_hom_check",
-    "kernel_check",
+    "frobenius_checks",
     "oracle_box_check",
     "k0_symbol_check",
     "oracle_product_agrees",
@@ -133,8 +132,15 @@ class CoeffRing:
 
 
 @functools.cache
+def _ring(tag, p=None) -> CoeffRing:
+    """CoeffRing(tag, p), built once per (tag, p); a refused p raises on
+    every call, since the cache keeps no exception."""
+    return CoeffRing(tag, p)
+
+
+@functools.cache
 def _ring_binom(tag, p, m, k):
-    return CoeffRing(tag, p).of(qbinom_int(m, k))
+    return _ring(tag, p).of(qbinom_int(m, k))
 
 
 # --------------------------------------------------------------------------
@@ -329,7 +335,7 @@ def frobenius(x: UdotElem) -> UdotElem:
     if x.ring.tag != "op":
         raise ValueError("frobenius expects an O_p element")
     p = x.ring.p
-    ring = CoeffRing("rho", p)
+    ring = _ring("rho", p)
     out: dict[CBWord, object] = {}
     for w, c in x.terms.items():
         if w.a % p or w.b % p or w.n % p:
@@ -339,19 +345,12 @@ def frobenius(x: UdotElem) -> UdotElem:
     return UdotElem(ring, out)
 
 
-def _frobenius_of_product(x: UdotElem, y: UdotElem) -> UdotElem:
-    """Fr(x·y) for O_p elements, built from only the words of x·y whose a
-    and b p divides: equal to frobenius(udot_mult(x, y)), since Fr drops
-    every other word."""
-    return frobenius(_product(x, y, x.ring.p))
-
-
 def frobenius_section(x: UdotElem) -> UdotElem:
     """Canonical-basis-wise section: all parameters dilated by p."""
     if x.ring.tag != "rho":
         raise ValueError("the section expects a rho-form element")
     p = x.ring.p
-    ring = CoeffRing("op", p)
+    ring = _ring("op", p)
     out: dict[CBWord, object] = {}
     for w, c in x.terms.items():
         w2 = _canonical(w.a * p, w.b * p, w.n * p)
@@ -362,7 +361,7 @@ def frobenius_section(x: UdotElem) -> UdotElem:
 def frobenius_section_check(p: int) -> bool:
     """Whether Fr ∘ section is the identity on every rho-form canonical
     word with a, b ≤ 3 and |n| ≤ 6."""
-    ring = CoeffRing("rho", p)
+    ring = _ring("rho", p)
     for w in canonical_words(3, 3, -6, 6):
         e = UdotElem(ring, {w: ring.one()})
         if frobenius(frobenius_section(e)) != e:
@@ -379,112 +378,90 @@ def canonical_words(amax: int, bmax: int, nmin: int, nmax: int):
     return out
 
 
-def frobenius_hom_check(p: int, amax: int, nmax: int) -> dict:
-    """Fr(x·y) = Fr(x)·Fr(y) over all canonical pairs in the box
-    a, b ≤ amax, |n| ≤ nmax; exact in O_p arithmetic.
+def frobenius_checks(p: int, amax: int, nmax: int) -> tuple[dict, dict]:
+    """(hom, ker) over the canonical words with a, b ≤ amax, |n| ≤ nmax,
+    exact in O_p arithmetic: hom decides Fr(x·y) = Fr(x)·Fr(y) for each
+    pair, ker Fr(z·u·z') = 0 for each triple, u ∈ {E·1_m, F·1_m}.
 
-    Weight-mismatched pairs multiply to zero on both sides (Fr respects
-    weights), so they are vacuously consistent and not enumerated.  A
-    weight-matched pair is counted but not multiplied when p does not
-    divide the weight n of y or a1 − b1 + a2 − b2: every word of x·y has
-    that weight and that a − b, and Fr drops the word unless p divides
-    both, so both sides are 0 whatever `udot_mult` returns.  The other
-    pairs form Fr(x·y) by `_frobenius_of_product`, from the words of x·y
-    that Fr keeps.
+    Only weight-matched pairs and triples are counted; the others multiply
+    to zero on both sides.  One whose right factor has a weight n, or
+    whose words have an a − b ((a1 − b1) + (a2 − b2), ± 1 for u = E, F),
+    that p does not divide is decided as 0 = 0 unmultiplied (see the
+    module docstring).  The others are read off one row per left word
+    w1 = x = z: Fr(w1·w) for each w that such a pair or a word of such a
+    u·z' puts right of w1, each formed once, by `_word_mult` at the
+    modulus p with unit scale, and contracted by p.  Fr is linear, so
+    Fr(z·u·z') = Σ c·Fr(z·w) over the terms c·w of u·z', which is formed
+    once per (z', u).  The row is dropped before the next w1, and the
+    kernel's failures are reported in (z', u, z) order.
     """
-    ring = CoeffRing("op", p)
+    ring = _ring("op", p)
+    one = ring.one()
     words = canonical_words(amax, amax, -nmax, nmax)
-    ys: dict[CBWord, tuple] = {}  # w2 -> (y, Fr(y)), each built once
     by_left: dict[int, list] = {}
+    visible: dict[tuple, list] = {}  # (left weight, (a − b) mod p), p | n
     for w in words:
         by_left.setdefault(w.left_weight(), []).append(w)
-    pairs = 0
-    failures = []
+        if not w.n % p:
+            visible.setdefault((w.left_weight(), (w.a - w.b) % p), []).append(w)
+    uzs: dict[tuple, tuple] = {}  # (z', u) -> the terms of u·z', formed once
+
+    def fr_product(w1, w):
+        acc: dict[CBWord, object] = {}
+        _word_mult(ring, w1, w, acc, one, p)
+        return frobenius(UdotElem(ring, acc))
+
+    pairs = triples = 0
+    hom_failures, ker_failures = [], []
     for w1 in words:
-        x = UdotElem(ring, {w1: ring.one()})
-        fx = frobenius(x)
-        for w2 in by_left.get(w1.n, []):
-            pairs += 1
-            if w2.n % p or (w1.a - w1.b + w2.a - w2.b) % p:
-                continue
-            if w2 not in ys:
-                y = UdotElem(ring, {w2: ring.one()})
-                ys[w2] = y, frobenius(y)
-            y, fy = ys[w2]
-            lhs = _frobenius_of_product(x, y)
-            rhs = udot_mult(fx, fy)
+        pairs += len(by_left.get(w1.n, ()))
+        triples += len(by_left.get(w1.n - 2, ())) + len(by_left.get(w1.n + 2, ()))
+        d1 = w1.a - w1.b
+        row = {w2: fr_product(w1, w2) for w2 in visible.get((w1.n, -d1 % p), ())}
+        fx = frobenius(UdotElem(ring, {w1: one}))
+        for w2, lhs in row.items():
+            # Fr(x)·Fr(y) is 0 when Fr(x) is
+            rhs = udot_mult(fx, frobenius(UdotElem(ring, {w2: one}))) if fx.terms else fx
             if lhs != rhs:
-                failures.append((str(w1), str(w2), str(lhs), str(rhs)))
-    return {
-        "p": p,
-        "amax": amax,
-        "nmax": nmax,
-        "pairs": pairs,
-        "ok": not failures,
-        "failures": failures[:3],
-    }
-
-
-def kernel_check(p: int, amax: int, nmax: int) -> dict:
-    """Fr(z·u·z') = 0 for u ∈ {E·1_m, F·1_m} and canonical z, z' in range.
-
-    Only triples whose weights match are enumerated; the others multiply
-    to zero.  A triple is counted but not multiplied when p does not
-    divide the weight n of z' or a − b = (a1 − b1) ± 1 + (a2 − b2), ± for
-    u = E, F: every word of z·u·z' has that weight and that a − b, and Fr
-    drops the word unless p divides both, so the image is 0 whatever
-    `udot_mult` returns.  u·z' is formed in full when some z passes, and
-    Fr(z·u·z') by `_frobenius_of_product`.
-    """
-    ring = CoeffRing("op", p)
-    words = canonical_words(amax, amax, -nmax, nmax)
-    z1s: dict[CBWord, UdotElem] = {}  # each built once
-    by_n: dict[int, list] = {}
-    for w in words:
-        by_n.setdefault(w.n, []).append(w)
-    triples = 0
-    failures = []
-    for w2 in words:
-        z2 = UdotElem(ring, {w2: ring.one()})
-        m = w2.left_weight()
-        for kind in ("E", "F"):
-            if kind == "E":
-                u = UdotElem(ring, {_canonical(1, 0, m): ring.one()})
-                top = m + 2
-            else:
-                u = UdotElem(ring, {_canonical(0, 1, m): ring.one()})
-                top = m - 2
-            left = by_n.get(top, [])
-            triples += len(left)
-            if w2.n % p:
-                continue
-            # every word of u·z' has a − b = d
-            d = w2.a - w2.b + (1 if kind == "E" else -1)
-            visible = [w1 for w1 in left if (w1.a - w1.b + d) % p == 0]
-            if not visible:
-                continue
-            uz = udot_mult(u, z2)
-            for w1 in visible:
-                if w1 not in z1s:
-                    z1s[w1] = UdotElem(ring, {w1: ring.one()})
-                img = _frobenius_of_product(z1s[w1], uz)
-                if not img.is_zero():
-                    failures.append((str(w1), kind, str(w2), str(img)))
-    return {
-        "p": p,
-        "amax": amax,
-        "nmax": nmax,
-        "triples": triples,
-        "ok": not failures,
-        "failures": failures[:3],
-    }
+                hom_failures.append((str(w1), str(w2), str(lhs), str(rhs)))
+        for kind, u, d in (("E", (1, 0), 1), ("F", (0, 1), -1)):
+            m = w1.n - 2 * d
+            for w2 in visible.get((m, -(d1 + d) % p), ()):
+                uz = uzs.get((w2, kind))
+                if uz is None:
+                    x, y = UdotElem(ring, {_canonical(*u, m): one}), UdotElem(ring, {w2: one})
+                    uz = uzs[w2, kind] = tuple(udot_mult(x, y).terms.items())
+                img: dict[CBWord, object] = {}
+                for w, c in uz:
+                    if w not in row:
+                        row[w] = fr_product(w1, w)
+                    for v, f in row[w].terms.items():
+                        img[v] = img[v] + c * f if v in img else c * f
+                if any(img.values()):
+                    fail = (str(w1), kind, str(w2), str(UdotElem(_ring("rho", p), img)))
+                    # canonical_words lists the words in (a, b, n) order
+                    key = ((w2.a, w2.b, w2.n), kind, (w1.a, w1.b, w1.n))
+                    ker_failures.append((key, fail))
+    report = {"p": p, "amax": amax, "nmax": nmax}
+    hom = {**report, "pairs": pairs, "ok": not hom_failures, "failures": hom_failures[:3]}
+    ker_failures.sort()
+    ker = {**report, "triples": triples, "ok": not ker_failures}
+    ker["failures"] = [fail for _, fail in ker_failures[:3]]
+    return hom, ker
 
 
 @functools.cache
 def oracle_box_check(amax: int, nmax: int) -> tuple[int, bool]:
     """(pairs, ok): whether `oracle_product_agrees` holds for every
     weight-matched pair of canonical words with a, b ≤ amax, |n| ≤ nmax,
-    stopping at the first disagreement (pairs then counts up to it).
+    stopping at the first disagreement (pairs then counts the pairs
+    decided up to it, a pair and its ω-mirror together).
+
+    ω maps the box onto itself and a strictly EF pair (n2 < B − A) to a
+    strictly FE one, whose left side `oracle_product_agrees` forms as
+    ω(ω(w1))·ω(ω(w2)) = w1·w2.  So a strictly EF pair compares one left
+    side against w1·w2 and against ω(w1)·ω(w2), read mirrored; a strictly
+    FE pair is counted and decided through its mirror, and a tie alone.
 
     The oracle works over Z[v^{±1}] and does not depend on p, so the
     decision is made once per process for each box.  All pairs share one
@@ -498,8 +475,21 @@ def oracle_box_check(amax: int, nmax: int) -> tuple[int, bool]:
     pairs = 0
     for w1 in words:
         for w2 in by_left.get(w1.n, []):
-            pairs += 1
-            if not oracle_product_agrees(w1, w2, packed_ring):
+            gap = w1.b + w2.b - w1.a - w2.a - w2.n  # B − A − n2
+            if gap < 0:
+                continue
+            if gap == 0:
+                pairs += 1
+                agrees = oracle_product_agrees(w1, w2, packed_ring)
+            else:
+                pairs += 2
+                left = functools.partial(_divided_product, w1, w2)
+                rights = [
+                    functools.partial(_read_product, w1, w2),
+                    functools.partial(_read_product, _omega(w1), _omega(w2)),
+                ]
+                agrees = _divided_agree(left, rights, packed_ring)
+            if not agrees:
                 return pairs, False
     return pairs, True
 
@@ -703,15 +693,18 @@ def _packed_expansion(w: CBWord, ring: _PackedRing) -> dict:
     return ring.divided(w.b, w.a, w.n)
 
 
-def _divided_agree(lhs, rhs, packed_ring=_PackedRing) -> bool:
-    """Whether lhs(ring) = rhs(ring), two dicts over the divided basis
-    E^{(i)}F^{(j)}1_n packed in ring = packed_ring(K)."""
+def _divided_agree(lhs, rhss, packed_ring=_PackedRing) -> bool:
+    """Whether lhs(ring) = rhs(ring) for every rhs in rhss, dicts over the
+    divided basis E^{(i)}F^{(j)}1_n packed in ring = packed_ring(K); the
+    left side is formed once per width."""
 
     def sides(K):
         ring = packed_ring(K)
-        left, right = lhs(ring), rhs(ring)
-        for key in left.keys() | right.keys():
-            yield left.get(key, _ZERO), right.get(key, _ZERO)
+        left = lhs(ring)
+        for rhs in rhss:
+            right = rhs(ring)
+            for key in left.keys() | right.keys():
+                yield left.get(key, _ZERO), right.get(key, _ZERO)
 
     return _packed_agree(sides)
 
@@ -733,6 +726,20 @@ def _divided_product(w1: CBWord, w2: CBWord, ring: _PackedRing) -> dict:
     return out
 
 
+def _read_product(w1: CBWord, w2: CBWord, ring) -> dict:
+    """udot_mult(w1, w2) over ring, weights matched, as the right side of
+    `oracle_product_agrees` reads it over the divided basis."""
+    A, B, n2 = w1.a + w2.a, w1.b + w2.b, w2.n
+    ef = n2 <= B - A
+    prod = udot_mult(UdotElem(ring, {w1: ring.one()}), UdotElem(ring, {w2: ring.one()}))
+    out = {}
+    for w, c in prod.terms.items():
+        if w.n != n2 or w.a - w.b != A - B or w.a > A:
+            raise ValueError(f"word {w} off n = {n2}, a − b = {A - B}, a ≤ {A}")
+        out[(w.a, w.b) if ef else (w.b, w.a)] = c
+    return out
+
+
 def oracle_product_agrees(w1: CBWord, w2: CBWord, packed_ring=_PackedRing) -> bool:
     """Whether udot_mult over Z[v^{±1}] matches the rational-field
     expansion of w1·w2 (zero when weights mismatch) over the divided basis.
@@ -744,27 +751,13 @@ def oracle_product_agrees(w1: CBWord, w2: CBWord, packed_ring=_PackedRing) -> bo
     as they come, and a word off that n2 or a − b, or with a > A, raises.
     udot_mult runs over `packed_ring(K)` (see `_PackedRing`);
     `oracle_box_check` passes a cached constructor, one ring per width."""
-
-    def product(ring):
-        return udot_mult(
-            UdotElem(ring, {w1: ring.one()}), UdotElem(ring, {w2: ring.one()})
-        )
-
     if w1.n != w2.left_weight():
-        return product(packed_ring(_START_WIDTH)).is_zero()
-    A, B, n2 = w1.a + w2.a, w1.b + w2.b, w2.n
-    ef = n2 <= B - A
-
-    def right(ring):
-        out = {}
-        for w, c in product(ring).terms.items():
-            if w.n != n2 or w.a - w.b != A - B or w.a > A:
-                raise ValueError(f"word {w} off n = {n2}, a − b = {A - B}, a ≤ {A}")
-            out[(w.a, w.b) if ef else (w.b, w.a)] = c
-        return out
-
-    x, y = (w1, w2) if ef else (_omega(w1), _omega(w2))
-    return _divided_agree(lambda ring: _divided_product(x, y, ring), right, packed_ring)
+        ring = packed_ring(_START_WIDTH)
+        x, y = UdotElem(ring, {w1: ring.one()}), UdotElem(ring, {w2: ring.one()})
+        return udot_mult(x, y).is_zero()
+    x, y = (w1, w2) if w2.n <= w1.b + w2.b - w1.a - w2.a else (_omega(w1), _omega(w2))
+    left = functools.partial(_divided_product, x, y)
+    return _divided_agree(left, [functools.partial(_read_product, w1, w2)], packed_ring)
 
 
 def commutation_formula_agrees(A: int, B: int, n: int) -> bool:
@@ -775,5 +768,5 @@ def commutation_formula_agrees(A: int, B: int, n: int) -> bool:
     terms = [(j, qbinom_int(A - B + n, j)) for j in range(min(A, B) + 1)]
     return _divided_agree(
         lambda ring: ring.divided(A, B, -n),
-        lambda ring: {(B - j, A - j): _pack(c, ring.K) for j, c in terms if c},
+        [lambda ring: {(B - j, A - j): _pack(c, ring.K) for j, c in terms if c}],
     )

@@ -1,11 +1,16 @@
 """Reference Frobenius checks and monomial expansions for the tests.
 
-The exhaustive loops that `qgroup.frobenius_hom_check` and
-`qgroup.kernel_check` ran before they learned the weight rule: every
-weight-matched pair and triple is multiplied out in full, whatever its
-weight, and only then sent through `frobenius`.  Kept here unchanged as
-the independent oracle for the pairs and triples that the fast checks
-decide without multiplying.
+`frobenius_hom_check` and `kernel_check` are the exhaustive loops that
+the two checks ran before they learned the weight rule and became one
+pass, `qgroup.frobenius_checks`: every weight-matched pair and triple is
+multiplied out in full, whatever its weight, and only then sent through
+`frobenius`.  Kept here unchanged as the independent oracle for the pairs
+and triples that the fast pass decides without multiplying, and for the
+products it forms once and reuses.
+
+`_frobenius_of_product(x, y)` is Fr(x·y) formed from only the words that
+Fr keeps, through `qgroup._product` at the modulus p, as the two checks
+formed it product by product; it is the reference of that modulus.
 
 `oracle_monomials` is the Laurent-polynomial normal form of ϑ^b θ^a 1_n
 over the monomials θ^i ϑ^j 1_n, which the product oracle once compared
@@ -22,7 +27,7 @@ form.  It is the slow oracle of `qgroup.oracle_product_agrees`.
 divided-power product written out once per pair of shapes, with
 `_push_canonical` normalizing both shapes.  `four_case_udot_mult` and
 `four_case_frobenius_of_product` run it as `qgroup.udot_mult` and
-`qgroup._frobenius_of_product` did; it is their reference.
+`_frobenius_of_product` did; it is their reference.
 """
 
 from qfrob import qgroup
@@ -156,7 +161,7 @@ def ef_basis_product_agrees(w1, w2, packed_ring=qgroup._PackedRing) -> bool:
         return out
 
     return qgroup._divided_agree(
-        lambda ring: qgroup._divided_product(w1, w2, ring), right, packed_ring
+        lambda ring: qgroup._divided_product(w1, w2, ring), [right], packed_ring
     )
 
 
@@ -252,6 +257,13 @@ def _product(x, y, mod):
         for w2, c2 in y.terms.items():
             _word_mult(x.ring, w1, w2, acc, c1 * c2, mod)
     return UdotElem(x.ring, acc)
+
+
+def _frobenius_of_product(x: UdotElem, y: UdotElem) -> UdotElem:
+    """Fr(x·y) for O_p elements, built from only the words of x·y whose a
+    and b p divides: equal to frobenius(udot_mult(x, y)), since Fr drops
+    every other word."""
+    return frobenius(qgroup._product(x, y, x.ring.p))
 
 
 def four_case_udot_mult(x, y):

@@ -16,10 +16,9 @@ from qfrob.qgroup import (
     canonical_words,
     commutation_formula_agrees,
     frobenius,
-    frobenius_hom_check,
+    frobenius_checks,
     frobenius_section,
     k0_symbol_check,
-    kernel_check,
     oracle_product_agrees,
     udot_mult,
     _canonical,
@@ -147,8 +146,7 @@ class TestCommutationOracle:
         # [2, 1] in O_2 is q + q^{−1} = 0; made 1, E·E·1_n no longer dies
         # and Fr is no longer multiplicative
         _wrong_op_binomial(monkeypatch)
-        hom = frobenius_hom_check(2, 2, 4)
-        ker = kernel_check(2, 2, 4)
+        hom, ker = frobenius_checks(2, 2, 4)
         assert (hom["pairs"], hom["ok"]) == (585, False)
         assert (ker["triples"], ker["ok"]) == (1062, False)
         assert hom["failures"] and ker["failures"]
@@ -484,6 +482,71 @@ class TestOmega:
         assert pairs == 2688
 
 
+def _spy_at_start_width(monkeypatch, name) -> collections.Counter:
+    """Count the (w1, w2) of every call of qgroup.<name>(w1, w2, ring) at
+    the start width."""
+    seen = collections.Counter()
+    real = getattr(qgroup, name)
+
+    def spy(w1, w2, ring):
+        if ring.K == qgroup._START_WIDTH:
+            seen[w1, w2] += 1
+        return real(w1, w2, ring)
+
+    monkeypatch.setattr(qgroup, name, spy)
+    return seen
+
+
+class TestOmegaPairs:
+    """`oracle_box_check` decides a strictly EF pair and its ω-mirror off
+    one left side, and a tie alone."""
+
+    @pytest.mark.parametrize("amax,nmax", [(2, 4), (3, 6)])
+    def test_every_pair_is_decided_once(self, monkeypatch, amax, nmax):
+        decided = _spy_at_start_width(monkeypatch, "_read_product")
+        lefts = _spy_at_start_width(monkeypatch, "_divided_product")
+        words = canonical_words(amax, amax, -nmax, nmax)
+        matched = [(w1, w2) for w1 in words for w2 in words if w1.n == w2.left_weight()]
+        ties = sum(w2.n == w1.b + w2.b - w1.a - w2.a for w1, w2 in matched)
+        assert qgroup.oracle_box_check.__wrapped__(amax, nmax) == (len(matched), True)
+        assert decided == dict.fromkeys(matched, 1)
+        # one left side per strictly EF pair (with its mirror) and per tie
+        assert max(lefts.values()) == 1
+        assert sum(lefts.values()) == (len(matched) + ties) // 2
+
+    @pytest.mark.parametrize("which", ["fe_w1", "fe_product"])
+    def test_a_wrong_product_fails_the_box(self, monkeypatch, which):
+        # one coefficient of w1·w2 gains v^7 when w1 is stored FE-shaped, or
+        # only when the product is strictly FE: such a pair is decided only
+        # through its mirror, so a mirror side never compared would pass
+        real = qgroup.udot_mult
+
+        def perturbed(x, y):
+            out = real(x, y)
+            (w1,), (w2,) = x.terms, y.terms
+            fe_product = w2.n > w1.b + w2.b - w1.a - w2.a
+            if not out.terms or not (w1.shape == "FE" if which == "fe_w1" else fe_product):
+                return out
+            terms = dict(out.terms)
+            w = next(iter(terms))
+            terms[w] = terms[w] + x.ring.elem(qgroup._pack(LaurentPoly({7: 1}), x.ring.K))
+            return UdotElem(out.ring, terms)
+
+        monkeypatch.setattr(qgroup, "udot_mult", perturbed)
+        words = canonical_words(2, 2, -4, 4)
+        rejected = [
+            (w1, w2)
+            for w1 in words
+            for w2 in words
+            if w1.n == w2.left_weight() and not oracle_product_agrees(w1, w2)
+        ]
+        assert rejected
+        if which == "fe_product":
+            assert all(w2.n > w1.b + w2.b - w1.a - w2.a for w1, w2 in rejected)
+        pairs, ok = qgroup.oracle_box_check.__wrapped__(2, 4)
+        assert not ok and 0 < pairs <= 585
+
+
 class _ReadRecorder:
     """The generic ring, recording every binomial read."""
 
@@ -527,7 +590,8 @@ class TestOneProductRule:
             assert list(got.terms.items()) == list(want.terms.items()), (ring, w1, w2)
             if isinstance(ring, CoeffRing) and ring.tag == "op":
                 fr = frobenius_oracle.four_case_frobenius_of_product(x, y)
-                assert qgroup._frobenius_of_product(x, y).terms == fr.terms, (ring, w1, w2)
+                mine = frobenius_oracle._frobenius_of_product(x, y)
+                assert mine.terms == fr.terms, (ring, w1, w2)
             changed += got.terms != right_product.terms
             pairs += 1
         assert pairs == 5 * 2688
@@ -561,7 +625,7 @@ class TestCoeffRing:
 
     def test_hom_check_refuses_a_non_prime_p(self):
         with pytest.raises(ValueError, match="prime"):
-            frobenius_hom_check(4, 2, 4)
+            frobenius_checks(4, 2, 4)
 
 
 class TestAssociativity:
@@ -615,7 +679,7 @@ class TestFrobenius:
             assert lhs == rhs
 
     def test_hom_check_small(self):
-        rep = frobenius_hom_check(2, 3, 6)
+        rep, _ = frobenius_checks(2, 3, 6)
         assert rep["ok"], rep["failures"]
 
     def test_kernel_example(self):
@@ -633,11 +697,11 @@ class TestFrobenius:
         assert frobenius(prod).is_zero()
 
     def test_kernel_check_small(self):
-        rep = kernel_check(2, 2, 4)
+        _, rep = frobenius_checks(2, 2, 4)
         assert rep["ok"], rep["failures"]
 
     def test_kernel_check_vacuous_range(self):
-        rep = kernel_check(2, 0, 0)
+        _, rep = frobenius_checks(2, 0, 0)
         assert rep["ok"] and rep["triples"] >= 0
 
     def test_kernel_of_idempotent_sandwich(self):
@@ -658,7 +722,7 @@ class TestWeightRule:
     def test_checks_match_exhaustive_loops(self, monkeypatch, p, wrong):
         if wrong:
             _wrong_op_binomial(monkeypatch)
-        hom, ker = frobenius_hom_check(p, 3, 6), kernel_check(p, 3, 6)
+        hom, ker = frobenius_checks(p, 3, 6)
         assert hom == frobenius_oracle.frobenius_hom_check(p, 3, 6)
         assert ker == frobenius_oracle.kernel_check(p, 3, 6)
         # the wrong binomial lives in O_2 only
@@ -713,6 +777,42 @@ class TestWeightRule:
         assert seen > 0
 
 
+class TestOnePass:
+    """`frobenius_checks`: one row of Fr(w1·w) per left word w1 decides
+    the hom pairs and the kernel triples of w1."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_each_product_is_formed_once(self, monkeypatch, p):
+        # no product repeats, within a row or anywhere else, and the rows
+        # come one after another in canonical_words order
+        calls = []
+        real = qgroup._word_mult
+
+        def spy(ring, w1, w2, acc, scale, mod=None):
+            calls.append((ring, w1, w2, mod))
+            return real(ring, w1, w2, acc, scale, mod)
+
+        monkeypatch.setattr(qgroup, "_word_mult", spy)
+        hom, ker = frobenius_checks(p, 3, 6)
+        assert hom["ok"] and ker["ok"]
+        assert max(collections.Counter(calls).values()) == 1
+        order = {w: i for i, w in enumerate(canonical_words(3, 3, -6, 6))}
+        rows = [order[w1] for _, w1, _, mod in calls if mod == p]
+        assert rows and rows == sorted(rows)
+
+    @pytest.mark.parametrize("wrong", [False, True])
+    def test_pinned_box_matches_exhaustive_loops(self, monkeypatch, wrong):
+        # failures[:3] included: the kernel's failures come in (z', u, z)
+        # order although the pass finds them row by row
+        if wrong:
+            _wrong_op_binomial(monkeypatch)
+        hom, ker = frobenius_checks(2, 4, 8)
+        assert hom == frobenius_oracle.frobenius_hom_check(2, 4, 8)
+        assert ker == frobenius_oracle.kernel_check(2, 4, 8)
+        assert hom["ok"] == ker["ok"] == (not wrong)
+        assert (hom["pairs"], ker["triples"]) == (8625, 16750)
+
+
 @st.composite
 def _op_factors(draw):
     """(x, y): multi-term O_p elements, p ∈ {2, 3, 5}, whose words meet at
@@ -747,7 +847,8 @@ class TestFrobeniusOfProduct:
         with pytest.MonkeyPatch.context() as mp:
             if wrong:
                 _wrong_op_binomial(mp)
-            assert qgroup._frobenius_of_product(x, y) == frobenius(udot_mult(x, y))
+            got = frobenius_oracle._frobenius_of_product(x, y)
+            assert got == frobenius(udot_mult(x, y))
 
 
 class TestSection:
